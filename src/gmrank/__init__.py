@@ -19,12 +19,11 @@ from .graph import (DirectedGraph, EdgeListError, GraphStats, load_edge_list,
                     reverse, save_edge_list, stats)
 from .rank import (ConvergenceError, GoogleParams, RankIndex, RankVector,
                    TwoDRankResult, cheirank, dense_google_matrix,
-                   dense_stationary, pagerank, rank_indices,
-                   stochastic_column, two_d_rank)
+                   dense_stationary, pagerank, rank_indices, two_d_rank)
 from .registry import (EDITION_CODES, WORLD, CountryCultureMap, Person,
                        PersonRegistry, TopList, assign_culture, century_of,
-                       default_culture_map, default_editions, load_culture_map,
-                       load_editions, load_persons, select_top_people)
+                       default_culture_map, load_culture_map, load_persons,
+                       select_top_people)
 
 __version__ = "0.1.0"
 
@@ -34,13 +33,12 @@ __all__ = [
     "EdgeListError", "GlobalEntry", "GoogleParams", "GraphStats", "Person",
     "PersonRegistry", "RankIndex", "RankVector", "TopList", "TwoDRankResult",
     "WORLD", "assign_culture", "build_culture_network", "century_of",
-    "cheirank", "classify_figures", "column_normalize", "culture_google_matrix",
-    "culture_ranks", "default_culture_map", "default_editions",
+    "cheirank", "classify_figures", "column_normalize",
+    "culture_google_matrix", "culture_ranks", "default_culture_map",
     "dense_google_matrix", "dense_stationary", "edition_average",
     "export_matrix_by_rank", "gender_distribution", "global_ranking",
     "language_representation", "load_culture_map", "load_edge_list",
-    "load_editions", "load_persons", "locality_ratio", "overlap", "pagerank",
-    "rank_indices", "reverse", "save_edge_list", "select_top_people",
-    "spatial_distribution", "stats", "stochastic_column",
-    "temporal_distribution", "theta_score", "two_d_rank",
+    "load_persons", "locality_ratio", "overlap", "pagerank", "rank_indices",
+    "reverse", "save_edge_list", "select_top_people", "spatial_distribution",
+    "stats", "temporal_distribution", "theta_score", "two_d_rank",
 ]

@@ -2,8 +2,9 @@
 
 Cache layout (little-endian): magic ``GMRK``, version u16, algorithm tag u8
 (0 = pagerank, 1 = cheirank), alpha f64, N u64, then N probabilities as f64.
-Files are keyed by a content hash of the edge list plus the iteration
-parameters, so a converged vector is never recomputed for unchanged input.
+Files are keyed by a content hash of the edge list, the options it was
+parsed with and the iteration parameters, so a converged vector is never
+recomputed for unchanged input.
 """
 from __future__ import annotations
 
@@ -68,10 +69,15 @@ def content_hash(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def cache_key(edge_list_hash: str, algorithm: str, alpha: float,
-              tol: float) -> str:
-    """Stable key for one (edge list, algorithm, alpha, tol) combination."""
-    raw = f"{edge_list_hash}:{algorithm}:{alpha!r}:{tol!r}".encode()
+def cache_key(edge_list_hash: str, algorithm: str, alpha: float, tol: float,
+              label_mode: str, drop_self_loops: bool) -> str:
+    """Stable key for one edge list, parse mode, algorithm, alpha and tol.
+
+    The label mode and the self-loop policy change the parsed graph, so
+    they are part of the key along with the file bytes.
+    """
+    raw = (f"{edge_list_hash}:{label_mode}:{drop_self_loops}:{algorithm}:"
+           f"{alpha!r}:{tol!r}").encode()
     return hashlib.sha256(raw).hexdigest()[:32]
 
 

@@ -11,15 +11,15 @@ import argparse
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import aggregate, cache, cultures, selfcheck, tableio
 from .graph import (INTEGER_IDS, STRING_LABELS, DirectedGraph, EdgeListError,
                     load_edge_list)
 from .rank import (CHEIRANK, PAGERANK, ConvergenceError, GoogleParams,
-                   RankVector, pagerank, rank_indices, two_d_rank)
+                   RankVector, cheirank, pagerank, rank_indices, two_d_rank)
 from .registry import (EDITION_CODES, PAGERANK_LIST, TWODRANK_LIST,
                        PersonRegistry, default_culture_map, load_culture_map,
                        load_persons, select_top_people)
@@ -56,12 +56,7 @@ class PipelineConfig:
                             max_iter=self.max_iter)
 
     def validate(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be >= 1")
+        self.params()           # GoogleParams checks alpha, tol and max_iter
         if not (1 <= self.top_n <= 100):
             raise ConfigError(f"top_n must be in [1, 100], got {self.top_n}")
         if self.before_century == 0:
@@ -171,18 +166,21 @@ def _computed_vector(g: DirectedGraph, algorithm: str,
                      params: GoogleParams) -> RankVector:
     if algorithm == PAGERANK:
         return pagerank(g, params)
-    from .rank import cheirank
     return cheirank(g, params)
 
 
 def _ranked_vector(graph_path: Path, g: DirectedGraph, algorithm: str,
-                   params: GoogleParams,
-                   cache_dir: Path | None) -> RankVector:
-    """Compute a rank vector, consulting the binary cache when enabled."""
+                   params: GoogleParams, cache_dir: Path | None,
+                   label_mode: str, drop_self_loops: bool) -> RankVector:
+    """Compute a rank vector, consulting the binary cache when enabled.
+
+    ``label_mode`` and ``drop_self_loops`` are those ``g`` was parsed with.
+    """
     if cache_dir is None:
         return _computed_vector(g, algorithm, params)
     key = cache.cache_key(cache.content_hash(graph_path), algorithm,
-                          params.alpha, params.tol)
+                          params.alpha, params.tol, label_mode,
+                          drop_self_loops)
     path = cache.cache_path(cache_dir, key)
     if path.is_file():
         try:
@@ -201,7 +199,7 @@ def _ranked_vector(graph_path: Path, g: DirectedGraph, algorithm: str,
 
 
 def _load_graph(path: Path, label_mode: str,
-                drop_self_loops: bool = True) -> DirectedGraph:
+                drop_self_loops: bool) -> DirectedGraph:
     with open(path, encoding="utf-8") as f:
         return load_edge_list(f, drop_self_loops=drop_self_loops,
                               label_mode=label_mode)
@@ -210,31 +208,28 @@ def _load_graph(path: Path, label_mode: str,
 # -- subcommands --------------------------------------------------------------
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    params = GoogleParams(
-        alpha=args.alpha if args.alpha is not None else 0.85,
-        tol=args.tol if args.tol is not None else 1e-10,
-        max_iter=args.max_iter if args.max_iter is not None else 1000)
+    config = PipelineConfig()
+    _apply_overrides(config, args)
+    params = config.params()
     label_mode = STRING_LABELS if args.labels else INTEGER_IDS
+    drop_self_loops = not args.keep_self_loops
     graph_path = Path(args.graph)
-    g = _load_graph(graph_path, label_mode, not args.keep_self_loops)
+    g = _load_graph(graph_path, label_mode, drop_self_loops)
     if g.node_count == 0:
         raise EdgeListError("graph has no nodes")
-    cache_dir = Path(args.cache_dir) if args.cache_dir else None
-    env_cache = os.environ.get(CACHE_ENV)
-    if cache_dir is None and env_cache:
-        cache_dir = Path(env_cache)
+    ranked_vector = partial(_ranked_vector, graph_path, g, params=params,
+                            cache_dir=config.cache_dir, label_mode=label_mode,
+                            drop_self_loops=drop_self_loops)
 
     out_path = Path(args.out)
     if args.algorithm in (PAGERANK, CHEIRANK):
-        vector = _ranked_vector(graph_path, g, args.algorithm, params, cache_dir)
+        vector = ranked_vector(args.algorithm)
         index = rank_indices(vector)
         with tableio.atomic_write(out_path) as f:
             cache.write_rank_csv(f, vector, index, g.labels)
     else:  # 2drank
-        kp = rank_indices(_ranked_vector(graph_path, g, PAGERANK, params,
-                                         cache_dir))
-        kc = rank_indices(_ranked_vector(graph_path, g, CHEIRANK, params,
-                                         cache_dir))
+        kp = rank_indices(ranked_vector(PAGERANK))
+        kc = rank_indices(ranked_vector(CHEIRANK))
         result = two_d_rank(kp, kc)
         with tableio.atomic_write(out_path) as f:
             f.write("node_id,label,k,kstar,kprime\n")
@@ -253,19 +248,17 @@ def _toplist_path(config: PipelineConfig, edition: str, algorithm: str) -> Path:
 def _extract_toplist(config: PipelineConfig, registry: PersonRegistry,
                      edition: str, algorithm: str) -> Path:
     graph_path = config.edition_path(edition)
-    g = _load_graph(graph_path, STRING_LABELS)
+    g = _load_graph(graph_path, STRING_LABELS, drop_self_loops=True)
     if g.labels is None or g.node_count == 0:
         raise EdgeListError(f"edition {edition}: graph has no labeled nodes")
-    params = config.params()
+    ranked_vector = partial(_ranked_vector, graph_path, g,
+                            params=config.params(), cache_dir=config.cache_dir,
+                            label_mode=STRING_LABELS, drop_self_loops=True)
     if algorithm == PAGERANK_LIST:
-        ranked = rank_indices(_ranked_vector(graph_path, g, PAGERANK, params,
-                                             config.cache_dir))
+        ranked = rank_indices(ranked_vector(PAGERANK))
     else:
-        kp = rank_indices(_ranked_vector(graph_path, g, PAGERANK, params,
-                                         config.cache_dir))
-        kc = rank_indices(_ranked_vector(graph_path, g, CHEIRANK, params,
-                                         config.cache_dir))
-        ranked = two_d_rank(kp, kc)
+        ranked = two_d_rank(rank_indices(ranked_vector(PAGERANK)),
+                            rank_indices(ranked_vector(CHEIRANK)))
     toplist = select_top_people(ranked, g.labels, registry, edition,
                                 algorithm, n=config.top_n)
     if not toplist.entries:
@@ -289,15 +282,8 @@ def cmd_top_people(args: argparse.Namespace) -> int:
             raise ConfigError("pass --edition CODE or --all")
         codes = [args.edition.upper()]
         config.edition_path(codes[0])     # fails fast if unconfigured
-    if args.jobs > 1 and len(codes) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_extract_toplist, config, registry, code,
-                                   args.algorithm) for code in codes]
-            for future in futures:
-                future.result()
-    else:
-        for code in codes:
-            _extract_toplist(config, registry, code, args.algorithm)
+    for code in codes:
+        _extract_toplist(config, registry, code, args.algorithm)
     return EXIT_OK
 
 
@@ -459,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="process every configured edition")
     p_top.add_argument("--algorithm", default=PAGERANK_LIST,
                        choices=[PAGERANK_LIST, TWODRANK_LIST])
-    p_top.add_argument("--jobs", type=int, default=1,
-                       help="parallel edition workers")
     p_top.add_argument("--top-n", dest="top_n", type=int, default=None)
     p_top.add_argument("--output-dir", default=None)
     p_top.add_argument("--cache-dir", default=None)

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .rank import dense_stationary, rank_indices, two_d_rank
+from .rank import dense_stationary, google_matrix, rank_indices, two_d_rank
 from .registry import (EDITION_CODES, WORLD, PersonRegistry, TopList,
                        century_of)
 
@@ -99,24 +99,9 @@ def build_culture_network(toplists: Sequence[TopList],
                           before_century=before_century)
 
 
-def _google_from_weights(weights: np.ndarray, alpha: float) -> np.ndarray:
-    # column j gets out-weights of culture j; zero-weight columns are uniform
-    n = weights.shape[0]
-    matrix = np.full((n, n), (1.0 - alpha) / n)
-    out_totals = weights.sum(axis=1)
-    for j in range(n):
-        if out_totals[j] > 0:
-            matrix[:, j] += alpha * weights[j, :] / out_totals[j]
-        else:
-            matrix[:, j] += alpha / n
-    return matrix
-
-
 def culture_google_matrix(net: CultureNetwork, alpha: float = 0.85) -> np.ndarray:
     """Dense 25x25 Google matrix of the weighted culture network."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return _google_from_weights(net.weights, alpha)
+    return google_matrix(net.weights, alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +132,7 @@ def culture_ranks(net: CultureNetwork, alpha: float = 0.85) -> CultureRanks:
     exact symmetries yield exact ties; reported probabilities stay raw.
     """
     forward = dense_stationary(culture_google_matrix(net, alpha))
-    backward = dense_stationary(_google_from_weights(net.weights.T, alpha))
+    backward = dense_stationary(google_matrix(net.weights.T, alpha))
     kp = rank_indices(np.round(forward.probabilities, 12))
     kc = rank_indices(np.round(backward.probabilities, 12))
     twod = two_d_rank(kp, kc)

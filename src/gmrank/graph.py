@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -32,19 +32,12 @@ class EdgeListError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GraphStats:
     node_count: int
     edge_count: int
     dangling_count: int
     self_loop_count: int
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GraphStats):
-            return NotImplemented
-        return (self.node_count, self.edge_count, self.dangling_count,
-                self.self_loop_count) == (other.node_count, other.edge_count,
-                                          other.dangling_count, other.self_loop_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,11 +128,6 @@ class DirectedGraph:
         targets = np.repeat(np.arange(self.node_count, dtype=np.int64),
                             self.in_degree)
         return self.in_sources.copy(), targets
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        src, tgt = self.edge_arrays()
-        for s, t in zip(src.tolist(), tgt.tolist()):
-            yield s, t
 
     def has_edge(self, source: int, target: int) -> bool:
         nbrs = self.in_neighbors(target)

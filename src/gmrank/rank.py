@@ -4,8 +4,10 @@ The transition matrix S column-normalizes the adjacency; columns of
 dangling nodes (zero out-degree) act as uniform 1/N.  The full matrix
 G = alpha*S + (1-alpha)/N is never materialized on the sparse path:
 each sweep does one sparse matvec plus a uniform redistribution of the
-dangling mass, O(E + N) per iteration.  A dense-matrix oracle (for small
-instances) backs the sparse path in tests and self-checks.
+dangling mass, O(E + N) per iteration.  One dense builder,
+:func:`google_matrix`, takes a weighted adjacency: it is the oracle for the
+sparse path in tests and self-checks, and it ranks the 25-node culture
+network.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from typing import Iterable
 import numpy as np
 from scipy import sparse
 
+from .aggregate import overlap
 from .graph import DirectedGraph, reverse
 
 PAGERANK = "pagerank"
@@ -104,40 +107,6 @@ class TwoDRankResult:
         return int(self.ordering.size)
 
 
-@dataclass(frozen=True)
-class StochasticColumn:
-    """One column of S: explicit entries, or a dangling flag meaning uniform 1/N."""
-
-    node: int
-    targets: np.ndarray
-    values: np.ndarray
-    dangling: bool
-    node_count: int
-
-    def dense(self) -> np.ndarray:
-        if self.dangling:
-            return np.full(self.node_count, 1.0 / self.node_count)
-        col = np.zeros(self.node_count)
-        col[self.targets] = self.values
-        return col
-
-
-def stochastic_column(g: DirectedGraph, node: int) -> StochasticColumn:
-    """Column ``node`` of S: 1/k_out at each out-neighbor, or uniform if dangling.
-
-    O(E) scan; meant for inspection and tests, not for the iteration path.
-    """
-    k_out = int(g.out_degree[node])
-    if k_out == 0:
-        return StochasticColumn(node, np.empty(0, dtype=np.int64),
-                                np.empty(0), True, g.node_count)
-    positions = np.nonzero(g.in_sources == node)[0]
-    targets = np.searchsorted(g.in_indptr, positions, side="right") - 1
-    return StochasticColumn(node, targets.astype(np.int64),
-                            np.full(targets.size, 1.0 / k_out), False,
-                            g.node_count)
-
-
 def _transition_matrix(g: DirectedGraph) -> sparse.csr_matrix:
     # rows = targets, cols = sources; reuses the graph's target-grouped arrays
     data = 1.0 / g.out_degree[g.in_sources]
@@ -209,9 +178,29 @@ def two_d_rank(kp: RankIndex, kc: RankIndex) -> TwoDRankResult:
     return TwoDRankResult(kprime=kprime, ordering=ordering.astype(np.int64))
 
 
+def google_matrix(weights: np.ndarray, alpha: float = 0.85) -> np.ndarray:
+    """Dense G = alpha*S + (1-alpha)/N of a weighted adjacency matrix.
+
+    ``weights[j, i]`` is the weight of the link j -> i.  Column j of S is
+    row j of ``weights`` over its total (Langville & Meyer, "Deeper inside
+    PageRank", 2004); a node with no outgoing weight is dangling and its
+    column is uniform 1/N.  Every column of G sums to 1.
+    """
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    n = weights.shape[0]
+    out_totals = weights.sum(axis=1)
+    dangling = out_totals == 0
+    # C order, as dense_stationary's matvec rounding depends on the layout
+    matrix = np.full((n, n), (1.0 - alpha) / n)
+    matrix += alpha * weights.T / np.where(dangling, 1, out_totals)
+    matrix[:, dangling] += alpha / n
+    return matrix
+
+
 def dense_google_matrix(g: DirectedGraph, alpha: float = 0.85,
                         dense_limit: int = DENSE_LIMIT) -> np.ndarray:
-    """Fully materialized G = alpha*S + (1-alpha)/N; every column sums to 1.
+    """:func:`google_matrix` of the graph's 0/1 adjacency.
 
     Refuses graphs above ``dense_limit`` nodes.
     """
@@ -221,14 +210,10 @@ def dense_google_matrix(g: DirectedGraph, alpha: float = 0.85,
     if n > dense_limit:
         raise ValueError(
             f"graph has {n} nodes, over the dense limit {dense_limit}")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    matrix = np.full((n, n), (1.0 - alpha) / n)
+    adjacency = np.zeros((n, n), dtype=bool)
     src, tgt = g.edge_arrays()
-    matrix[tgt, src] += alpha / g.out_degree[src]
-    dangling = np.nonzero(g.out_degree == 0)[0]
-    matrix[:, dangling] += alpha / n
-    return matrix
+    adjacency[src, tgt] = True
+    return google_matrix(adjacency, alpha)
 
 
 def dense_stationary(matrix: np.ndarray, tol: float = 1e-14,
@@ -262,11 +247,6 @@ def dense_stationary(matrix: np.ndarray, tol: float = 1e-14,
         vector=p, residual=residual, iterations=max_iter)
 
 
-def top_overlap(a: RankIndex, b: RankIndex, n: int = 100) -> int:
-    """Size of the intersection of the two top-n node sets."""
-    return len(set(a.ordering[:n].tolist()) & set(b.ordering[:n].tolist()))
-
-
 def alpha_robustness_report(g: DirectedGraph,
                             alphas: Iterable[float] = (0.5, 0.65, 0.85, 0.95),
                             top_n: int = 100,
@@ -284,5 +264,6 @@ def alpha_robustness_report(g: DirectedGraph,
     report: dict[tuple[float, float], int] = {}
     for i, a in enumerate(alphas):
         for b in alphas[i + 1:]:
-            report[(a, b)] = top_overlap(indices[a], indices[b], top_n)
+            report[(a, b)] = overlap(indices[a].ordering[:top_n].tolist(),
+                                     indices[b].ordering[:top_n].tolist())
     return report

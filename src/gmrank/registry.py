@@ -1,10 +1,10 @@
-"""Person metadata, the country-to-language culture map, and the edition catalog.
+"""Person metadata and the country-to-language culture map.
 
 Persons are keyed by their canonical English article title; per-edition
 localized titles join rank orderings back to persons.  Culture is the
 language spoken most widely in the birth country, with WR as the catch-all
-for countries outside the 24 covered languages.  Defaults for the culture
-map and the edition catalog ship as package data.
+for countries outside the 24 covered languages.  The default culture map
+ships as package data.
 """
 from __future__ import annotations
 
@@ -40,16 +40,6 @@ def _nfc(s: str) -> str:
 
 
 @dataclass(frozen=True)
-class Edition:
-    code: str
-    article_count: int = 0
-
-    def __post_init__(self) -> None:
-        if self.code not in EDITION_CODES:
-            raise ValueError(f"unknown edition code {self.code!r}")
-
-
-@dataclass(frozen=True)
 class CountryCultureMap:
     """Country code -> language code; anything unmapped resolves to WR."""
 
@@ -57,9 +47,6 @@ class CountryCultureMap:
 
     def culture_of(self, country: str) -> str:
         return self.entries.get(country, WORLD)
-
-    def countries_of(self, language: str) -> frozenset[str]:
-        return frozenset(cc for cc, lc in self.entries.items() if lc == language)
 
 
 @dataclass(frozen=True)
@@ -99,9 +86,6 @@ class TopList:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def person_ids(self) -> tuple[str, ...]:
-        return tuple(p for p, _ in self.entries)
 
     def rank_of(self) -> dict[str, int]:
         return {p: r for p, r in self.entries}
@@ -178,35 +162,11 @@ def load_culture_map(stream: IO[str] | Iterable[str]) -> CountryCultureMap:
     return CountryCultureMap(entries=entries)
 
 
-def load_editions(stream: IO[str] | Iterable[str]) -> dict[str, Edition]:
-    """Parse ``LC<TAB>article_count`` lines into an ordered edition catalog."""
-    editions: dict[str, Edition] = {}
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"editions line {line_no}: expected LC<TAB>count")
-        code = parts[0].strip()
-        if code in editions:
-            raise ValueError(f"editions line {line_no}: duplicate edition {code!r}")
-        editions[code] = Edition(code=code, article_count=int(parts[1]))
-    return editions
-
-
 @lru_cache(maxsize=1)
 def default_culture_map() -> CountryCultureMap:
     ref = resources.files("gmrank").joinpath("data/culture_map.tsv")
     with ref.open("r", encoding="utf-8") as f:
         return load_culture_map(f)
-
-
-@lru_cache(maxsize=1)
-def default_editions() -> dict[str, Edition]:
-    ref = resources.files("gmrank").joinpath("data/editions.tsv")
-    with ref.open("r", encoding="utf-8") as f:
-        return load_editions(f)
 
 
 _FIXED_COLUMNS = ("person_id", "birth_country", "birth_year", "gender")

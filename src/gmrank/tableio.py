@@ -18,7 +18,8 @@ import numpy as np
 
 from .aggregate import (DistributionTable, GenderDistribution, GlobalEntry,
                         LanguageCounts, LocalityRatios)
-from .cultures import CULTURE_CODES, CultureNetwork, CultureRanks
+from .cultures import (CULTURE_CODES, CultureNetwork, CultureRanks,
+                       export_matrix_by_rank)
 from .registry import PersonRegistry, TopList, century_of
 
 
@@ -210,7 +211,7 @@ def write_culture_ranks_csv(stream: IO[str], ranks: CultureRanks) -> None:
 def write_culture_matrix_csv(stream: IO[str], matrix: np.ndarray,
                              ordering: np.ndarray) -> None:
     """Dense matrix with rows/columns permuted into PageRank order."""
-    permuted = matrix[np.ix_(ordering, ordering)]
+    permuted = export_matrix_by_rank(matrix, ordering)
     codes = [CULTURE_CODES[i] for i in np.asarray(ordering).tolist()]
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["culture"] + codes)

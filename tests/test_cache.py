@@ -68,12 +68,13 @@ class TestBinaryFormat:
 
 class TestKeying:
     def test_key_depends_on_every_parameter(self):
-        base = cache_key("abc", "pagerank", 0.85, 1e-10)
-        assert cache_key("abd", "pagerank", 0.85, 1e-10) != base
-        assert cache_key("abc", "cheirank", 0.85, 1e-10) != base
-        assert cache_key("abc", "pagerank", 0.5, 1e-10) != base
-        assert cache_key("abc", "pagerank", 0.85, 1e-8) != base
-        assert cache_key("abc", "pagerank", 0.85, 1e-10) == base
+        args = ("abc", "pagerank", 0.85, 1e-10, "integer-ids", True)
+        base = cache_key(*args)
+        for i, other in enumerate(("abd", "cheirank", 0.5, 1e-8,
+                                   "string-labels", False)):
+            changed = args[:i] + (other,) + args[i + 1:]
+            assert cache_key(*changed) != base
+        assert cache_key(*args) == base
 
     def test_content_hash_tracks_file_bytes(self, tmp_path):
         f = tmp_path / "edges.txt"

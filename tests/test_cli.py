@@ -10,6 +10,8 @@ import pytest
 from gmrank.cli import (EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         load_config, main)
 
+from conftest import GOLDEN, rank_columns
+
 # persons of the mini world: (person_id, country, year, gender, titles per edition)
 PERSONS = [
     ("Napoleon", "FR", 1769, "male",
@@ -170,6 +172,43 @@ class TestRankCommand:
                      "--out", str(tmp_path / "o.csv")]) == EXIT_OK
         assert len(list(env_cache.glob("*.gmrk"))) == 1
 
+    def test_cache_dir_env_wins_over_flag(self, tmp_path, monkeypatch):
+        graph = tmp_path / "g.edges"
+        graph.write_text("0 1\n1 0\n2 0\n")
+        env_cache = tmp_path / "env_cache"
+        flag_cache = tmp_path / "flag_cache"
+        monkeypatch.setenv("GMRANK_CACHE_DIR", str(env_cache))
+        assert main(["rank", str(graph), "--out", str(tmp_path / "o.csv"),
+                     "--cache-dir", str(flag_cache)]) == EXIT_OK
+        assert len(list(env_cache.glob("*.gmrk"))) == 1
+        assert not flag_cache.exists()
+
+    def test_cache_keyed_by_self_loop_policy(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        graph = tmp_path / "loops.edges"
+        graph.write_text("0 0\n0 1\n1 2\n2 0\n1 1\n")
+        cached, fresh = tmp_path / "cached.csv", tmp_path / "fresh.csv"
+        args = ["rank", str(graph), "--cache-dir", str(tmp_path / "cache")]
+        assert main(args + ["--out", str(cached)]) == EXIT_OK
+        assert main(args + ["--out", str(cached), "--keep-self-loops"]) == EXIT_OK
+        assert main(["rank", str(graph), "--out", str(fresh),
+                     "--keep-self-loops"]) == EXIT_OK
+        assert cached.read_bytes() == fresh.read_bytes()
+        probs = [float(r["probability"]) for r in
+                 sorted(read_csv(cached), key=lambda r: int(r["node_id"]))]
+        assert probs == pytest.approx([0.4023, 0.3843, 0.2133], abs=1e-4)
+
+    def test_cache_keyed_by_label_mode(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        graph = tmp_path / "g.edges"
+        graph.write_text("2 0\n0 1\n1 0\n")
+        out = tmp_path / "o.csv"
+        args = ["rank", str(graph), "--out", str(out),
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(args) == EXIT_OK
+        assert main(args + ["--labels"]) == EXIT_OK
+        assert read_csv(out)[0]["label"] == "0"
+
     def test_labeled_graph_rank(self, tmp_path):
         graph = tmp_path / "g.edges"
         graph.write_text("alpha beta\nbeta alpha\ngamma alpha\n")
@@ -219,16 +258,6 @@ class TestTopPeople:
                          "--edition", "EN"]) == EXIT_OK
         rows = read_csv(root / "out" / "toplists" / "EN_pagerank.csv")
         assert rows == []
-
-    def test_parallel_jobs_identical_output(self, world, tmp_path):
-        out_dir = tmp_path / "par"
-        assert main(["top-people", "--config", str(world / "config.ini"),
-                     "--all", "--jobs", "3",
-                     "--output-dir", str(out_dir)]) == EXIT_OK
-        for code in PLANT:
-            serial = (world / "out" / "toplists" / f"{code}_pagerank.csv").read_bytes()
-            parallel = (out_dir / "toplists" / f"{code}_pagerank.csv").read_bytes()
-            assert serial == parallel
 
 
 class TestGlobal:
@@ -348,6 +377,24 @@ class TestCulture:
         assert ks == list(range(1, 26))
         for r in rows:
             assert int(r["kprime"]) == max(int(r["k"]), int(r["kstar"]))
+
+    @pytest.mark.parametrize("before", [None, 19])
+    def test_outputs_match_golden_files(self, world, before):
+        # pins the dense Google-matrix formula; the probability columns of
+        # the ranks file go through BLAS gemv, so only k, kstar and kprime
+        # are compared there
+        args = ["culture", "--config", str(world / "config.ini")]
+        if before is not None:
+            args += ["--before-century", str(before)]
+        assert main(args) == EXIT_OK
+        suffix = f"_before{before}" if before is not None else ""
+        for kind in ("network", "matrix"):
+            name = f"pagerank_culture_{kind}{suffix}.csv"
+            assert ((world / "out" / name).read_bytes()
+                    == (GOLDEN / name).read_bytes()), name
+        name = f"pagerank_culture_ranks{suffix}.csv"
+        assert (rank_columns((world / "out" / name).read_text(encoding="utf-8"))
+                == (GOLDEN / name).read_text(encoding="utf-8")), name
 
 
 class TestConfig:

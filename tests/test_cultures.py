@@ -1,4 +1,6 @@
 """Culture network construction, weighted Google matrix, culture ranking."""
+import io
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from gmrank.cultures import (CULTURE_CODES, CULTURE_INDEX, N_CULTURES,
                              culture_google_matrix, culture_ranks,
                              export_matrix_by_rank)
 from gmrank.registry import TopList, century_of
+from gmrank.tableio import (write_culture_matrix_csv, write_culture_network_csv,
+                            write_culture_ranks_csv)
 
-from conftest import make_registry
+from conftest import GOLDEN, make_registry, rank_columns
 
 
 def toplist(edition, ids, algorithm="pagerank"):
@@ -205,3 +209,23 @@ class TestExportMatrix:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError, match="permutation"):
             export_matrix_by_rank(np.eye(25), np.zeros(25, dtype=int))
+
+
+def test_corpus_outputs_match_golden_files(corpus_toplists, corpus_registry):
+    # multi-link weights with non-power-of-two column totals, so the matrix
+    # bytes pin the weighted normalization exactly
+    net = build_culture_network(corpus_toplists, corpus_registry)
+    ranks = culture_ranks(net)
+    outputs = {}
+    for name, write, payload in (
+            ("network", write_culture_network_csv, (net,)),
+            ("matrix", write_culture_matrix_csv,
+             (culture_google_matrix(net), ranks.pagerank_ordering)),
+            ("ranks", write_culture_ranks_csv, (ranks,))):
+        stream = io.StringIO()
+        write(stream, *payload)
+        outputs[name] = stream.getvalue()
+    outputs["ranks"] = rank_columns(outputs["ranks"])
+    for name, text in outputs.items():
+        golden = GOLDEN / f"corpus_culture_{name}.csv"
+        assert text == golden.read_text(encoding="utf-8"), golden.name

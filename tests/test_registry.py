@@ -7,8 +7,7 @@ import pytest
 
 from gmrank.rank import rank_indices
 from gmrank.registry import (EDITION_CODES, TopList, assign_culture,
-                             century_of, default_culture_map,
-                             default_editions, load_persons,
+                             century_of, default_culture_map, load_persons,
                              select_top_people)
 
 from conftest import make_registry, persons_tsv, synthetic_person_rows
@@ -59,24 +58,6 @@ class TestCultureMap:
         m = default_culture_map()
         used = set(m.entries.values())
         assert used == set(EDITION_CODES) | {"WR"}
-
-
-class TestEditions:
-    def test_catalog_has_24_editions(self):
-        editions = default_editions()
-        assert tuple(editions) == EDITION_CODES
-        assert editions["EN"].article_count == 4212493
-        assert editions["TH"].article_count == 78953
-
-    def test_duplicate_edition_rejected(self):
-        from gmrank.registry import load_editions
-        with pytest.raises(ValueError, match="duplicate"):
-            load_editions(io.StringIO("EN\t5\nEN\t6\n"))
-
-    def test_unknown_edition_code_rejected(self):
-        from gmrank.registry import load_editions
-        with pytest.raises(ValueError, match="edition"):
-            load_editions(io.StringIO("QQ\t5\n"))
 
 
 class TestCultureMapLoader:
