@@ -50,7 +50,9 @@ class DistributionTable:
 
 def column_normalize(table: DistributionTable) -> DistributionTable:
     """Divide every column by its total; all-zero columns stay zero."""
-    totals = {c: table.column_sum(c) for c in table.col_keys}
+    totals = dict.fromkeys(table.col_keys, 0)
+    for (_, c), v in table.cells.items():
+        totals[c] += v
     cells = {
         (r, c): v / totals[c]
         for (r, c), v in table.cells.items()
@@ -82,25 +84,26 @@ def _check_single_algorithm(toplists: Sequence[TopList]) -> None:
         raise ValueError("more than one list for the same edition")
 
 
-def theta_score(person_id: str, toplists: Sequence[TopList]) -> GlobalEntry:
-    """Score one person over the editions where they appear.
-
-    theta = sum over those editions of (101 - rank); n_appear counts the
-    editions; mean_rank is the arithmetic mean of the ranks.
-    """
-    ranks = []
-    for toplist in toplists:
-        rank = toplist.rank_of().get(person_id)
-        if rank is not None:
-            ranks.append(rank)
-    if not ranks:
-        raise ValueError(f"{person_id!r} appears in no list")
+def _global_entry(person_id: str, ranks: Sequence[int]) -> GlobalEntry:
     return GlobalEntry(
         person_id=person_id,
         theta=sum(101 - r for r in ranks),
         n_appear=len(ranks),
         mean_rank=sum(ranks) / len(ranks),
     )
+
+
+def theta_score(person_id: str, toplists: Sequence[TopList]) -> GlobalEntry:
+    """Score one person over the editions where they appear.
+
+    theta = sum over those editions of (101 - rank); n_appear counts the
+    editions; mean_rank is the arithmetic mean of the ranks.
+    """
+    ranks = [rank for toplist in toplists
+             for pid, rank in toplist.entries if pid == person_id]
+    if not ranks:
+        raise ValueError(f"{person_id!r} appears in no list")
+    return _global_entry(person_id, ranks)
 
 
 def global_ranking(toplists: Sequence[TopList]) -> list[GlobalEntry]:
@@ -111,11 +114,11 @@ def global_ranking(toplists: Sequence[TopList]) -> list[GlobalEntry]:
     if not toplists:
         raise ValueError("at least one top list is required")
     _check_single_algorithm(toplists)
-    ids: dict[str, None] = {}
+    ranks: dict[str, list[int]] = {}
     for toplist in toplists:
-        for person_id, _ in toplist.entries:
-            ids.setdefault(person_id)
-    entries = [theta_score(pid, toplists) for pid in ids]
+        for person_id, rank in toplist.entries:
+            ranks.setdefault(person_id, []).append(rank)
+    entries = [_global_entry(pid, r) for pid, r in ranks.items()]
     entries.sort(key=lambda e: (-e.theta, -e.n_appear, e.mean_rank, e.person_id))
     return entries
 

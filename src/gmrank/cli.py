@@ -287,7 +287,9 @@ def cmd_top_people(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_toplists(config: PipelineConfig, algorithm: str) -> list:
+def _read_toplists(config: PipelineConfig, registry: PersonRegistry,
+                   algorithm: str) -> list:
+    """Every configured edition's top list; each person must be registered."""
     toplists = []
     for code, _ in config.editions:
         path = _toplist_path(config, code, algorithm)
@@ -296,7 +298,13 @@ def _read_toplists(config: PipelineConfig, algorithm: str) -> list:
                 f"missing top list for edition {code}: {path} "
                 f"(run 'gmrank top-people' first)")
         with open(path, encoding="utf-8") as f:
-            toplists.append(tableio.read_toplist_csv(f))
+            toplist = tableio.read_toplist_csv(f)
+        for person_id, _ in toplist.entries:
+            if person_id not in registry:
+                raise ConfigError(
+                    f"top list for edition {toplist.edition} ({path}): "
+                    f"person {person_id!r} is not in the persons file")
+        toplists.append(toplist)
     return toplists
 
 
@@ -306,7 +314,7 @@ def cmd_global(args: argparse.Namespace) -> int:
     config.validate()
     registry = _load_registry(config)
     algorithm = args.algorithm
-    toplists = _read_toplists(config, algorithm)
+    toplists = _read_toplists(config, registry, algorithm)
     out = config.output_dir
 
     entries = aggregate.global_ranking(toplists)
@@ -377,7 +385,7 @@ def cmd_culture(args: argparse.Namespace) -> int:
     config.validate()
     registry = _load_registry(config)
     algorithm = args.algorithm
-    toplists = _read_toplists(config, algorithm)
+    toplists = _read_toplists(config, registry, algorithm)
 
     net = cultures.build_culture_network(
         toplists, registry, before_century=config.before_century,

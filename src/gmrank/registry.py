@@ -87,9 +87,6 @@ class TopList:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def rank_of(self) -> dict[str, int]:
-        return {p: r for p, r in self.entries}
-
 
 class PersonRegistry:
     """Immutable person store with per-edition title indexes."""

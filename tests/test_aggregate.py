@@ -1,8 +1,10 @@
 """Cross-edition aggregation: theta scores, distributions, locality, overlap."""
 import io
+import random
 
 import pytest
 
+from gmrank import aggregate
 from gmrank.aggregate import (classify_figures, column_normalize,
                               edition_average, filter_by_gender,
                               gender_distribution, global_ranking,
@@ -11,8 +13,9 @@ from gmrank.aggregate import (classify_figures, column_normalize,
                               spatial_distribution, temporal_distribution,
                               theta_score)
 from gmrank.registry import EDITION_CODES, TopList
+from gmrank.tableio import write_global_csv
 
-from conftest import make_registry, planted_toplists, synthetic_person_rows
+from conftest import GOLDEN, make_registry
 
 
 def toplist(edition, ids, algorithm="pagerank"):
@@ -78,8 +81,7 @@ class TestGlobalRanking:
         assert got == expected
 
     def test_tie_break_higher_appearances_first(self):
-        # theta 101 both: A rank 50+51 in two editions, B rank 1 once... no:
-        # craft exact tie: A appears twice (100, 100 -> theta 2), B once (99 -> theta 2)
+        # A appears twice at rank 100 (theta 1 + 1), B once at rank 99 (theta 2)
         lists = [
             toplist("EN", [f"f{i}" for i in range(99)] + ["A"]),
             toplist("FR", [f"g{i}" for i in range(99)] + ["A"]),
@@ -95,6 +97,64 @@ class TestGlobalRanking:
         lists = [toplist("EN", ["a"]), toplist("FR", ["a"], algorithm="2drank")]
         with pytest.raises(ValueError, match="mixed"):
             global_ranking(lists)
+
+    def test_does_not_call_theta_score(self, corpus_toplists, monkeypatch):
+        expected = global_ranking(corpus_toplists)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("global_ranking must not rescan per person")
+
+        monkeypatch.setattr(aggregate, "theta_score", forbidden)
+        assert aggregate.global_ranking(corpus_toplists) == expected
+
+    def test_corpus_output_matches_golden_file(self, corpus_toplists,
+                                               corpus_registry):
+        entries = global_ranking(corpus_toplists)
+        stream = io.StringIO()
+        write_global_csv(stream, entries, classify_figures(entries),
+                         corpus_registry)
+        golden = GOLDEN / "corpus_global_ranking.csv"
+        assert stream.getvalue() == golden.read_text(encoding="utf-8")
+
+
+def tie_heavy_lists(seed):
+    """24 lists drawn from 100 persons: theta and n_appear ties are common."""
+    rng = random.Random(seed)
+    pool = [f"p{i:02d}" for i in range(100)]
+    return [toplist(code, rng.sample(pool, rng.randint(1, 100)))
+            for code in EDITION_CODES]
+
+
+def sort_key(entry):
+    return (-entry.theta, -entry.n_appear, entry.mean_rank, entry.person_id)
+
+
+class TestTieHeavyProperty:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_sorted_theta_scores(self, seed):
+        lists = tie_heavy_lists(seed)
+        union = {pid for tl in lists for pid, _ in tl.entries}
+        expected = sorted((theta_score(pid, lists) for pid in union),
+                          key=sort_key)
+        assert global_ranking(lists) == expected
+        shuffled = list(lists)
+        random.Random(seed + 1000).shuffle(shuffled)
+        assert global_ranking(shuffled) == expected
+
+    def test_draws_exercise_every_tie_break(self):
+        # the property above means little unless the draws contain ties on
+        # theta that n_appear breaks, and full ties that person_id breaks
+        by_appearances = by_id = 0
+        for seed in range(20):
+            entries = global_ranking(tie_heavy_lists(seed))
+            for a, b in zip(entries, entries[1:]):
+                if a.theta != b.theta:
+                    continue
+                if a.n_appear != b.n_appear:
+                    by_appearances += 1
+                elif a.mean_rank == b.mean_rank:
+                    by_id += 1
+        assert by_appearances >= 20 and by_id >= 20
 
 
 class TestClassify:

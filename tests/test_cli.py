@@ -2,6 +2,7 @@
 import csv
 import json
 import logging
+import shutil
 import subprocess
 import sys
 
@@ -11,6 +12,11 @@ from gmrank.cli import (EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         load_config, main)
 
 from conftest import GOLDEN, rank_columns
+
+# CSV outputs of ``global --women``; each file name starts with the algorithm
+GLOBAL_OUTPUTS = ("global_ranking", "global_ranking_female", "culture_top10",
+                  "spatial_distribution", "temporal_distribution",
+                  "locality_ratio", "gender_distribution", "language_counts")
 
 # persons of the mini world: (person_id, country, year, gender, titles per edition)
 PERSONS = [
@@ -326,6 +332,23 @@ class TestGlobal:
         assert main(["global", "--config", str(world / "config.ini")]) == EXIT_OK
         assert target.read_bytes() == before
 
+    @pytest.mark.parametrize("algorithm", ["pagerank", "2drank"])
+    def test_outputs_match_golden_files(self, world, tmp_path, algorithm):
+        # the reference file's name is part of the overlap report
+        ref = tmp_path / "reference.txt"
+        ref.write_text("Napoleon\nJesus\nSomeone_Else\n")
+        out_dir = tmp_path / "out"
+        shutil.copytree(world / "out" / "toplists", out_dir / "toplists")
+        assert main(["global", "--config", str(world / "config.ini"),
+                     "--algorithm", algorithm, "--women",
+                     "--reference", str(ref),
+                     "--output-dir", str(out_dir)]) == EXIT_OK
+        names = [f"{algorithm}_{name}.csv" for name in GLOBAL_OUTPUTS]
+        names.append(f"{algorithm}_overlap_report.json")
+        for name in names:
+            assert ((out_dir / name).read_bytes()
+                    == (GOLDEN / name).read_bytes()), name
+
 
 class TestCulture:
     def test_outputs_and_conservation(self, world):
@@ -395,6 +418,35 @@ class TestCulture:
         name = f"pagerank_culture_ranks{suffix}.csv"
         assert (rank_columns((world / "out" / name).read_text(encoding="utf-8"))
                 == (GOLDEN / name).read_text(encoding="utf-8")), name
+
+
+def _unregister(world, tmp_path, person_id):
+    """A copy of the world whose persons file lacks ``person_id``."""
+    root = tmp_path / "world"
+    shutil.copytree(world, root, ignore=shutil.ignore_patterns("cache", "out"))
+    shutil.copytree(world / "out" / "toplists", root / "out" / "toplists")
+    persons = root / "persons.tsv"
+    lines = persons.read_text(encoding="utf-8").splitlines(keepends=True)
+    persons.write_text("".join(l for l in lines
+                               if not l.startswith(person_id + "\t")),
+                       encoding="utf-8")
+    return root
+
+
+class TestUnregisteredPerson:
+    @pytest.mark.parametrize("command", ["global", "culture"])
+    def test_exit_2_naming_edition_and_person(self, world, tmp_path, caplog,
+                                               command):
+        root = _unregister(world, tmp_path, "Confucius")   # in DE only
+        with caplog.at_level(logging.ERROR):
+            code = main([command, "--config", str(root / "config.ini")])
+        assert code == EXIT_INPUT
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert "edition DE" in errors[0] and "'Confucius'" in errors[0]
+        # the check runs before any output is written
+        assert [p.name for p in (root / "out").iterdir()] == ["toplists"]
 
 
 class TestConfig:
