@@ -1,4 +1,4 @@
-"""Rank-vector persistence: binary cache files and CSV export.
+"""Rank-vector persistence: binary cache files and rank CSV export.
 
 Cache layout (little-endian): magic ``GMRK``, version u16, algorithm tag u8
 (0 = pagerank, 1 = cheirank), alpha f64, N u64, then N probabilities as f64.
@@ -15,7 +15,8 @@ from typing import IO
 
 import numpy as np
 
-from .rank import CHEIRANK, PAGERANK, RankIndex, RankVector
+from .rank import (CHEIRANK, PAGERANK, RankIndex, RankVector,
+                   TwoDRankResult)
 
 MAGIC = b"GMRK"
 VERSION = 1
@@ -93,3 +94,14 @@ def write_rank_csv(stream: IO[str], vector: RankVector, index: RankIndex,
     for rank, node in enumerate(index.ordering.tolist(), start=1):
         label = labels[node] if labels is not None else ""
         stream.write(f"{node},{label},{float(probs[node])!r},{rank}\n")
+
+
+def write_two_d_rank_csv(stream: IO[str], kp: RankIndex, kc: RankIndex,
+                         result: TwoDRankResult,
+                         labels: tuple[str, ...] | None = None) -> None:
+    """Rows ``node_id,label,k,kstar,kprime`` in 2DRank order."""
+    stream.write("node_id,label,k,kstar,kprime\n")
+    for node in result.ordering.tolist():
+        label = labels[node] if labels is not None else ""
+        stream.write(f"{node},{label},{kp.position[node]},"
+                     f"{kc.position[node]},{result.kprime[node]}\n")

@@ -12,7 +12,6 @@ import logging
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 from . import aggregate, cache, cultures, selfcheck, tableio
@@ -87,7 +86,10 @@ _SCALAR_KEYS = {
     "alpha": float, "tol": float, "max_iter": int, "top_n": int,
     "before_century": int,
 }
-_PATH_KEYS = ("persons", "culture_map", "output_dir", "cache_dir")
+_PATH_KEYS = {
+    "persons": "persons_path", "culture_map": "culture_map_path",
+    "output_dir": "output_dir", "cache_dir": "cache_dir",
+}
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -124,21 +126,15 @@ def load_config(path: str | Path) -> PipelineConfig:
                 raise ConfigError(
                     f"config line {line_no}: bad value for {key}: {value!r}"
                 ) from None
-        elif key == "persons":
-            config.persons_path = base / value
-        elif key == "culture_map":
-            config.culture_map_path = base / value
-        elif key == "output_dir":
-            config.output_dir = base / value
-        elif key == "cache_dir":
-            config.cache_dir = base / value
+        elif key in _PATH_KEYS:
+            setattr(config, _PATH_KEYS[key], base / value)
         else:
             raise ConfigError(f"config line {line_no}: unknown key {key!r}")
     return config
 
 
 def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> None:
-    for key in ("alpha", "tol", "max_iter", "top_n"):
+    for key in ("alpha", "tol", "max_iter", "top_n", "before_century"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(config, key, value)
@@ -162,47 +158,61 @@ def _load_registry(config: PipelineConfig) -> PersonRegistry:
         return load_persons(f, culture_map)
 
 
-def _computed_vector(g: DirectedGraph, algorithm: str,
-                     params: GoogleParams) -> RankVector:
-    if algorithm == PAGERANK:
-        return pagerank(g, params)
-    return cheirank(g, params)
+def _cached_vector(path: Path, g: DirectedGraph,
+                   algorithm: str) -> RankVector | None:
+    """The vector stored at ``path`` if it is valid and fits ``g``."""
+    if not path.is_file():
+        return None
+    try:
+        with open(path, "rb") as f:
+            vector, _ = cache.read_vector(f)
+        if len(vector) == g.node_count and vector.algorithm == algorithm:
+            log.info("cache hit: %s (%s)", path.name, algorithm)
+            return vector
+        log.warning("cache file %s does not match graph, recomputing", path)
+    except cache.CacheFormatError as exc:
+        log.warning("corrupt cache file %s (%s), recomputing", path, exc)
+    return None
 
 
-def _ranked_vector(graph_path: Path, g: DirectedGraph, algorithm: str,
-                   params: GoogleParams, cache_dir: Path | None,
-                   label_mode: str, drop_self_loops: bool) -> RankVector:
-    """Compute a rank vector, consulting the binary cache when enabled.
+def _rank_edge_list(graph_path: Path, algorithm: str, config: PipelineConfig,
+                    label_mode: str, drop_self_loops: bool,
+                    empty_error: str) -> tuple[DirectedGraph, dict, dict]:
+    """Parse an edge list and rank it by pagerank, cheirank or 2drank.
 
-    ``label_mode`` and ``drop_self_loops`` are those ``g`` was parsed with.
+    Each vector is read from the cache directory when it holds one and
+    written there otherwise; the edge-list file is hashed at most once.
+    Returns the graph and two dicts keyed by algorithm: its RankVectors,
+    and its orderings (a RankIndex per vector, plus the TwoDRankResult
+    for 2drank).
     """
-    if cache_dir is None:
-        return _computed_vector(g, algorithm, params)
-    key = cache.cache_key(cache.content_hash(graph_path), algorithm,
-                          params.alpha, params.tol, label_mode,
-                          drop_self_loops)
-    path = cache.cache_path(cache_dir, key)
-    if path.is_file():
-        try:
-            with open(path, "rb") as f:
-                vector, _ = cache.read_vector(f)
-            if len(vector) == g.node_count and vector.algorithm == algorithm:
-                log.info("cache hit: %s (%s)", path.name, algorithm)
-                return vector
-            log.warning("cache file %s does not match graph, recomputing", path)
-        except cache.CacheFormatError as exc:
-            log.warning("corrupt cache file %s (%s), recomputing", path, exc)
-    vector = _computed_vector(g, algorithm, params)
-    with tableio.atomic_write(path, binary=True) as f:
-        cache.write_vector(f, vector, params.alpha)
-    return vector
-
-
-def _load_graph(path: Path, label_mode: str,
-                drop_self_loops: bool) -> DirectedGraph:
-    with open(path, encoding="utf-8") as f:
-        return load_edge_list(f, drop_self_loops=drop_self_loops,
-                              label_mode=label_mode)
+    params = config.params()
+    with open(graph_path, encoding="utf-8") as f:
+        g = load_edge_list(f, drop_self_loops=drop_self_loops,
+                           label_mode=label_mode)
+    if g.node_count == 0:
+        raise EdgeListError(empty_error)
+    edge_list_hash = (cache.content_hash(graph_path)
+                      if config.cache_dir is not None else None)
+    vectors, ranks = {}, {}
+    for name in ((PAGERANK, CHEIRANK) if algorithm == TWODRANK_LIST
+                 else (algorithm,)):
+        vector = cache_file = None
+        if edge_list_hash is not None:
+            cache_file = cache.cache_path(config.cache_dir, cache.cache_key(
+                edge_list_hash, name, params.alpha, params.tol, label_mode,
+                drop_self_loops))
+            vector = _cached_vector(cache_file, g, name)
+        if vector is None:
+            vector = (pagerank if name == PAGERANK else cheirank)(g, params)
+            if cache_file is not None:
+                with tableio.atomic_write(cache_file, binary=True) as f:
+                    cache.write_vector(f, vector, params.alpha)
+        vectors[name] = vector
+        ranks[name] = rank_indices(vector)
+    if algorithm == TWODRANK_LIST:
+        ranks[algorithm] = two_d_rank(ranks[PAGERANK], ranks[CHEIRANK])
+    return g, vectors, ranks
 
 
 # -- subcommands --------------------------------------------------------------
@@ -210,33 +220,19 @@ def _load_graph(path: Path, label_mode: str,
 def cmd_rank(args: argparse.Namespace) -> int:
     config = PipelineConfig()
     _apply_overrides(config, args)
-    params = config.params()
-    label_mode = STRING_LABELS if args.labels else INTEGER_IDS
-    drop_self_loops = not args.keep_self_loops
-    graph_path = Path(args.graph)
-    g = _load_graph(graph_path, label_mode, drop_self_loops)
-    if g.node_count == 0:
-        raise EdgeListError("graph has no nodes")
-    ranked_vector = partial(_ranked_vector, graph_path, g, params=params,
-                            cache_dir=config.cache_dir, label_mode=label_mode,
-                            drop_self_loops=drop_self_loops)
-
+    algorithm = args.algorithm
+    g, vectors, ranks = _rank_edge_list(
+        Path(args.graph), algorithm, config,
+        STRING_LABELS if args.labels else INTEGER_IDS,
+        not args.keep_self_loops, "graph has no nodes")
     out_path = Path(args.out)
-    if args.algorithm in (PAGERANK, CHEIRANK):
-        vector = ranked_vector(args.algorithm)
-        index = rank_indices(vector)
-        with tableio.atomic_write(out_path) as f:
-            cache.write_rank_csv(f, vector, index, g.labels)
-    else:  # 2drank
-        kp = rank_indices(ranked_vector(PAGERANK))
-        kc = rank_indices(ranked_vector(CHEIRANK))
-        result = two_d_rank(kp, kc)
-        with tableio.atomic_write(out_path) as f:
-            f.write("node_id,label,k,kstar,kprime\n")
-            for node in result.ordering.tolist():
-                label = g.labels[node] if g.labels is not None else ""
-                f.write(f"{node},{label},{kp.position[node]},"
-                        f"{kc.position[node]},{result.kprime[node]}\n")
+    with tableio.atomic_write(out_path) as f:
+        if algorithm == TWODRANK_LIST:
+            cache.write_two_d_rank_csv(f, ranks[PAGERANK], ranks[CHEIRANK],
+                                       ranks[algorithm], g.labels)
+        else:
+            cache.write_rank_csv(f, vectors[algorithm], ranks[algorithm],
+                                 g.labels)
     log.info("wrote %s", out_path)
     return EXIT_OK
 
@@ -247,19 +243,11 @@ def _toplist_path(config: PipelineConfig, edition: str, algorithm: str) -> Path:
 
 def _extract_toplist(config: PipelineConfig, registry: PersonRegistry,
                      edition: str, algorithm: str) -> Path:
-    graph_path = config.edition_path(edition)
-    g = _load_graph(graph_path, STRING_LABELS, drop_self_loops=True)
-    if g.labels is None or g.node_count == 0:
-        raise EdgeListError(f"edition {edition}: graph has no labeled nodes")
-    ranked_vector = partial(_ranked_vector, graph_path, g,
-                            params=config.params(), cache_dir=config.cache_dir,
-                            label_mode=STRING_LABELS, drop_self_loops=True)
-    if algorithm == PAGERANK_LIST:
-        ranked = rank_indices(ranked_vector(PAGERANK))
-    else:
-        ranked = two_d_rank(rank_indices(ranked_vector(PAGERANK)),
-                            rank_indices(ranked_vector(CHEIRANK)))
-    toplist = select_top_people(ranked, g.labels, registry, edition,
+    g, _, ranks = _rank_edge_list(
+        config.edition_path(edition), algorithm, config, STRING_LABELS,
+        drop_self_loops=True,
+        empty_error=f"edition {edition}: graph has no labeled nodes")
+    toplist = select_top_people(ranks[algorithm], g.labels, registry, edition,
                                 algorithm, n=config.top_n)
     if not toplist.entries:
         log.warning("edition %s: no registered persons matched", edition)
@@ -281,7 +269,6 @@ def cmd_top_people(args: argparse.Namespace) -> int:
         if not args.edition:
             raise ConfigError("pass --edition CODE or --all")
         codes = [args.edition.upper()]
-        config.edition_path(codes[0])     # fails fast if unconfigured
     for code in codes:
         _extract_toplist(config, registry, code, args.algorithm)
     return EXIT_OK
@@ -298,7 +285,10 @@ def _read_toplists(config: PipelineConfig, registry: PersonRegistry,
                 f"missing top list for edition {code}: {path} "
                 f"(run 'gmrank top-people' first)")
         with open(path, encoding="utf-8") as f:
-            toplist = tableio.read_toplist_csv(f)
+            try:
+                toplist = tableio.read_toplist_csv(f)
+            except ValueError as exc:
+                raise ValueError(f"top list {path}: {exc}") from None
         for person_id, _ in toplist.entries:
             if person_id not in registry:
                 raise ConfigError(
@@ -380,8 +370,6 @@ def cmd_global(args: argparse.Namespace) -> int:
 def cmd_culture(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     _apply_overrides(config, args)
-    if args.before_century is not None:
-        config.before_century = args.before_century
     config.validate()
     registry = _load_registry(config)
     algorithm = args.algorithm
@@ -419,15 +407,6 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 
 # -- argument parsing ----------------------------------------------------------
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="damping factor (default 0.85)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="L1 convergence tolerance (default 1e-10)")
-    parser.add_argument("--max-iter", dest="max_iter", type=int, default=None,
-                        help="iteration cap (default 1000)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gmrank",
@@ -437,13 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("rank", help="rank one edge-list graph")
     p_rank.add_argument("graph", help="edge-list file")
     p_rank.add_argument("--algorithm", default=PAGERANK,
-                        choices=[PAGERANK, CHEIRANK, "2drank"])
+                        choices=[PAGERANK, CHEIRANK, TWODRANK_LIST])
     p_rank.add_argument("--out", required=True, help="output CSV path")
     p_rank.add_argument("--labels", action="store_true",
                         help="treat tokens as string labels, not integer ids")
     p_rank.add_argument("--keep-self-loops", action="store_true")
     p_rank.add_argument("--cache-dir", default=None)
-    _add_param_flags(p_rank)
     p_rank.set_defaults(func=cmd_rank)
 
     p_top = sub.add_parser("top-people", help="extract a per-edition top list")
@@ -456,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_top.add_argument("--top-n", dest="top_n", type=int, default=None)
     p_top.add_argument("--output-dir", default=None)
     p_top.add_argument("--cache-dir", default=None)
-    _add_param_flags(p_top)
     p_top.set_defaults(func=cmd_top_people)
 
     p_global = sub.add_parser("global", help="aggregate top lists globally")
@@ -468,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_global.add_argument("--women", action="store_true",
                           help="also emit the female-only ranking")
     p_global.add_argument("--output-dir", default=None)
-    _add_param_flags(p_global)
     p_global.set_defaults(func=cmd_global)
 
     p_culture = sub.add_parser("culture", help="build and rank the culture network")
@@ -479,8 +455,17 @@ def build_parser() -> argparse.ArgumentParser:
                            default=None,
                            help="only persons born strictly before this century")
     p_culture.add_argument("--output-dir", default=None)
-    _add_param_flags(p_culture)
     p_culture.set_defaults(func=cmd_culture)
+
+    # global reads no iteration parameter, culture only alpha
+    for p in (p_rank, p_top, p_culture):
+        p.add_argument("--alpha", type=float, default=None,
+                       help="damping factor (default 0.85)")
+    for p in (p_rank, p_top):
+        p.add_argument("--tol", type=float, default=None,
+                       help="L1 convergence tolerance (default 1e-10)")
+        p.add_argument("--max-iter", dest="max_iter", type=int, default=None,
+                       help="iteration cap (default 1000)")
 
     p_check = sub.add_parser("selfcheck", help="run the bundled oracle suite")
     p_check.set_defaults(func=cmd_selfcheck)
@@ -495,10 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, EdgeListError, cache.CacheFormatError) as exc:
-        log.error("%s", exc)
-        return EXIT_INPUT
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # ConfigError, EdgeListError, ...
         log.error("%s", exc)
         return EXIT_INPUT
     except ConvergenceError as exc:

@@ -214,7 +214,11 @@ def load_persons(stream: IO[str] | Iterable[str],
                 f"(use {UNKNOWN_COUNTRY} for unknown)")
         year_text = row[2].strip()
         if year_text:
-            birth_year: int | None = int(year_text)
+            try:
+                birth_year: int | None = int(year_text)
+            except ValueError:
+                raise ValueError(f"persons line {line_no}: birth_year must be "
+                                 f"an integer, got {year_text!r}") from None
             if birth_year == 0:
                 raise ValueError(f"persons line {line_no}: birth_year 0 is invalid")
         else:

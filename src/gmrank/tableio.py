@@ -69,22 +69,36 @@ def write_toplist_csv(stream: IO[str], toplist: TopList,
 
 
 def read_toplist_csv(stream: IO[str]) -> TopList:
-    """Rebuild a TopList from an emitted CSV; exact inverse of the writer."""
+    """Rebuild a TopList from an emitted CSV; exact inverse of the writer.
+
+    Raises ValueError, naming the line, on a malformed header or row.
+    """
     reader = csv.reader(stream)
-    header = tuple(next(reader))
+    header = tuple(next(reader, ()))
     if header != TOPLIST_HEADER:
-        raise ValueError(f"unexpected top-list header: {header}")
+        raise ValueError("line 1: expected the top-list header, got "
+                         f"{header or 'an empty file'}")
     edition: str | None = None
     algorithm: str | None = None
     entries: list[tuple[str, int]] = []
     for row in reader:
         if not row:
             continue
+        line = reader.line_num
+        if len(row) != len(TOPLIST_HEADER):
+            raise ValueError(f"line {line}: expected {len(TOPLIST_HEADER)} "
+                             f"fields, got {len(row)}")
         if edition is None:
             edition, algorithm = row[0], row[1]
         elif (row[0], row[1]) != (edition, algorithm):
-            raise ValueError("mixed edition/algorithm in one top-list file")
-        entries.append((row[2], int(row[4])))
+            raise ValueError(
+                f"line {line}: mixed edition/algorithm in one top-list file")
+        try:
+            rank = int(row[4])
+        except ValueError:
+            raise ValueError(f"line {line}: rank must be an integer, "
+                             f"got {row[4]!r}") from None
+        entries.append((row[2], rank))
     if edition is None:
         raise ValueError("top-list file has no rows")
     return TopList(edition=edition, algorithm=algorithm, entries=tuple(entries))

@@ -6,8 +6,10 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from gmrank import cache, cli
 from gmrank.cli import (EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         load_config, main)
 
@@ -17,6 +19,13 @@ from conftest import GOLDEN, rank_columns
 GLOBAL_OUTPUTS = ("global_ranking", "global_ranking_female", "culture_top10",
                   "spatial_distribution", "temporal_distribution",
                   "locality_ratio", "gender_distribution", "language_counts")
+
+RANK_ALGORITHMS = ("pagerank", "cheirank", "2drank")
+
+# integer-id graph for the rank golden files: a duplicate edge, two
+# self-loops, a dangling node 5 and an isolated node 6
+INT_EDGES = ("# nodes: 7\n0 1\n0 1\n1 2\n2 0\n2 3\n3 3\n3 1\n4 2\n4 0\n"
+             "1 5\n4 4\n")
 
 # persons of the mini world: (person_id, country, year, gender, titles per edition)
 PERSONS = [
@@ -223,12 +232,37 @@ class TestRankCommand:
         rows = read_csv(out)
         assert rows[0]["label"] == "alpha"    # most cited node wins
 
+    @pytest.mark.parametrize("algorithm", RANK_ALGORITHMS)
+    def test_integer_ids_match_golden_file(self, tmp_path, algorithm):
+        graph = tmp_path / "ids.edges"
+        graph.write_text(INT_EDGES)
+        out = tmp_path / "o.csv"
+        assert main(["rank", str(graph), "--algorithm", algorithm,
+                     "--out", str(out)]) == EXIT_OK
+        name = f"rank_ids_{algorithm}.csv"
+        assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    @pytest.mark.parametrize("algorithm", RANK_ALGORITHMS)
+    def test_labels_match_golden_file(self, world, tmp_path, algorithm):
+        out = tmp_path / "o.csv"
+        assert main(["rank", str(world / "en.edges"), "--labels",
+                     "--algorithm", algorithm, "--out", str(out)]) == EXIT_OK
+        name = f"rank_labels_{algorithm}.csv"
+        assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
+
 
 class TestTopPeople:
     def test_planted_ordering_reproduced(self, world):
         rows = read_csv(world / "out" / "toplists" / "EN_pagerank.csv")
         assert [r["person_id"] for r in rows] == [p for p, _ in PLANT["EN"]]
         assert [int(r["rank"]) for r in rows] == list(range(1, len(rows) + 1))
+
+    @pytest.mark.parametrize("algorithm", ["pagerank", "2drank"])
+    def test_lists_match_golden_files(self, world, algorithm):
+        for code in PLANT:
+            name = f"{code}_{algorithm}.csv"
+            assert ((world / "out" / "toplists" / name).read_bytes()
+                    == (GOLDEN / f"toplist_{name}").read_bytes()), name
 
     def test_cultures_joined(self, world):
         rows = read_csv(world / "out" / "toplists" / "EN_pagerank.csv")
@@ -420,11 +454,17 @@ class TestCulture:
                 == (GOLDEN / name).read_text(encoding="utf-8")), name
 
 
-def _unregister(world, tmp_path, person_id):
-    """A copy of the world whose persons file lacks ``person_id``."""
+def _copy_world(world, tmp_path):
+    """A copy of the world with its top lists but no other output or cache."""
     root = tmp_path / "world"
     shutil.copytree(world, root, ignore=shutil.ignore_patterns("cache", "out"))
     shutil.copytree(world / "out" / "toplists", root / "out" / "toplists")
+    return root
+
+
+def _unregister(world, tmp_path, person_id):
+    """A copy of the world whose persons file lacks ``person_id``."""
+    root = _copy_world(world, tmp_path)
     persons = root / "persons.tsv"
     lines = persons.read_text(encoding="utf-8").splitlines(keepends=True)
     persons.write_text("".join(l for l in lines
@@ -449,10 +489,130 @@ class TestUnregisteredPerson:
         assert [p.name for p in (root / "out").iterdir()] == ["toplists"]
 
 
+class TestMalformedToplist:
+    @pytest.mark.parametrize("command", ["global", "culture"])
+    @pytest.mark.parametrize("text, message", [
+        (lambda good: "",
+         "line 1: expected the top-list header, got an empty file"),
+        (lambda good: good.replace(",18,male\n", "\n", 1),
+         "line 2: expected 9 fields, got 7"),
+        (lambda good: good.replace("DE,pagerank,Napoleon,Napoleon_Bonaparte,2,",
+                                   "DE,pagerank,Napoleon,Napoleon_Bonaparte,two,"),
+         "line 3: rank must be an integer, got 'two'"),
+    ], ids=["empty", "short-row", "non-integer-rank"])
+    def test_exit_2_naming_file_and_line(self, world, tmp_path, caplog,
+                                         command, text, message):
+        root = _copy_world(world, tmp_path)
+        path = root / "out" / "toplists" / "DE_pagerank.csv"
+        path.write_text(text(path.read_text(encoding="utf-8")),
+                        encoding="utf-8")
+        with caplog.at_level(logging.ERROR):
+            code = main([command, "--config", str(root / "config.ini")])
+        assert code == EXIT_INPUT
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert errors == [f"top list {path}: {message}"]
+        assert [p.name for p in (root / "out").iterdir()] == ["toplists"]
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize("command, flag", [
+        ("global", "--alpha"), ("global", "--tol"), ("global", "--max-iter"),
+        ("culture", "--tol"), ("culture", "--max-iter")])
+    def test_rejected_by_argparse(self, world, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--config", str(world / "config.ini"), flag, "1"])
+        assert exc_info.value.code == EXIT_INPUT
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# a graph whose integer ids skip 0-2 and include self-loops, so each of
+# --labels and --keep-self-loops changes the parsed graph
+def _property_graph(path):
+    rng = np.random.default_rng(5)
+    pairs = rng.integers(3, 40, size=(160, 2)).tolist()
+    pairs += [[4, 4], [9, 9], [17, 17]]
+    path.write_text("".join(f"{s} {t}\n" for s, t in pairs))
+    return path
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("a warm cache must not recompute a vector")
+
+
+class TestCacheRoundTrip:
+    @pytest.mark.parametrize("algorithm", RANK_ALGORITHMS)
+    @pytest.mark.parametrize("labels", [False, True])
+    @pytest.mark.parametrize("keep_self_loops", [False, True])
+    def test_no_cold_and_warm_cache_outputs_identical(
+            self, tmp_path, monkeypatch, algorithm, labels, keep_self_loops):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        graph = _property_graph(tmp_path / "g.edges")
+        args = ["rank", str(graph), "--algorithm", algorithm]
+        args += ["--labels"] * labels + ["--keep-self-loops"] * keep_self_loops
+        cache_dir = tmp_path / "cache"
+        outputs = {}
+        for run in ("none", "cold", "warm"):
+            if run == "warm":
+                monkeypatch.setattr(cli, "pagerank", _raise)
+                monkeypatch.setattr(cli, "cheirank", _raise)
+            out = tmp_path / f"{run}.csv"
+            extra = [] if run == "none" else ["--cache-dir", str(cache_dir)]
+            assert main(args + extra + ["--out", str(out)]) == EXIT_OK
+            outputs[run] = out.read_bytes()
+        assert outputs["cold"] == outputs["none"]
+        assert outputs["warm"] == outputs["none"]
+        assert len(list(cache_dir.iterdir())) == (2 if algorithm == "2drank"
+                                                  else 1)
+
+
+def _count_hashes(monkeypatch):
+    paths = []
+    content_hash = cache.content_hash
+
+    def counting(path):
+        paths.append(str(path))
+        return content_hash(path)
+    monkeypatch.setattr(cache, "content_hash", counting)
+    return paths
+
+
+class TestHashOnce:
+    def test_rank_2drank_hashes_once(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        graph = _property_graph(tmp_path / "g.edges")
+        hashed = _count_hashes(monkeypatch)
+        assert main(["rank", str(graph), "--algorithm", "2drank",
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+        assert hashed == [str(graph)]
+
+    def test_top_people_2drank_hashes_each_edition_once(self, world, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        hashed = _count_hashes(monkeypatch)
+        assert main(["top-people", "--config", str(world / "config.ini"),
+                     "--all", "--algorithm", "2drank",
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--output-dir", str(tmp_path / "out")]) == EXIT_OK
+        assert sorted(hashed) == sorted(
+            str(world / f"{code.lower()}.edges") for code in PLANT)
+
+
 class TestConfig:
     def test_alpha_one_rejected_at_validation(self, world):
-        assert main(["global", "--config", str(world / "config.ini"),
+        assert main(["culture", "--config", str(world / "config.ini"),
                      "--alpha", "1.0"]) == EXIT_INPUT
+
+    def test_config_alpha_one_rejected_by_global(self, world, tmp_path,
+                                                 caplog):
+        # global reads no flag for alpha, but validates the shared config
+        config = _copy_world(world, tmp_path) / "config.ini"
+        config.write_text(config.read_text(encoding="utf-8").replace(
+            "alpha = 0.85", "alpha = 1.0"), encoding="utf-8")
+        with caplog.at_level(logging.ERROR):
+            assert main(["global", "--config", str(config)]) == EXIT_INPUT
+        assert "alpha" in caplog.text
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"

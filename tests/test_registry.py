@@ -117,6 +117,14 @@ class TestLoadPersons:
             make_registry([{"person_id": "A", "birth_country": "US",
                             "birth_year": 0, "gender": "male"}])
 
+    def test_non_integer_birth_year_names_line(self):
+        text = ("person_id\tbirth_country\tbirth_year\tgender\tEN\n"
+                "A\tUS\t1900\tmale\tA\n"
+                "B\tUS\tabc\tmale\tB\n")
+        with pytest.raises(ValueError,
+                           match=r"^persons line 3: birth_year .*'abc'"):
+            load_persons(io.StringIO(text))
+
     def test_empty_year_is_unknown(self):
         reg = make_registry([{"person_id": "A", "birth_country": "US",
                               "birth_year": None, "gender": "female"}])

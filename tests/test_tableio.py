@@ -8,7 +8,8 @@ import pytest
 from gmrank import aggregate
 from gmrank.cultures import build_culture_network, culture_google_matrix, culture_ranks
 from gmrank.registry import TopList
-from gmrank.tableio import (atomic_write, read_toplist_csv, write_culture_matrix_csv,
+from gmrank.tableio import (TOPLIST_HEADER, atomic_write, read_toplist_csv,
+                            write_culture_matrix_csv,
                             write_culture_network_csv, write_distribution_csv,
                             write_gender_csv, write_global_csv,
                             write_language_counts_csv, write_locality_csv,
@@ -50,6 +51,18 @@ class TestToplistRoundTrip:
         merged = buf1.getvalue() + "".join(buf2.getvalue().splitlines(True)[1:])
         with pytest.raises(ValueError, match="mixed"):
             read_toplist_csv(io.StringIO(merged))
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: expected the top-list header, got an empty file"),
+        ("edition,rank\n", "line 1: expected the top-list header, got"),
+        ("{header}\nEN,pagerank,A,A,1,EN,US,19\n", "line 2: expected 9 fields"),
+        ("{header}\nEN,pagerank,A,A,1,EN,US,19,male\n"
+         "EN,pagerank,B,B,x,EN,US,19,male\n", "line 3: rank must be an integer"),
+    ], ids=["empty", "bad-header", "short-row", "non-integer-rank"])
+    def test_malformed_file_names_line(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            read_toplist_csv(io.StringIO(
+                text.format(header=",".join(TOPLIST_HEADER))))
 
     def test_century_and_gender_columns(self, corpus):
         registry, toplists = corpus
