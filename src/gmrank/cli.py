@@ -286,7 +286,7 @@ def _read_toplists(config: PipelineConfig, registry: PersonRegistry,
                 f"(run 'gmrank top-people' first)")
         with open(path, encoding="utf-8") as f:
             try:
-                toplist = tableio.read_toplist_csv(f)
+                toplist = tableio.read_toplist_csv(f, code, algorithm)
             except ValueError as exc:
                 raise ValueError(f"top list {path}: {exc}") from None
         for person_id, _ in toplist.entries:

@@ -1,9 +1,11 @@
 """Directed hyperlink graphs in compressed sparse form.
 
 Edges are deduplicated (multi-links collapse to one) and stored grouped by
-target node, so the per-node sum over incoming links done by the power
-iteration is a contiguous scan.  Graphs are immutable after construction;
-:func:`reverse` materializes the opposite grouping once.
+target node, sources ascending within each target, so the per-node sum over
+incoming links done by the power iteration is a contiguous scan.  The order
+comes from one in-place sort of the int64 key ``target * N + source``, so a
+graph holds at most :data:`MAX_NODE_COUNT` nodes.  Graphs are immutable after
+construction; :func:`reverse` materializes the opposite grouping once.
 
 Edge-list files are UTF-8 text, one ``source target`` pair per line,
 ``#`` comments, optional ``# nodes: N`` header.
@@ -20,6 +22,9 @@ _HEADER_RE = re.compile(r"#\s*nodes:\s*(\d+)\s*$")
 
 INTEGER_IDS = "integer-ids"
 STRING_LABELS = "string-labels"
+
+# largest N whose edge keys, up to N*N - 1, fit in int64
+MAX_NODE_COUNT = 3_037_000_499
 
 
 class EdgeListError(ValueError):
@@ -68,8 +73,15 @@ class DirectedGraph:
         """Build a graph from parallel source/target id arrays.
 
         Duplicate pairs collapse to a single edge.  Endpoints must lie in
-        ``[0, node_count)``.
+        ``[0, node_count)``.  Edges are ordered by target, then source,
+        through one sort of the int64 key ``target * node_count + source``;
+        raises ValueError before allocating anything when ``node_count``
+        exceeds :data:`MAX_NODE_COUNT`, where that key would overflow.
         """
+        if node_count > MAX_NODE_COUNT:
+            raise ValueError(
+                f"node count {node_count} over the limit {MAX_NODE_COUNT} "
+                "(edge keys target*N+source must fit in int64)")
         src = np.asarray(sources, dtype=np.int64)
         tgt = np.asarray(targets, dtype=np.int64)
         if src.shape != tgt.shape:
@@ -90,11 +102,12 @@ class DirectedGraph:
             src, tgt = src[keep], tgt[keep]
 
         if src.size:
-            order = np.lexsort((src, tgt))          # by target, then source
-            src, tgt = src[order], tgt[order]
-            uniq = np.ones(src.size, dtype=bool)
-            uniq[1:] = (src[1:] != src[:-1]) | (tgt[1:] != tgt[:-1])
-            src, tgt = src[uniq], tgt[uniq]
+            key = tgt * node_count
+            key += src
+            key.sort()
+            uniq = np.ones(key.size, dtype=bool)
+            uniq[1:] = key[1:] != key[:-1]
+            tgt, src = np.divmod(key[uniq], node_count)
 
         in_counts = np.bincount(tgt, minlength=node_count)
         in_indptr = np.zeros(node_count + 1, dtype=np.int64)
@@ -232,13 +245,15 @@ def save_edge_list(g: DirectedGraph, stream: TextIO) -> None:
     """Serialize in canonical order (sorted by source, then target)."""
     stream.write(f"# nodes: {g.node_count}\n")
     src, tgt = g.edge_arrays()
-    order = np.lexsort((tgt, src))
+    key = src * g.node_count + tgt          # distinct: edges are deduplicated
+    key.sort()
+    src, tgt = np.divmod(key, g.node_count)
     if g.labels is not None:
-        for i in order.tolist():
-            stream.write(f"{g.labels[src[i]]} {g.labels[tgt[i]]}\n")
+        for s, t in zip(src.tolist(), tgt.tolist()):
+            stream.write(f"{g.labels[s]} {g.labels[t]}\n")
     else:
-        for i in order.tolist():
-            stream.write(f"{src[i]} {tgt[i]}\n")
+        for s, t in zip(src.tolist(), tgt.tolist()):
+            stream.write(f"{s} {t}\n")
 
 
 def reverse(g: DirectedGraph) -> DirectedGraph:

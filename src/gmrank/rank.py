@@ -129,15 +129,18 @@ def pagerank(g: DirectedGraph, params: GoogleParams = GoogleParams()) -> RankVec
         raise ValueError("pagerank requires at least one node")
     alpha = params.alpha
     matrix = _transition_matrix(g)
-    dangling = g.out_degree == 0
+    dangling = np.flatnonzero(g.out_degree == 0)
 
     p = np.full(n, 1.0 / n)
+    new_p = np.empty(n)         # p and new_p swap roles each sweep
+    diff = np.empty(n)
     for iteration in range(1, params.max_iter + 1):
         dangling_mass = float(p[dangling].sum())
-        new_p = alpha * (matrix @ p)
+        np.multiply(matrix @ p, alpha, out=new_p)
         new_p += (alpha * dangling_mass + (1.0 - alpha)) / n
-        residual = float(np.abs(new_p - p).sum())
-        p = new_p
+        np.subtract(new_p, p, out=diff)
+        residual = float(np.abs(diff, out=diff).sum())
+        p, new_p = new_p, p
         if residual <= params.tol:
             p /= p.sum()
             return RankVector(p, PAGERANK, iteration, residual)
@@ -166,7 +169,9 @@ def two_d_rank(kp: RankIndex, kc: RankIndex) -> TwoDRankResult:
     """Combine PageRank and CheiRank indices via K'(i) = max(K(i), K*(i)).
 
     Output ordering is ascending in K'; ties break by ascending K*, then
-    ascending K, then ascending node id.
+    ascending K, then ascending node id.  K* is a permutation, so K* alone
+    settles every tie and one sort of the key ``K' * (N + 1) + K*`` gives
+    that order.
     """
     if len(kp) != len(kc):
         raise ValueError(
@@ -174,7 +179,7 @@ def two_d_rank(kp: RankIndex, kc: RankIndex) -> TwoDRankResult:
     k = kp.position
     kstar = kc.position
     kprime = np.maximum(k, kstar)
-    ordering = np.lexsort((np.arange(k.size), k, kstar, kprime))
+    ordering = np.argsort(kprime * (k.size + 1) + kstar)
     return TwoDRankResult(kprime=kprime, ordering=ordering.astype(np.int64))
 
 

@@ -68,18 +68,19 @@ def write_toplist_csv(stream: IO[str], toplist: TopList,
             person.gender))
 
 
-def read_toplist_csv(stream: IO[str]) -> TopList:
-    """Rebuild a TopList from an emitted CSV; exact inverse of the writer.
+def read_toplist_csv(stream: IO[str], edition: str,
+                     algorithm: str) -> TopList:
+    """Rebuild the top list of ``edition``/``algorithm`` from an emitted CSV.
 
-    Raises ValueError, naming the line, on a malformed header or row.
+    Exact inverse of the writer; a header-only file is an empty list.
+    Raises ValueError, naming the line, on a malformed header or row, or on
+    a row of another edition or algorithm.
     """
     reader = csv.reader(stream)
     header = tuple(next(reader, ()))
     if header != TOPLIST_HEADER:
         raise ValueError("line 1: expected the top-list header, got "
                          f"{header or 'an empty file'}")
-    edition: str | None = None
-    algorithm: str | None = None
     entries: list[tuple[str, int]] = []
     for row in reader:
         if not row:
@@ -88,19 +89,16 @@ def read_toplist_csv(stream: IO[str]) -> TopList:
         if len(row) != len(TOPLIST_HEADER):
             raise ValueError(f"line {line}: expected {len(TOPLIST_HEADER)} "
                              f"fields, got {len(row)}")
-        if edition is None:
-            edition, algorithm = row[0], row[1]
-        elif (row[0], row[1]) != (edition, algorithm):
+        if (row[0], row[1]) != (edition, algorithm):
             raise ValueError(
-                f"line {line}: mixed edition/algorithm in one top-list file")
+                f"line {line}: mixed edition/algorithm: expected "
+                f"{edition}/{algorithm}, got {row[0]}/{row[1]}")
         try:
             rank = int(row[4])
         except ValueError:
             raise ValueError(f"line {line}: rank must be an integer, "
                              f"got {row[4]!r}") from None
         entries.append((row[2], rank))
-    if edition is None:
-        raise ValueError("top-list file has no rows")
     return TopList(edition=edition, algorithm=algorithm, entries=tuple(entries))
 
 

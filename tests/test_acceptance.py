@@ -283,7 +283,7 @@ def test_criterion_11_real_data_mode():
         if toplist_dir.is_dir():
             from gmrank.tableio import read_toplist_csv
             with open(toplist_dir / f"{code}_pagerank.csv", encoding="utf-8") as f:
-                toplists.append(read_toplist_csv(f))
+                toplists.append(read_toplist_csv(f, code, "pagerank"))
         else:
             with open(root / f"{code.lower()}.edges", encoding="utf-8") as f:
                 g = load_edge_list(f, label_mode="string-labels")

@@ -2,9 +2,11 @@
 import csv
 import json
 import logging
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +168,19 @@ class TestRankCommand:
         assert main(["rank", str(graph), "--out",
                      str(tmp_path / "o.csv")]) == EXIT_INPUT
 
+    def test_node_id_over_key_limit_exit_2(self, tmp_path, caplog):
+        # one edge to node 999999999999 asks for 1e12 nodes: refused before
+        # any per-node array is allocated
+        graph = tmp_path / "huge.edges"
+        graph.write_text("0 999999999999\n")
+        with caplog.at_level(logging.ERROR):
+            assert main(["rank", str(graph), "--out",
+                         str(tmp_path / "o.csv")]) == EXIT_INPUT
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert "node count 1000000000000 over the limit" in errors[0].getMessage()
+        assert not (tmp_path / "o.csv").exists()
+
     def test_nonconvergence_exit_3(self, tmp_path):
         graph = tmp_path / "g.edges"
         graph.write_text("0 1\n0 2\n1 2\n")
@@ -298,6 +313,23 @@ class TestTopPeople:
                          "--edition", "EN"]) == EXIT_OK
         rows = read_csv(root / "out" / "toplists" / "EN_pagerank.csv")
         assert rows == []
+
+    @pytest.mark.parametrize("algorithm", ["pagerank", "2drank"])
+    def test_empty_lists_reingested_by_global_and_culture(self, tmp_path,
+                                                          algorithm):
+        (tmp_path / "x.edges").write_text("a b\nb c\n")
+        (tmp_path / "persons.tsv").write_text(
+            "person_id\tbirth_country\tbirth_year\tgender\tEN\n"
+            "Nobody\tUS\t1900\tmale\tNobody\n")
+        config = tmp_path / "config.ini"
+        config.write_text(
+            "persons = persons.tsv\noutput_dir = out\n[editions]\nEN = x.edges\n")
+        for command in ("top-people --all", "global --women", "culture"):
+            assert main(command.split() + ["--config", str(config),
+                                           "--algorithm", algorithm]) == EXIT_OK
+        out = tmp_path / "out"
+        assert read_csv(out / f"{algorithm}_global_ranking.csv") == []
+        assert read_csv(out / f"{algorithm}_culture_network.csv") == []
 
 
 class TestGlobal:
@@ -641,7 +673,12 @@ class TestSelfcheckCommand:
         assert "FAIL" not in out
 
     def test_console_entry_point(self):
+        # the child imports the gmrank under test, also when only pytest's
+        # ``pythonpath`` setting put it on sys.path
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
         result = subprocess.run([sys.executable, "-m", "gmrank.cli", "selfcheck"],
-                                capture_output=True, text=True)
+                                capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert "PASS" in result.stdout

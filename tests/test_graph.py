@@ -4,8 +4,8 @@ import io
 import numpy as np
 import pytest
 
-from gmrank.graph import (DirectedGraph, EdgeListError, load_edge_list,
-                          reverse, save_edge_list, stats)
+from gmrank.graph import (MAX_NODE_COUNT, DirectedGraph, EdgeListError,
+                          load_edge_list, reverse, save_edge_list, stats)
 
 from conftest import random_graph
 
@@ -139,3 +139,71 @@ class TestInvariants:
     def test_from_edges_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             DirectedGraph.from_edges(2, [0], [2])
+
+
+def lexsort_build(node_count, sources, targets, drop_self_loops):
+    """Reference build: two-key lexsort by target, then source."""
+    src = np.asarray(sources, dtype=np.int64)
+    tgt = np.asarray(targets, dtype=np.int64)
+    removed = 0
+    if drop_self_loops:
+        keep = src != tgt
+        removed = int(src.size - np.count_nonzero(keep))
+        src, tgt = src[keep], tgt[keep]
+    order = np.lexsort((src, tgt))
+    src, tgt = src[order], tgt[order]
+    uniq = np.ones(src.size, dtype=bool)
+    uniq[1:] = (src[1:] != src[:-1]) | (tgt[1:] != tgt[:-1])
+    src, tgt = src[uniq], tgt[uniq]
+    in_indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tgt, minlength=node_count), out=in_indptr[1:])
+    return (in_indptr, src, np.bincount(src, minlength=node_count), removed)
+
+
+def assert_matches_lexsort(node_count, sources, targets, drop_self_loops):
+    g = DirectedGraph.from_edges(node_count, sources, targets,
+                                 drop_self_loops=drop_self_loops)
+    in_indptr, in_sources, out_degree, removed = lexsort_build(
+        node_count, sources, targets, drop_self_loops)
+    for got, want in ((g.in_indptr, in_indptr), (g.in_sources, in_sources),
+                      (g.out_degree, out_degree)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+    assert g.self_loops_removed == removed
+
+
+class TestKeySortBuild:
+    @pytest.mark.parametrize("drop_self_loops", [False, True])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_lexsort_oracle(self, seed, drop_self_loops):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        # ids drawn below `active`: nodes from `active` on are isolated, and
+        # 4n pairs over few ids give many duplicates and self-loops
+        active = int(rng.integers(1, n + 1))
+        m = int(rng.integers(0, 4 * n))
+        src = rng.integers(0, active, m)
+        tgt = rng.integers(0, active, m)
+        assert_matches_lexsort(n, src, tgt, drop_self_loops)
+
+    @pytest.mark.parametrize("drop_self_loops", [False, True])
+    @pytest.mark.parametrize("node_count, sources, targets", [
+        (0, [], []),
+        (4, [], []),
+        (1, [0, 0, 0], [0, 0, 0]),
+        (1, [], []),
+        (6, [2, 2, 1, 2, 0], [1, 1, 2, 2, 1]),
+    ], ids=["empty-graph", "no-edges", "one-node-loops", "one-node",
+            "trailing-isolated"])
+    def test_edge_cases_match_lexsort_oracle(self, node_count, sources,
+                                             targets, drop_self_loops):
+        assert_matches_lexsort(node_count, sources, targets, drop_self_loops)
+
+    def test_key_limit_is_largest_fitting_node_count(self):
+        int64_max = int(np.iinfo(np.int64).max)
+        assert MAX_NODE_COUNT * MAX_NODE_COUNT - 1 <= int64_max
+        assert (MAX_NODE_COUNT + 1) ** 2 - 1 > int64_max
+
+    def test_over_key_limit_rejected(self):
+        with pytest.raises(ValueError, match=f"over the limit {MAX_NODE_COUNT}"):
+            DirectedGraph.from_edges(MAX_NODE_COUNT + 1, [0], [1])

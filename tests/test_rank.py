@@ -89,6 +89,22 @@ class TestPagerank:
         assert err.residual > 1e-12
         assert err.iterations == 2
 
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_convergence_error_matches_dense_iterates(self, max_iter):
+        # the sweep buffers swap each sweep: the error must carry the newest
+        g = random_graph(np.random.default_rng(31), 40, 0.05, dangling_tail=4)
+        matrix = dense_google_matrix(g, 0.85)
+        previous = p = np.full(g.node_count, 1.0 / g.node_count)
+        for _ in range(max_iter):
+            previous, p = p, matrix @ p
+        with pytest.raises(ConvergenceError) as exc_info:
+            pagerank(g, GoogleParams(tol=1e-15, max_iter=max_iter))
+        err = exc_info.value
+        assert err.iterations == max_iter
+        assert np.allclose(err.vector, p, rtol=0, atol=1e-15)
+        assert err.residual == pytest.approx(np.abs(p - previous).sum(),
+                                             rel=1e-12)
+
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             pagerank(DirectedGraph.from_edges(0, [], []))
@@ -254,6 +270,24 @@ class TestTwoDRank:
                     brute = sorted(range(n),
                                    key=lambda i: (kprime[i], ks[i], k[i], i))
                     assert result.ordering.tolist() == brute
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tie_heavy_matches_lexsort_oracle(self, seed):
+        # K* near the reverse of K makes K' = max(K, K*) take each value
+        # about twice, so most orderings rest on the tie rule
+        rng = np.random.default_rng(seed)
+        n = 500
+        k = rng.permutation(n) + 1
+        kstar = n + 1 - k
+        swap = rng.choice(n, size=(20, 2), replace=False)
+        kstar[swap[:, 0]], kstar[swap[:, 1]] = (kstar[swap[:, 1]],
+                                                kstar[swap[:, 0]])
+        result = two_d_rank(index_from(k), index_from(kstar))
+        kprime = np.maximum(k, kstar)
+        assert np.unique(kprime).size < 0.6 * n
+        oracle = np.lexsort((np.arange(n), k, kstar, kprime))
+        assert np.array_equal(result.ordering, oracle)
+        assert np.array_equal(result.kprime, kprime)
 
     def test_mismatched_node_sets(self):
         with pytest.raises(ValueError, match="different node sets"):

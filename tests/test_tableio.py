@@ -30,7 +30,8 @@ class TestToplistRoundTrip:
         for toplist in toplists:
             buf = io.StringIO()
             write_toplist_csv(buf, toplist, registry)
-            assert read_toplist_csv(io.StringIO(buf.getvalue())) == toplist
+            assert read_toplist_csv(io.StringIO(buf.getvalue()),
+                                    toplist.edition, toplist.algorithm) == toplist
 
     def test_title_with_comma_survives(self):
         registry = make_registry([
@@ -41,7 +42,26 @@ class TestToplistRoundTrip:
                           entries=(("DC", 1),))
         buf = io.StringIO()
         write_toplist_csv(buf, toplist, registry)
-        assert read_toplist_csv(io.StringIO(buf.getvalue())) == toplist
+        assert read_toplist_csv(io.StringIO(buf.getvalue()), "EN",
+                                "pagerank") == toplist
+
+    def test_header_only_file_is_empty_list(self, corpus):
+        registry, _ = corpus
+        toplist = TopList(edition="FR", algorithm="2drank", entries=())
+        buf = io.StringIO()
+        write_toplist_csv(buf, toplist, registry)
+        assert read_toplist_csv(io.StringIO(buf.getvalue()), "FR",
+                                "2drank") == toplist
+
+    @pytest.mark.parametrize("edition, algorithm", [
+        ("FR", "pagerank"), ("EN", "2drank")])
+    def test_row_of_another_list_names_line(self, edition, algorithm):
+        text = (",".join(TOPLIST_HEADER) + "\n"
+                f"{edition},{algorithm},A,A,1,EN,US,19,male\n")
+        with pytest.raises(ValueError, match=(
+                f"^line 2: mixed edition/algorithm: expected EN/pagerank, "
+                f"got {edition}/{algorithm}$")):
+            read_toplist_csv(io.StringIO(text), "EN", "pagerank")
 
     def test_mixed_edition_rows_rejected(self, corpus):
         registry, toplists = corpus
@@ -50,7 +70,8 @@ class TestToplistRoundTrip:
         write_toplist_csv(buf2, toplists[1], registry)
         merged = buf1.getvalue() + "".join(buf2.getvalue().splitlines(True)[1:])
         with pytest.raises(ValueError, match="mixed"):
-            read_toplist_csv(io.StringIO(merged))
+            read_toplist_csv(io.StringIO(merged), toplists[0].edition,
+                             toplists[0].algorithm)
 
     @pytest.mark.parametrize("text, message", [
         ("", "line 1: expected the top-list header, got an empty file"),
@@ -62,7 +83,7 @@ class TestToplistRoundTrip:
     def test_malformed_file_names_line(self, text, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             read_toplist_csv(io.StringIO(
-                text.format(header=",".join(TOPLIST_HEADER))))
+                text.format(header=",".join(TOPLIST_HEADER))), "EN", "pagerank")
 
     def test_century_and_gender_columns(self, corpus):
         registry, toplists = corpus
