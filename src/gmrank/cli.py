@@ -158,18 +158,34 @@ def _load_registry(config: PipelineConfig) -> PersonRegistry:
         return load_persons(f, culture_map)
 
 
-def _cached_vector(path: Path, g: DirectedGraph,
-                   algorithm: str) -> RankVector | None:
-    """The vector stored at ``path`` if it is valid and fits ``g``."""
+def _cached_graph(path: Path) -> DirectedGraph | None:
+    """The graph stored at ``path`` if it is a valid artifact."""
     if not path.is_file():
         return None
     try:
         with open(path, "rb") as f:
-            vector, _ = cache.read_vector(f)
-        if len(vector) == g.node_count and vector.algorithm == algorithm:
+            g = cache.read_graph(f)
+        log.info("cache hit: %s (graph)", path.name)
+        return g
+    except cache.CacheFormatError as exc:
+        log.warning("corrupt cache file %s (%s), re-parsing", path, exc)
+    return None
+
+
+def _cached_vector(path: Path, g: DirectedGraph, algorithm: str,
+                   params: GoogleParams) -> RankVector | None:
+    """The stored vector if it is valid and fits ``g`` and ``params``."""
+    if not path.is_file():
+        return None
+    try:
+        with open(path, "rb") as f:
+            vector, alpha, tol = cache.read_vector(f)
+        if (len(vector) == g.node_count and vector.algorithm == algorithm
+                and (alpha, tol) == (params.alpha, params.tol)):
             log.info("cache hit: %s (%s)", path.name, algorithm)
             return vector
-        log.warning("cache file %s does not match graph, recomputing", path)
+        log.warning("cache file %s does not match graph or parameters, "
+                    "recomputing", path)
     except cache.CacheFormatError as exc:
         log.warning("corrupt cache file %s (%s), recomputing", path, exc)
     return None
@@ -180,20 +196,29 @@ def _rank_edge_list(graph_path: Path, algorithm: str, config: PipelineConfig,
                     empty_error: str) -> tuple[DirectedGraph, dict, dict]:
     """Parse an edge list and rank it by pagerank, cheirank or 2drank.
 
-    Each vector is read from the cache directory when it holds one and
-    written there otherwise; the edge-list file is hashed at most once.
+    With a cache directory, the parsed graph and each vector are read from
+    it when it holds them and written there otherwise, so a warm run parses
+    nothing; the edge-list file is hashed at most once.
     Returns the graph and two dicts keyed by algorithm: its RankVectors,
     and its orderings (a RankIndex per vector, plus the TwoDRankResult
     for 2drank).
     """
     params = config.params()
-    with open(graph_path, encoding="utf-8") as f:
-        g = load_edge_list(f, drop_self_loops=drop_self_loops,
-                           label_mode=label_mode)
+    edge_list_hash = g = graph_file = None
+    if config.cache_dir is not None:
+        edge_list_hash = cache.content_hash(graph_path)
+        graph_file = cache.graph_path(config.cache_dir, cache.graph_key(
+            edge_list_hash, label_mode, drop_self_loops))
+        g = _cached_graph(graph_file)
+    if g is None:
+        with open(graph_path, encoding="utf-8") as f:
+            g = load_edge_list(f, drop_self_loops=drop_self_loops,
+                               label_mode=label_mode)
+        if graph_file is not None:
+            with tableio.atomic_write(graph_file, binary=True) as f:
+                cache.write_graph(f, g)
     if g.node_count == 0:
         raise EdgeListError(empty_error)
-    edge_list_hash = (cache.content_hash(graph_path)
-                      if config.cache_dir is not None else None)
     vectors, ranks = {}, {}
     for name in ((PAGERANK, CHEIRANK) if algorithm == TWODRANK_LIST
                  else (algorithm,)):
@@ -202,12 +227,12 @@ def _rank_edge_list(graph_path: Path, algorithm: str, config: PipelineConfig,
             cache_file = cache.cache_path(config.cache_dir, cache.cache_key(
                 edge_list_hash, name, params.alpha, params.tol, label_mode,
                 drop_self_loops))
-            vector = _cached_vector(cache_file, g, name)
+            vector = _cached_vector(cache_file, g, name, params)
         if vector is None:
             vector = (pagerank if name == PAGERANK else cheirank)(g, params)
             if cache_file is not None:
                 with tableio.atomic_write(cache_file, binary=True) as f:
-                    cache.write_vector(f, vector, params.alpha)
+                    cache.write_vector(f, vector, params.alpha, params.tol)
         vectors[name] = vector
         ranks[name] = rank_indices(vector)
     if algorithm == TWODRANK_LIST:

@@ -1,12 +1,14 @@
-"""Binary vector cache: format round-trip, corruption detection, keying."""
+"""Binary cache artifacts: format round-trip, corruption detection, keying."""
 import io
 
 import numpy as np
 import pytest
 
 from gmrank.cache import (CacheFormatError, cache_key, content_hash,
-                          read_vector, write_rank_csv, write_vector)
-from gmrank.rank import RankVector, rank_indices
+                          graph_key, read_graph, read_vector, write_graph,
+                          write_rank_csv, write_vector)
+from gmrank.graph import INTEGER_IDS, STRING_LABELS, load_edge_list
+from gmrank.rank import RankVector, cheirank, pagerank, rank_indices
 
 
 def vector(n=5, algorithm="pagerank"):
@@ -19,51 +21,193 @@ class TestBinaryFormat:
     def test_roundtrip_preserves_probabilities_bitwise(self):
         v = vector()
         buf = io.BytesIO()
-        write_vector(buf, v, alpha=0.85)
+        write_vector(buf, v, alpha=0.85, tol=1e-10)
         buf.seek(0)
-        loaded, alpha = read_vector(buf)
-        assert alpha == 0.85
+        loaded, alpha, tol = read_vector(buf)
+        assert (alpha, tol) == (0.85, 1e-10)
         assert loaded.algorithm == "pagerank"
         assert np.array_equal(loaded.probabilities, v.probabilities)
+        assert (loaded.iterations_used, loaded.residual) == (12, 3e-11)
 
     def test_cheirank_tag_roundtrip(self):
         buf = io.BytesIO()
-        write_vector(buf, vector(algorithm="cheirank"), alpha=0.5)
+        write_vector(buf, vector(algorithm="cheirank"), alpha=0.5, tol=1e-8)
         buf.seek(0)
-        loaded, _ = read_vector(buf)
+        loaded, alpha, tol = read_vector(buf)
         assert loaded.algorithm == "cheirank"
+        assert (alpha, tol) == (0.5, 1e-8)
 
     def test_layout_is_little_endian_with_magic(self):
         buf = io.BytesIO()
-        write_vector(buf, vector(n=2), alpha=0.85)
+        write_vector(buf, vector(n=2), alpha=0.85, tol=1e-10)
         raw = buf.getvalue()
         assert raw[:4] == b"GMRK"
-        assert raw[4:6] == (1).to_bytes(2, "little")        # version u16
+        assert raw[4:6] == (2).to_bytes(2, "little")        # version u16
         assert raw[6] == 0                                  # pagerank tag u8
         assert np.frombuffer(raw[7:15], dtype="<f8")[0] == 0.85
-        assert int.from_bytes(raw[15:23], "little") == 2    # N u64
-        assert len(raw) == 23 + 2 * 8
+        assert np.frombuffer(raw[15:23], dtype="<f8")[0] == 1e-10  # tol
+        assert int.from_bytes(raw[23:31], "little") == 12   # sweeps u64
+        assert np.frombuffer(raw[31:39], dtype="<f8")[0] == 3e-11  # residual
+        assert int.from_bytes(raw[39:47], "little") == 2    # N u64
+        assert len(raw) == 47 + 2 * 8
 
     def test_bad_magic_detected(self):
         buf = io.BytesIO()
-        write_vector(buf, vector(), alpha=0.85)
+        write_vector(buf, vector(), alpha=0.85, tol=1e-10)
         corrupted = b"XXXX" + buf.getvalue()[4:]
         with pytest.raises(CacheFormatError, match="magic"):
             read_vector(io.BytesIO(corrupted))
 
     def test_truncation_detected(self):
         buf = io.BytesIO()
-        write_vector(buf, vector(), alpha=0.85)
+        write_vector(buf, vector(), alpha=0.85, tol=1e-10)
         with pytest.raises(CacheFormatError, match="truncated"):
             read_vector(io.BytesIO(buf.getvalue()[:-4]))
 
+    @pytest.mark.parametrize("tail", [b"\x00" * 4, b"\x00" * 8])
+    def test_overlong_file_detected(self, tail):
+        buf = io.BytesIO()
+        write_vector(buf, vector(), alpha=0.85, tol=1e-10)
+        with pytest.raises(CacheFormatError, match="overlong"):
+            read_vector(io.BytesIO(buf.getvalue() + tail))
+
+    def test_huge_count_rejected_before_reading(self, tmp_path):
+        # a header claiming 2**61 probabilities: no read is sized from it
+        buf = io.BytesIO()
+        write_vector(buf, vector(n=2), alpha=0.85, tol=1e-10)
+        raw = buf.getvalue()
+        path = tmp_path / "huge.gmrk"
+        path.write_bytes(raw[:39] + (2 ** 61).to_bytes(8, "little") + raw[47:])
+        with open(path, "rb") as f, pytest.raises(CacheFormatError,
+                                                  match="truncated"):
+            read_vector(f)
+
     def test_unknown_version_detected(self):
         buf = io.BytesIO()
-        write_vector(buf, vector(), alpha=0.85)
+        write_vector(buf, vector(), alpha=0.85, tol=1e-10)
         raw = bytearray(buf.getvalue())
         raw[4:6] = (9).to_bytes(2, "little")
         with pytest.raises(CacheFormatError, match="version"):
             read_vector(io.BytesIO(bytes(raw)))
+
+
+# duplicates, self-loops, multi-byte UTF-8 labels, and in integer mode a
+# header declaring two isolated nodes past the largest id
+GRAPH_TEXT = {
+    INTEGER_IDS: "# nodes: 9\n0 1\n0 1\n1 2\n2 2\n2 0\n3 1\n4 4\n6 3\n",
+    STRING_LABELS: ("Napoléon_Ier Jésus\nJésus 孔子\n孔子 孔子\n"
+                    "Jésus Napoléon_Ier\nJésus Napoléon_Ier\nAda Ada\n"
+                    "Ada Jésus\n"),
+}
+
+
+def graph_bytes(g):
+    buf = io.BytesIO()
+    write_graph(buf, g)
+    return buf.getvalue()
+
+
+def parsed(label_mode, drop_self_loops=True, text=None):
+    return load_edge_list(io.StringIO(GRAPH_TEXT[label_mode] if text is None
+                                      else text),
+                          drop_self_loops=drop_self_loops,
+                          label_mode=label_mode)
+
+
+class TestGraphArtifact:
+    @pytest.mark.parametrize("label_mode", [INTEGER_IDS, STRING_LABELS])
+    @pytest.mark.parametrize("drop_self_loops", [True, False])
+    @pytest.mark.parametrize("text", [None, ""], ids=["graph", "empty"])
+    def test_roundtrip_equals_fresh_parse(self, label_mode, drop_self_loops,
+                                          text):
+        fresh = parsed(label_mode, drop_self_loops, text)
+        loaded = read_graph(io.BytesIO(graph_bytes(fresh)))
+        assert loaded.node_count == fresh.node_count
+        for name in ("in_indptr", "in_sources", "out_degree"):
+            a, b = getattr(loaded, name), getattr(fresh, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert a.flags.aligned and not a.flags.writeable, name
+        assert loaded.labels == fresh.labels
+        assert loaded.self_loops_removed == fresh.self_loops_removed
+        if text is None:
+            assert loaded.self_loops_removed == (2 if drop_self_loops else 0)
+            if label_mode == INTEGER_IDS:
+                assert loaded.node_count == 9   # nodes 7 and 8 are isolated
+            else:
+                assert loaded.labels == ("Napoléon_Ier", "Jésus", "孔子", "Ada")
+
+    @pytest.mark.parametrize("label_mode", [INTEGER_IDS, STRING_LABELS])
+    def test_loaded_graph_ranks_bit_identically(self, label_mode):
+        fresh = parsed(label_mode)
+        loaded = read_graph(io.BytesIO(graph_bytes(fresh)))
+        for rank in (pagerank, cheirank):
+            a, b = rank(loaded), rank(fresh)
+            assert np.array_equal(a.probabilities, b.probabilities)
+            assert a.iterations_used == b.iterations_used
+
+    def test_layout_is_little_endian_with_magic(self):
+        g = parsed(STRING_LABELS)
+        raw = graph_bytes(g)
+        n, e = g.node_count, g.edge_count
+        assert raw[:4] == b"GMRG"
+        assert raw[4:6] == (1).to_bytes(2, "little")        # version u16
+        assert raw[6] == 1                                  # label flag u8
+        header = np.frombuffer(raw[8:40], dtype="<u8")
+        assert header.tolist() == [n, e, g.self_loops_removed,
+                                   len(raw) - 40 - 8 * (2 * n + 1 + e)]
+        words = np.frombuffer(raw[40:40 + 8 * (2 * n + 1 + e)], dtype="<i8")
+        assert np.array_equal(words, np.concatenate(
+            [g.in_indptr, g.in_sources, g.out_degree]))
+        assert raw[40 + 8 * (2 * n + 1 + e):].decode() == "\n".join(g.labels)
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda raw, n, e: raw[:30], "truncated header"),
+        (lambda raw, n, e: raw[:-1], "expected"),
+        (lambda raw, n, e: raw + b"\n", "expected"),
+        (lambda raw, n, e: b"GMRK" + raw[4:], "magic"),
+        (lambda raw, n, e: raw[:4] + (2).to_bytes(2, "little") + raw[6:],
+         "version"),
+        (lambda raw, n, e: raw[:6] + b"\x07" + raw[7:], "label flag"),
+        (lambda raw, n, e: _word(raw, 0, 1), "offsets"),
+        (lambda raw, n, e: _word(raw, n, e + 1), "offsets"),
+        # in_indptr[1] = E, above in_indptr[2]
+        (lambda raw, n, e: _word(raw, 1, e), "offsets"),
+        # the sum of the out-degrees stays E
+        (lambda raw, n, e: _swap_degrees(raw, n, e), "out-degrees"),
+        (lambda raw, n, e: _word(raw, n + 1, n), "source id"),
+        (lambda raw, n, e: _drop_last_label(raw), "labels"),
+        (lambda raw, n, e: raw[:-1] + b"\xff", "UTF-8"),
+    ], ids=["header-cut", "body-cut", "trailing-byte", "magic", "version",
+            "label-flag", "first-offset", "last-offset", "falling-offsets",
+            "degrees-swapped", "source-out-of-range", "label-missing",
+            "labels-not-utf8"])
+    def test_corruption_detected(self, corrupt, match):
+        g = parsed(STRING_LABELS)
+        raw = corrupt(graph_bytes(g), g.node_count, g.edge_count)
+        with pytest.raises(CacheFormatError, match=match):
+            read_graph(io.BytesIO(raw))
+
+
+def _word(raw, index, value):
+    """``raw`` with int64 word ``index`` after the header set to ``value``."""
+    at = 40 + 8 * index
+    return raw[:at] + value.to_bytes(8, "little", signed=True) + raw[at + 8:]
+
+
+def _swap_degrees(raw, n, e):
+    at = 40 + 8 * (n + 1 + e)
+    degrees = np.frombuffer(raw[at:at + 8 * n], dtype="<i8").copy()
+    first = int(np.flatnonzero(degrees != degrees[0])[0])
+    degrees[[0, first]] = degrees[[first, 0]]
+    return raw[:at] + degrees.tobytes() + raw[at + 8 * n:]
+
+
+def _drop_last_label(raw):
+    blob_len = int.from_bytes(raw[32:40], "little")
+    blob = raw[len(raw) - blob_len:]
+    shorter = blob[:blob.rindex(b"\n")]
+    return (raw[:32] + len(shorter).to_bytes(8, "little")
+            + raw[40:len(raw) - blob_len] + shorter)
 
 
 class TestKeying:
@@ -75,6 +219,14 @@ class TestKeying:
             changed = args[:i] + (other,) + args[i + 1:]
             assert cache_key(*changed) != base
         assert cache_key(*args) == base
+
+    def test_graph_key_depends_on_every_parse_input(self):
+        args = ("abc", "integer-ids", True)
+        base = graph_key(*args)
+        for i, other in enumerate(("abd", "string-labels", False)):
+            changed = args[:i] + (other,) + args[i + 1:]
+            assert graph_key(*changed) != base
+        assert graph_key(*args) == base
 
     def test_content_hash_tracks_file_bytes(self, tmp_path):
         f = tmp_path / "edges.txt"

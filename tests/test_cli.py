@@ -4,8 +4,10 @@ import json
 import logging
 import os
 import shutil
+import struct
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from gmrank import cache, cli
 from gmrank.cli import (EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         load_config, main)
+from gmrank.graph import DirectedGraph
 
 from conftest import GOLDEN, rank_columns
 
@@ -111,6 +114,11 @@ def read_csv(path):
         return list(csv.DictReader(f))
 
 
+def cache_layout(cache_dir):
+    """Files in ``cache_dir`` counted by suffix: .gmrk vectors, .gmrg graphs."""
+    return Counter(p.suffix for p in cache_dir.iterdir())
+
+
 class TestRankCommand:
     def test_two_node_fixture_matches_oracle(self, tmp_path):
         graph = tmp_path / "two.edges"
@@ -142,7 +150,7 @@ class TestRankCommand:
                 "--cache-dir", str(cache_dir)]
         assert main(args) == EXIT_OK
         first = out.read_bytes()
-        assert len(list(cache_dir.iterdir())) == 1
+        assert cache_layout(cache_dir) == {".gmrk": 1, ".gmrg": 1}
         assert main(args) == EXIT_OK
         assert out.read_bytes() == first
 
@@ -155,7 +163,7 @@ class TestRankCommand:
                 "--cache-dir", str(cache_dir)]
         assert main(args) == EXIT_OK
         reference = out.read_bytes()
-        cache_file = next(cache_dir.iterdir())
+        cache_file = next(cache_dir.glob("*.gmrk"))
         cache_file.write_bytes(b"JUNK" + b"\x00" * 40)
         with caplog.at_level(logging.WARNING):
             assert main(args) == EXIT_OK
@@ -569,7 +577,7 @@ def _property_graph(path):
 
 
 def _raise(*args, **kwargs):
-    raise AssertionError("a warm cache must not recompute a vector")
+    raise AssertionError("a warm cache must not parse or recompute")
 
 
 class TestCacheRoundTrip:
@@ -588,14 +596,191 @@ class TestCacheRoundTrip:
             if run == "warm":
                 monkeypatch.setattr(cli, "pagerank", _raise)
                 monkeypatch.setattr(cli, "cheirank", _raise)
+                monkeypatch.setattr(cli, "load_edge_list", _raise)
             out = tmp_path / f"{run}.csv"
             extra = [] if run == "none" else ["--cache-dir", str(cache_dir)]
             assert main(args + extra + ["--out", str(out)]) == EXIT_OK
             outputs[run] = out.read_bytes()
         assert outputs["cold"] == outputs["none"]
         assert outputs["warm"] == outputs["none"]
-        assert len(list(cache_dir.iterdir())) == (2 if algorithm == "2drank"
-                                                  else 1)
+        assert cache_layout(cache_dir) == {
+            ".gmrk": 2 if algorithm == "2drank" else 1, ".gmrg": 1}
+
+
+def _rank_args(graph, cache_dir, out, label_mode=False, keep_self_loops=False):
+    return (["rank", str(graph), "--algorithm", "2drank", "--out", str(out)]
+            + ["--cache-dir", str(cache_dir)] * (cache_dir is not None)
+            + ["--labels"] * label_mode
+            + ["--keep-self-loops"] * keep_self_loops)
+
+
+def _count_parses(monkeypatch):
+    calls = []
+    load_edge_list = cli.load_edge_list
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return load_edge_list(*args, **kwargs)
+    monkeypatch.setattr(cli, "load_edge_list", counting)
+    return calls
+
+
+def _last_offset_off_by_one(raw):
+    """A graph artifact whose in_indptr[-1] reads E + 1."""
+    n, e = struct.unpack_from("<QQ", raw, 8)
+    at = 40 + 8 * n
+    return raw[:at] + struct.pack("<q", e + 1) + raw[at + 8:]
+
+
+class TestGraphArtifact:
+    @pytest.mark.parametrize("corrupt", [
+        lambda raw: raw[:-3],
+        lambda raw: b"XXXX" + raw[4:],
+        _last_offset_off_by_one,
+    ], ids=["truncated", "wrong-magic", "inconsistent"])
+    def test_corrupt_artifact_reparsed_and_rewritten(
+            self, tmp_path, monkeypatch, caplog, corrupt):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        graph = _property_graph(tmp_path / "g.edges")
+        cache_dir, out = tmp_path / "cache", tmp_path / "o.csv"
+        assert main(_rank_args(graph, cache_dir, out, label_mode=True)) == EXIT_OK
+        reference = out.read_bytes()
+        artifact = next(cache_dir.glob("*.gmrg"))
+        good = artifact.read_bytes()
+        artifact.write_bytes(corrupt(good))
+        parses = _count_parses(monkeypatch)
+        with caplog.at_level(logging.WARNING):
+            assert main(_rank_args(graph, cache_dir, out,
+                                   label_mode=True)) == EXIT_OK
+        assert f"corrupt cache file {artifact}" in caplog.text
+        assert "re-parsing" in caplog.text
+        assert len(parses) == 1
+        assert out.read_bytes() == reference
+        assert artifact.read_bytes() == good
+        assert cache_layout(cache_dir) == {".gmrk": 2, ".gmrg": 1}
+
+    def test_each_parse_mode_gets_its_own_artifact(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        graph = _property_graph(tmp_path / "g.edges")
+        cache_dir = tmp_path / "cache"
+        modes = [(labels, loops) for labels in (False, True)
+                 for loops in (False, True)]
+        fresh = {}
+        for mode in modes:
+            out = tmp_path / "fresh.csv"
+            assert main(_rank_args(graph, None, out, *mode)) == EXIT_OK
+            fresh[mode] = out.read_bytes()
+        parses = _count_parses(monkeypatch)
+        for i, mode in enumerate(modes):
+            out = tmp_path / "cached.csv"
+            assert main(_rank_args(graph, cache_dir, out, *mode)) == EXIT_OK
+            assert len(parses) == i + 1     # no other mode's graph is served
+            assert out.read_bytes() == fresh[mode]
+        assert cache_layout(cache_dir) == {".gmrk": 8, ".gmrg": 4}
+        for mode in modes:                  # now each mode has its own hit
+            out = tmp_path / "warm.csv"
+            assert main(_rank_args(graph, cache_dir, out, *mode)) == EXIT_OK
+            assert out.read_bytes() == fresh[mode]
+        assert len(parses) == len(modes)
+
+    def test_empty_edition_exit_2_cold_and_warm(self, world, tmp_path,
+                                                 monkeypatch, caplog):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        root = _copy_world(world, tmp_path)
+        (root / "de.edges").write_text("# DE has no links\n", encoding="utf-8")
+        args = ["top-people", "--config", str(root / "config.ini"),
+                "--edition", "DE"]
+        for run in ("cold", "warm"):
+            caplog.clear()
+            with caplog.at_level(logging.ERROR):
+                assert main(args) == EXIT_INPUT, run
+            errors = [r.getMessage() for r in caplog.records
+                      if r.levelno >= logging.ERROR]
+            assert errors == ["edition DE: graph has no labeled nodes"], run
+        assert cache_layout(root / "cache") == {".gmrg": 1}
+
+    @pytest.mark.parametrize("algorithm", ["pagerank", "2drank"])
+    def test_warm_top_people_neither_parses_nor_builds(
+            self, world, tmp_path, monkeypatch, algorithm):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        root = _copy_world(world, tmp_path)
+        args = ["top-people", "--config", str(root / "config.ini"), "--all",
+                "--algorithm", algorithm]
+        toplists = root / "out" / "toplists"
+        shutil.rmtree(toplists)
+        assert main(args) == EXIT_OK
+        cold = {p.name: p.read_bytes() for p in toplists.iterdir()}
+        shutil.rmtree(toplists)
+        monkeypatch.setattr(cli, "load_edge_list", _raise)
+        monkeypatch.setattr(DirectedGraph, "from_edges", classmethod(_raise))
+        monkeypatch.setattr(cli, "pagerank", _raise)
+        monkeypatch.setattr(cli, "cheirank", _raise)
+        assert main(args) == EXIT_OK
+        assert {p.name: p.read_bytes() for p in toplists.iterdir()} == cold
+        assert cold == {f"{code}_{algorithm}.csv":
+                        (world / "out" / "toplists" /
+                         f"{code}_{algorithm}.csv").read_bytes()
+                        for code in PLANT}
+
+
+def _as_version_1(raw):
+    """A v2 vector file rewritten in the v1 layout (no tol, sweeps, residual)."""
+    magic, _, tag, alpha, _, _, _, n = struct.unpack_from("<4sHBddQdQ", raw)
+    return struct.pack("<4sHBdQ", magic, 1, tag, alpha, n) + raw[47:]
+
+
+class TestVectorHeader:
+    def test_version_1_file_recomputed_and_rewritten(self, tmp_path,
+                                                     monkeypatch, caplog):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        graph = _property_graph(tmp_path / "g.edges")
+        cache_dir, out = tmp_path / "cache", tmp_path / "o.csv"
+        args = ["rank", str(graph), "--cache-dir", str(cache_dir),
+                "--out", str(out)]
+        assert main(args) == EXIT_OK
+        reference = out.read_bytes()
+        vector_file = next(cache_dir.glob("*.gmrk"))
+        v2 = vector_file.read_bytes()
+        v1 = _as_version_1(v2)
+        assert v1[4:6] == (1).to_bytes(2, "little")
+        vector_file.write_bytes(v1)
+        with caplog.at_level(logging.WARNING):
+            assert main(args) == EXIT_OK
+        assert "unsupported version 1" in caplog.text
+        assert out.read_bytes() == reference
+        assert vector_file.read_bytes() == v2
+
+    def test_hit_returns_sweeps_and_residual(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        graph = _property_graph(tmp_path / "g.edges")
+        config = cli.PipelineConfig(cache_dir=tmp_path / "cache")
+        args = (graph, "2drank", config, "string-labels", True, "empty")
+        cold = cli._rank_edge_list(*args)[1]
+        monkeypatch.setattr(cli, "pagerank", _raise)
+        monkeypatch.setattr(cli, "cheirank", _raise)
+        warm = cli._rank_edge_list(*args)[1]
+        for name in ("pagerank", "cheirank"):
+            assert cold[name].iterations_used > 1
+            assert warm[name].iterations_used == cold[name].iterations_used
+            assert warm[name].residual == cold[name].residual
+            assert 0 < warm[name].residual <= config.tol
+
+    def test_header_of_other_alpha_not_served(self, tmp_path,
+                                               monkeypatch, caplog):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        graph = _property_graph(tmp_path / "g.edges")
+        cache_dir, out = tmp_path / "cache", tmp_path / "o.csv"
+        args = ["rank", str(graph), "--cache-dir", str(cache_dir),
+                "--out", str(out)]
+        assert main(args) == EXIT_OK
+        vector_file = next(cache_dir.glob("*.gmrk"))
+        good = vector_file.read_bytes()
+        # the alpha field of a file found under the 0.85 key reads 0.5
+        vector_file.write_bytes(good[:7] + struct.pack("<d", 0.5) + good[15:])
+        with caplog.at_level(logging.WARNING):
+            assert main(args) == EXIT_OK
+        assert "does not match" in caplog.text
+        assert vector_file.read_bytes() == good
 
 
 def _count_hashes(monkeypatch):
