@@ -15,13 +15,12 @@ from .aggregate import (DistributionTable, GlobalEntry, classify_figures,
 from .cultures import (CULTURE_CODES, CultureNetwork, CultureRanks,
                        build_culture_network, culture_google_matrix,
                        culture_ranks, export_matrix_by_rank)
-from .graph import (DirectedGraph, EdgeListError, GraphStats, load_edge_list,
-                    reverse, save_edge_list, stats)
+from .graph import DirectedGraph, EdgeListError, load_edge_list, reverse
 from .rank import (ConvergenceError, GoogleParams, RankIndex, RankVector,
                    TwoDRankResult, cheirank, dense_google_matrix,
                    dense_stationary, pagerank, rank_indices, two_d_rank)
 from .registry import (EDITION_CODES, WORLD, CountryCultureMap, Person,
-                       PersonRegistry, TopList, assign_culture, century_of,
+                       PersonRegistry, TopList, century_of,
                        default_culture_map, load_culture_map, load_persons,
                        select_top_people)
 
@@ -30,15 +29,14 @@ __version__ = "0.1.0"
 __all__ = [
     "CULTURE_CODES", "ConvergenceError", "CountryCultureMap", "CultureNetwork",
     "CultureRanks", "DirectedGraph", "DistributionTable", "EDITION_CODES",
-    "EdgeListError", "GlobalEntry", "GoogleParams", "GraphStats", "Person",
-    "PersonRegistry", "RankIndex", "RankVector", "TopList", "TwoDRankResult",
-    "WORLD", "assign_culture", "build_culture_network", "century_of",
-    "cheirank", "classify_figures", "column_normalize",
-    "culture_google_matrix", "culture_ranks", "default_culture_map",
-    "dense_google_matrix", "dense_stationary", "edition_average",
-    "export_matrix_by_rank", "gender_distribution", "global_ranking",
-    "language_representation", "load_culture_map", "load_edge_list",
-    "load_persons", "locality_ratio", "overlap", "pagerank", "rank_indices",
-    "reverse", "save_edge_list", "select_top_people", "spatial_distribution",
-    "stats", "temporal_distribution", "theta_score", "two_d_rank",
+    "EdgeListError", "GlobalEntry", "GoogleParams", "Person", "PersonRegistry",
+    "RankIndex", "RankVector", "TopList", "TwoDRankResult", "WORLD",
+    "build_culture_network", "century_of", "cheirank", "classify_figures",
+    "column_normalize", "culture_google_matrix", "culture_ranks",
+    "default_culture_map", "dense_google_matrix", "dense_stationary",
+    "edition_average", "export_matrix_by_rank", "gender_distribution",
+    "global_ranking", "language_representation", "load_culture_map",
+    "load_edge_list", "load_persons", "locality_ratio", "overlap", "pagerank",
+    "rank_indices", "reverse", "select_top_people", "spatial_distribution",
+    "temporal_distribution", "theta_score", "two_d_rank",
 ]

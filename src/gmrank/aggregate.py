@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
-from .registry import (EDITION_CODES, WORLD, PersonRegistry, TopList,
-                       century_of, _nfc)
+from .registry import (EDITION_CODES, PAGERANK_LIST, WORLD, PersonRegistry,
+                       TopList, century_of, _nfc)
 
 GLOBAL = "global"
 LOCAL_HIGH = "local_high"
@@ -37,15 +37,6 @@ class DistributionTable:
     col_keys: tuple
     cells: Mapping[tuple, float]
     normalization: str = "raw"
-
-    def value(self, row, col) -> float:
-        return self.cells.get((row, col), 0.0)
-
-    def row_sum(self, row) -> float:
-        return sum(v for (r, _), v in self.cells.items() if r == row)
-
-    def column_sum(self, col) -> float:
-        return sum(v for (_, c), v in self.cells.items() if c == col)
 
 
 def column_normalize(table: DistributionTable) -> DistributionTable:
@@ -97,7 +88,9 @@ def theta_score(person_id: str, toplists: Sequence[TopList]) -> GlobalEntry:
     """Score one person over the editions where they appear.
 
     theta = sum over those editions of (101 - rank); n_appear counts the
-    editions; mean_rank is the arithmetic mean of the ranks.
+    editions; mean_rank is the arithmetic mean of the ranks.  The pipeline
+    scores everyone at once through :func:`global_ranking`; this one-person
+    form is the oracle its tie-heavy property test compares against.
     """
     ranks = [rank for toplist in toplists
              for pid, rank in toplist.entries if pid == person_id]
@@ -331,52 +324,34 @@ class LanguageCounts:
     n4: int | None      # in the language's own 2drank list
 
 
-def language_representation(
-        registry: PersonRegistry,
-        pagerank_toplists: Sequence[TopList] | None = None,
-        twodrank_toplists: Sequence[TopList] | None = None,
-        top_n: int = 100) -> list[LanguageCounts]:
+def language_representation(registry: PersonRegistry,
+                            toplists: Sequence[TopList],
+                            top_n: int = 100) -> list[LanguageCounts]:
     """Per-language counts of own-culture figures (one row per language + WR).
 
-    For each algorithm: how many figures of the language's culture sit in
-    the global top ``top_n``, and how many sit in that language's own
-    edition list.  Counts for an absent algorithm or edition are None;
-    WR has no edition of its own.
+    How many figures of each language's culture sit in the global top
+    ``top_n`` of ``toplists``, and how many sit in that language's own
+    edition list.  The lists' algorithm picks the columns: n1/n2 for
+    pagerank, n3/n4 for 2drank; the other pair is None, as are the counts
+    of an edition without a list.  WR has no edition of its own.
     """
-    def global_counts(toplists: Sequence[TopList] | None) -> dict[str, int] | None:
-        if toplists is None:
-            return None
-        top = global_ranking(toplists)[:top_n]
-        counts: dict[str, int] = {}
-        for entry in top:
-            culture = registry.get(entry.person_id).culture
-            counts[culture] = counts.get(culture, 0) + 1
-        return counts
-
-    def own_counts(toplists: Sequence[TopList] | None) -> dict[str, int] | None:
-        if toplists is None:
-            return None
-        counts = {}
-        for toplist in toplists:
-            counts[toplist.edition] = sum(
-                1 for person_id, _ in toplist.entries
-                if registry.get(person_id).culture == toplist.edition)
-        return counts
-
-    g_pr = global_counts(pagerank_toplists)
-    o_pr = own_counts(pagerank_toplists)
-    g_2d = global_counts(twodrank_toplists)
-    o_2d = own_counts(twodrank_toplists)
+    global_counts: dict[str, int] = {}
+    for entry in global_ranking(toplists)[:top_n]:
+        culture = registry.get(entry.person_id).culture
+        global_counts[culture] = global_counts.get(culture, 0) + 1
+    own_counts: dict[str, int] = {}
+    for toplist in toplists:
+        own_counts[toplist.edition] = sum(
+            1 for person_id, _ in toplist.entries
+            if registry.get(person_id).culture == toplist.edition)
+    # global_ranking has checked that the lists share one algorithm
+    pagerank = toplists[0].algorithm == PAGERANK_LIST
 
     rows = []
     for language in EDITION_CODES + (WORLD,):
-        rows.append(LanguageCounts(
-            language=language,
-            n1=None if g_pr is None else g_pr.get(language, 0),
-            n2=(None if o_pr is None or language == WORLD
-                else o_pr.get(language)),
-            n3=None if g_2d is None else g_2d.get(language, 0),
-            n4=(None if o_2d is None or language == WORLD
-                else o_2d.get(language)),
-        ))
+        counted = global_counts.get(language, 0)
+        own = None if language == WORLD else own_counts.get(language)
+        rows.append(LanguageCounts(language, counted, own, None, None)
+                    if pagerank else
+                    LanguageCounts(language, None, None, counted, own))
     return rows

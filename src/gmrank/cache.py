@@ -1,4 +1,4 @@
-"""The cache directory: parsed graphs and rank vectors, plus rank CSV export.
+"""The cache directory: parsed graphs and rank vectors.
 
 Two artifact kinds share one directory, both little-endian:
 
@@ -25,8 +25,7 @@ from typing import IO
 import numpy as np
 
 from .graph import DirectedGraph
-from .rank import (CHEIRANK, PAGERANK, RankIndex, RankVector,
-                   TwoDRankResult)
+from .rank import CHEIRANK, PAGERANK, RankVector
 
 MAGIC = b"GMRK"
 VERSION = 2
@@ -178,23 +177,3 @@ def cache_path(cache_dir: str | Path, key: str) -> Path:
 def graph_path(cache_dir: str | Path, key: str) -> Path:
     return Path(cache_dir) / f"{key}.gmrg"
 
-
-def write_rank_csv(stream: IO[str], vector: RankVector, index: RankIndex,
-                   labels: tuple[str, ...] | None = None) -> None:
-    """Rows ``node_id,label,probability,rank`` in rank order."""
-    stream.write("node_id,label,probability,rank\n")
-    probs = vector.probabilities
-    for rank, node in enumerate(index.ordering.tolist(), start=1):
-        label = labels[node] if labels is not None else ""
-        stream.write(f"{node},{label},{float(probs[node])!r},{rank}\n")
-
-
-def write_two_d_rank_csv(stream: IO[str], kp: RankIndex, kc: RankIndex,
-                         result: TwoDRankResult,
-                         labels: tuple[str, ...] | None = None) -> None:
-    """Rows ``node_id,label,k,kstar,kprime`` in 2DRank order."""
-    stream.write("node_id,label,k,kstar,kprime\n")
-    for node in result.ordering.tolist():
-        label = labels[node] if labels is not None else ""
-        stream.write(f"{node},{label},{kp.position[node]},"
-                     f"{kc.position[node]},{result.kprime[node]}\n")

@@ -18,7 +18,7 @@ from . import aggregate, cache, cultures, selfcheck, tableio
 from .graph import (INTEGER_IDS, STRING_LABELS, DirectedGraph, EdgeListError,
                     load_edge_list)
 from .rank import (CHEIRANK, PAGERANK, ConvergenceError, GoogleParams,
-                   RankVector, cheirank, pagerank, rank_indices, two_d_rank)
+                   cheirank, pagerank, rank_indices, two_d_rank)
 from .registry import (EDITION_CODES, PAGERANK_LIST, TWODRANK_LIST,
                        PersonRegistry, default_culture_map, load_culture_map,
                        load_persons, select_top_people)
@@ -158,36 +158,18 @@ def _load_registry(config: PipelineConfig) -> PersonRegistry:
         return load_persons(f, culture_map)
 
 
-def _cached_graph(path: Path) -> DirectedGraph | None:
-    """The graph stored at ``path`` if it is a valid artifact."""
+def _read_artifact(path: Path, read, redo: str):
+    """``read`` of the cache file at ``path``; None if it is absent or corrupt.
+
+    ``redo`` names the work a corrupt file costs, for the warning.
+    """
     if not path.is_file():
         return None
     try:
         with open(path, "rb") as f:
-            g = cache.read_graph(f)
-        log.info("cache hit: %s (graph)", path.name)
-        return g
+            return read(f)
     except cache.CacheFormatError as exc:
-        log.warning("corrupt cache file %s (%s), re-parsing", path, exc)
-    return None
-
-
-def _cached_vector(path: Path, g: DirectedGraph, algorithm: str,
-                   params: GoogleParams) -> RankVector | None:
-    """The stored vector if it is valid and fits ``g`` and ``params``."""
-    if not path.is_file():
-        return None
-    try:
-        with open(path, "rb") as f:
-            vector, alpha, tol = cache.read_vector(f)
-        if (len(vector) == g.node_count and vector.algorithm == algorithm
-                and (alpha, tol) == (params.alpha, params.tol)):
-            log.info("cache hit: %s (%s)", path.name, algorithm)
-            return vector
-        log.warning("cache file %s does not match graph or parameters, "
-                    "recomputing", path)
-    except cache.CacheFormatError as exc:
-        log.warning("corrupt cache file %s (%s), recomputing", path, exc)
+        log.warning("corrupt cache file %s (%s), %s", path, exc, redo)
     return None
 
 
@@ -209,7 +191,9 @@ def _rank_edge_list(graph_path: Path, algorithm: str, config: PipelineConfig,
         edge_list_hash = cache.content_hash(graph_path)
         graph_file = cache.graph_path(config.cache_dir, cache.graph_key(
             edge_list_hash, label_mode, drop_self_loops))
-        g = _cached_graph(graph_file)
+        g = _read_artifact(graph_file, cache.read_graph, "re-parsing")
+        if g is not None:
+            log.info("cache hit: %s (graph)", graph_file.name)
     if g is None:
         with open(graph_path, encoding="utf-8") as f:
             g = load_edge_list(f, drop_self_loops=drop_self_loops,
@@ -227,7 +211,17 @@ def _rank_edge_list(graph_path: Path, algorithm: str, config: PipelineConfig,
             cache_file = cache.cache_path(config.cache_dir, cache.cache_key(
                 edge_list_hash, name, params.alpha, params.tol, label_mode,
                 drop_self_loops))
-            vector = _cached_vector(cache_file, g, name, params)
+            stored = _read_artifact(cache_file, cache.read_vector,
+                                    "recomputing")
+            if stored is not None:
+                vector, alpha, tol = stored
+                if (len(vector) == g.node_count and vector.algorithm == name
+                        and (alpha, tol) == (params.alpha, params.tol)):
+                    log.info("cache hit: %s (%s)", cache_file.name, name)
+                else:
+                    log.warning("cache file %s does not match graph or "
+                                "parameters, recomputing", cache_file)
+                    vector = None
         if vector is None:
             vector = (pagerank if name == PAGERANK else cheirank)(g, params)
             if cache_file is not None:
@@ -253,11 +247,11 @@ def cmd_rank(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     with tableio.atomic_write(out_path) as f:
         if algorithm == TWODRANK_LIST:
-            cache.write_two_d_rank_csv(f, ranks[PAGERANK], ranks[CHEIRANK],
-                                       ranks[algorithm], g.labels)
+            tableio.write_two_d_rank_csv(f, ranks[PAGERANK], ranks[CHEIRANK],
+                                         ranks[algorithm], g.labels)
         else:
-            cache.write_rank_csv(f, vectors[algorithm], ranks[algorithm],
-                                 g.labels)
+            tableio.write_rank_csv(f, vectors[algorithm], ranks[algorithm],
+                                   g.labels)
     log.info("wrote %s", out_path)
     return EXIT_OK
 
@@ -367,10 +361,7 @@ def cmd_global(args: argparse.Namespace) -> int:
     with tableio.atomic_write(out / f"{algorithm}_gender_distribution.csv") as f:
         tableio.write_gender_csv(f, gender)
 
-    counts = aggregate.language_representation(
-        registry,
-        pagerank_toplists=toplists if algorithm == PAGERANK_LIST else None,
-        twodrank_toplists=toplists if algorithm == TWODRANK_LIST else None)
+    counts = aggregate.language_representation(registry, toplists)
     with tableio.atomic_write(out / f"{algorithm}_language_counts.csv") as f:
         tableio.write_language_counts_csv(f, counts)
 

@@ -38,21 +38,6 @@ class CultureNetwork:
     list_size: np.ndarray        # (25,) int64, filtered entries per edition
     before_century: int | None = None
 
-    @property
-    def codes(self) -> tuple[str, ...]:
-        return CULTURE_CODES
-
-    def weight(self, source: str, target: str) -> int:
-        return int(self.weights[CULTURE_INDEX[source], CULTURE_INDEX[target]])
-
-    def scaled(self, factor: int) -> "CultureNetwork":
-        """Network with every link weight multiplied by a positive constant."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return CultureNetwork(
-            weights=self.weights * factor, own_count=self.own_count.copy(),
-            list_size=self.list_size.copy(), before_century=self.before_century)
-
 
 def build_culture_network(toplists: Sequence[TopList],
                           registry: PersonRegistry,
@@ -117,17 +102,14 @@ class CultureRanks:
     pagerank_ordering: np.ndarray
     twod_ordering: np.ndarray
 
-    def of(self, code: str) -> tuple[int, int, int]:
-        i = CULTURE_INDEX[code]
-        return int(self.k[i]), int(self.kstar[i]), int(self.kprime[i])
-
 
 def culture_ranks(net: CultureNetwork, alpha: float = 0.85) -> CultureRanks:
     """Rank all cultures by PageRank, CheiRank and 2DRank of the dense matrix.
 
     CheiRank is the PageRank of the weight-reversed network; orderings use
     the standard tie rule (ascending node id, i.e. alphabetical code).
-    Ordering keys are quantized at 1e-12 (far below any meaningful
+    Unlike the sparse path, which ties only exactly equal floats, ordering
+    keys here are quantized at 1e-12 (far below any meaningful
     probability gap at N = 25, far above the 1e-14 iteration tolerance) so
     exact symmetries yield exact ties; reported probabilities stay raw.
     """

@@ -26,6 +26,11 @@ STRING_LABELS = "string-labels"
 # largest N whose edge keys, up to N*N - 1, fit in int64
 MAX_NODE_COUNT = 3_037_000_499
 
+# most nodes an edge-list file may ask for, by its largest id or its
+# ``# nodes:`` header: well above the 4.2M articles of the largest edition
+# the paper ranks, and each per-node int64 array stays within 2 GiB
+MAX_EDGE_LIST_NODES = 1 << 28
+
 
 class EdgeListError(ValueError):
     """Malformed edge-list input. Carries the 1-based offending line number."""
@@ -35,14 +40,6 @@ class EdgeListError(ValueError):
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    node_count: int
-    edge_count: int
-    dangling_count: int
-    self_loop_count: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,20 +129,11 @@ class DirectedGraph:
     def in_degree(self) -> np.ndarray:
         return np.diff(self.in_indptr)
 
-    def in_neighbors(self, node: int) -> np.ndarray:
-        """Sources of edges into ``node`` (ascending)."""
-        return self.in_sources[self.in_indptr[node]:self.in_indptr[node + 1]]
-
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(sources, targets) in the stored (target-grouped) order."""
         targets = np.repeat(np.arange(self.node_count, dtype=np.int64),
                             self.in_degree)
         return self.in_sources.copy(), targets
-
-    def has_edge(self, source: int, target: int) -> bool:
-        nbrs = self.in_neighbors(target)
-        i = np.searchsorted(nbrs, source)
-        return bool(i < nbrs.size and nbrs[i] == source)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectedGraph):
@@ -156,18 +144,6 @@ class DirectedGraph:
             and np.array_equal(self.in_sources, other.in_sources)
             and self.labels == other.labels
         )
-
-    def validate(self) -> None:
-        """Recompute degree arrays from the edge set and compare to stored ones."""
-        src, tgt = self.edge_arrays()
-        if not np.array_equal(np.bincount(src, minlength=self.node_count),
-                              self.out_degree):
-            raise AssertionError("out_degree inconsistent with edge set")
-        if not np.array_equal(np.bincount(tgt, minlength=self.node_count),
-                              self.in_degree):
-            raise AssertionError("in_degree inconsistent with edge set")
-        if int(self.out_degree.sum()) != self.edge_count:
-            raise AssertionError("degree totals do not match edge count")
 
 
 def load_edge_list(
@@ -181,6 +157,8 @@ def load_edge_list(
     (source, target).  With ``label_mode="string-labels"`` tokens are interned
     to dense ids in first-appearance order; in integer mode an optional
     ``# nodes: N`` header declares the node count (ids must then be < N).
+    Raises :class:`EdgeListError`, before any per-node array is allocated,
+    when the node count exceeds :data:`MAX_EDGE_LIST_NODES`.
     """
     if label_mode not in (INTEGER_IDS, STRING_LABELS):
         raise ValueError(f"unknown label_mode: {label_mode!r}")
@@ -235,25 +213,13 @@ def load_edge_list(
         else:
             node_count = 0
         labels = None
+    if node_count > MAX_EDGE_LIST_NODES:
+        raise EdgeListError(
+            f"node count {node_count} over the limit {MAX_EDGE_LIST_NODES}")
 
     return DirectedGraph.from_edges(
         node_count, sources, targets, labels=labels,
         drop_self_loops=drop_self_loops)
-
-
-def save_edge_list(g: DirectedGraph, stream: TextIO) -> None:
-    """Serialize in canonical order (sorted by source, then target)."""
-    stream.write(f"# nodes: {g.node_count}\n")
-    src, tgt = g.edge_arrays()
-    key = src * g.node_count + tgt          # distinct: edges are deduplicated
-    key.sort()
-    src, tgt = np.divmod(key, g.node_count)
-    if g.labels is not None:
-        for s, t in zip(src.tolist(), tgt.tolist()):
-            stream.write(f"{g.labels[s]} {g.labels[t]}\n")
-    else:
-        for s, t in zip(src.tolist(), tgt.tolist()):
-            stream.write(f"{s} {t}\n")
 
 
 def reverse(g: DirectedGraph) -> DirectedGraph:
@@ -268,13 +234,4 @@ def reverse(g: DirectedGraph) -> DirectedGraph:
         out_degree=rev.out_degree,
         labels=rev.labels,
         self_loops_removed=g.self_loops_removed,
-    )
-
-
-def stats(g: DirectedGraph) -> GraphStats:
-    return GraphStats(
-        node_count=g.node_count,
-        edge_count=g.edge_count,
-        dangling_count=int(np.count_nonzero(g.out_degree == 0)),
-        self_loop_count=g.self_loops_removed,
     )

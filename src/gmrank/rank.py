@@ -12,12 +12,9 @@ network.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
-
 import numpy as np
 from scipy import sparse
 
-from .aggregate import overlap
 from .graph import DirectedGraph, reverse
 
 PAGERANK = "pagerank"
@@ -96,13 +93,6 @@ class TwoDRankResult:
     kprime: np.ndarray
     ordering: np.ndarray
 
-    @property
-    def position(self) -> np.ndarray:
-        """1-based 2DRank position per node."""
-        pos = np.empty(self.ordering.size, dtype=np.int64)
-        pos[self.ordering] = np.arange(1, self.ordering.size + 1)
-        return pos
-
     def __len__(self) -> int:
         return int(self.ordering.size)
 
@@ -157,7 +147,12 @@ def cheirank(g: DirectedGraph, params: GoogleParams = GoogleParams()) -> RankVec
 
 
 def rank_indices(v: RankVector | np.ndarray) -> RankIndex:
-    """Stable descending sort by probability; ties broken by ascending node id."""
+    """Stable descending sort by probability; ties broken by ascending node id.
+
+    Probabilities tie only on exact float equality.  Callers that want
+    near-equal values to tie round them first, as the 25-node culture
+    ranking does at 1e-12 (:func:`gmrank.cultures.culture_ranks`).
+    """
     probs = v.probabilities if isinstance(v, RankVector) else np.asarray(v, dtype=float)
     ordering = np.argsort(-probs, kind="stable")
     position = np.empty(probs.size, dtype=np.int64)
@@ -203,18 +198,17 @@ def google_matrix(weights: np.ndarray, alpha: float = 0.85) -> np.ndarray:
     return matrix
 
 
-def dense_google_matrix(g: DirectedGraph, alpha: float = 0.85,
-                        dense_limit: int = DENSE_LIMIT) -> np.ndarray:
+def dense_google_matrix(g: DirectedGraph, alpha: float = 0.85) -> np.ndarray:
     """:func:`google_matrix` of the graph's 0/1 adjacency.
 
-    Refuses graphs above ``dense_limit`` nodes.
+    Refuses graphs above :data:`DENSE_LIMIT` nodes.
     """
     n = g.node_count
     if n < 1:
         raise ValueError("dense_google_matrix requires at least one node")
-    if n > dense_limit:
+    if n > DENSE_LIMIT:
         raise ValueError(
-            f"graph has {n} nodes, over the dense limit {dense_limit}")
+            f"graph has {n} nodes, over the dense limit {DENSE_LIMIT}")
     adjacency = np.zeros((n, n), dtype=bool)
     src, tgt = g.edge_arrays()
     adjacency[src, tgt] = True
@@ -250,25 +244,3 @@ def dense_stationary(matrix: np.ndarray, tol: float = 1e-14,
     raise ConvergenceError(
         f"dense iteration stalled at residual {residual:.3e}",
         vector=p, residual=residual, iterations=max_iter)
-
-
-def alpha_robustness_report(g: DirectedGraph,
-                            alphas: Iterable[float] = (0.5, 0.65, 0.85, 0.95),
-                            top_n: int = 100,
-                            tol: float = 1e-10,
-                            max_iter: int = 2000) -> dict[tuple[float, float], int]:
-    """Top-n overlap of PageRank orderings across damping factors.
-
-    Report material only; no threshold is attached to the numbers.
-    """
-    alphas = tuple(alphas)
-    indices = {
-        a: rank_indices(pagerank(g, GoogleParams(alpha=a, tol=tol, max_iter=max_iter)))
-        for a in alphas
-    }
-    report: dict[tuple[float, float], int] = {}
-    for i, a in enumerate(alphas):
-        for b in alphas[i + 1:]:
-            report[(a, b)] = overlap(indices[a].ordering[:top_n].tolist(),
-                                     indices[b].ordering[:top_n].tolist())
-    return report

@@ -121,11 +121,6 @@ class PersonRegistry:
         return self._by_title.get(edition, {})
 
 
-def assign_culture(birth_country: str, culture_map: CountryCultureMap) -> str:
-    """Language of the birth country; WR for unmapped countries."""
-    return culture_map.culture_of(birth_country)
-
-
 def century_of(birth_year: int) -> int:
     """Signed century of a signed year; there is no year 0.
 
@@ -236,7 +231,7 @@ def load_persons(stream: IO[str] | Iterable[str],
             birth_country=birth_country,
             birth_year=birth_year,
             gender=gender,
-            culture=assign_culture(birth_country, culture_map),
+            culture=culture_map.culture_of(birth_country),
         ))
     return PersonRegistry(persons)
 

@@ -20,6 +20,7 @@ from .aggregate import (DistributionTable, GenderDistribution, GlobalEntry,
                         LanguageCounts, LocalityRatios)
 from .cultures import (CULTURE_CODES, CultureNetwork, CultureRanks,
                        export_matrix_by_rank)
+from .rank import RankIndex, RankVector, TwoDRankResult
 from .registry import PersonRegistry, TopList, century_of
 
 
@@ -47,6 +48,29 @@ def _fmt(value: float) -> str:
 def _century_field(registry: PersonRegistry, person_id: str) -> str:
     year = registry.get(person_id).birth_year
     return "" if year is None else str(century_of(year))
+
+
+# -- rank orderings ----------------------------------------------------------
+
+def write_rank_csv(stream: IO[str], vector: RankVector, index: RankIndex,
+                   labels: tuple[str, ...] | None = None) -> None:
+    """Rows ``node_id,label,probability,rank`` in rank order."""
+    stream.write("node_id,label,probability,rank\n")
+    probs = vector.probabilities
+    for rank, node in enumerate(index.ordering.tolist(), start=1):
+        label = labels[node] if labels is not None else ""
+        stream.write(f"{node},{label},{float(probs[node])!r},{rank}\n")
+
+
+def write_two_d_rank_csv(stream: IO[str], kp: RankIndex, kc: RankIndex,
+                         result: TwoDRankResult,
+                         labels: tuple[str, ...] | None = None) -> None:
+    """Rows ``node_id,label,k,kstar,kprime`` in 2DRank order."""
+    stream.write("node_id,label,k,kstar,kprime\n")
+    for node in result.ordering.tolist():
+        label = labels[node] if labels is not None else ""
+        stream.write(f"{node},{label},{kp.position[node]},"
+                     f"{kc.position[node]},{result.kprime[node]}\n")
 
 
 # -- top lists ---------------------------------------------------------------

@@ -4,6 +4,7 @@ Criteria 1-10 run on synthetic inputs; criterion 11 needs the real edition
 networks and is skipped unless GMRANK_REAL_DATA points at the data directory
 (see README for the expected layout).
 """
+import dataclasses
 import os
 import time
 import tracemalloc
@@ -18,9 +19,9 @@ from gmrank.aggregate import (column_normalize, global_ranking,
                               locality_ratio, overlap, spatial_distribution)
 from gmrank.cultures import CULTURE_INDEX, build_culture_network, culture_ranks
 from gmrank.graph import DirectedGraph, load_edge_list, reverse
-from gmrank.rank import (GoogleParams, RankIndex, alpha_robustness_report,
-                         cheirank, dense_google_matrix, dense_stationary,
-                         pagerank, rank_indices, two_d_rank)
+from gmrank.rank import (GoogleParams, RankIndex, cheirank,
+                         dense_google_matrix, dense_stationary, pagerank,
+                         rank_indices, two_d_rank)
 from gmrank.registry import (EDITION_CODES, TopList, century_of, load_persons,
                              select_top_people)
 
@@ -158,10 +159,12 @@ def test_criterion_07_distribution_conservation():
 
     spatial = spatial_distribution(toplists, registry)
     for toplist in toplists:
-        assert spatial.row_sum(toplist.edition) == len(toplist)
+        assert sum(v for (row, _), v in spatial.cells.items()
+                   if row == toplist.edition) == len(toplist)
     normalized = column_normalize(spatial)
     for col in normalized.col_keys:
-        assert normalized.column_sum(col) == pytest.approx(1.0, abs=1e-12)
+        assert sum(v for (_, c), v in normalized.cells.items()
+                   if c == col) == pytest.approx(1.0, abs=1e-12)
 
     ratios = locality_ratio(toplists, registry)
     for value in ratios.cells.values():
@@ -204,7 +207,7 @@ def test_criterion_08_culture_network_conservation():
             assert int(net.weights[a].sum() + net.own_count[a]) == filtered
     net = build_culture_network(toplists, registry)
     base = culture_ranks(net)
-    scaled = culture_ranks(net.scaled(7))
+    scaled = culture_ranks(dataclasses.replace(net, weights=net.weights * 7))
     assert base.k.tolist() == scaled.k.tolist()
     assert base.kstar.tolist() == scaled.kstar.tolist()
     print("ACCEPTANCE 8 PASS: conservation per filter; ranks invariant under x7")
@@ -230,8 +233,13 @@ def scale_free_graph(n=5000, m=4, seed=1998):
 
 def test_criterion_09_alpha_robustness_report():
     g = scale_free_graph()
-    report = alpha_robustness_report(g, alphas=(0.5, 0.65, 0.85, 0.95),
-                                     top_n=100)
+    alphas = (0.5, 0.65, 0.85, 0.95)
+    tops = {}
+    for a in alphas:
+        params = GoogleParams(alpha=a, tol=1e-10, max_iter=2000)
+        tops[a] = rank_indices(pagerank(g, params)).ordering[:100].tolist()
+    report = {(a, b): overlap(tops[a], tops[b])
+              for i, a in enumerate(alphas) for b in alphas[i + 1:]}
     assert len(report) == 6
     print("ACCEPTANCE 9 PASS (report-only): top-100 overlaps across alpha:")
     for (a, b), shared in sorted(report.items()):
@@ -297,7 +305,7 @@ def test_criterion_11_real_data_mode():
     assert entries[0].theta == 2284
     assert entries[0].n_appear == 24
     counts = {c.language: c for c in
-              language_representation(registry, pagerank_toplists=toplists)}
+              language_representation(registry, toplists)}
     assert counts["EN"].n2 == 47
     with open(root / "reference.txt", encoding="utf-8") as f:
         reference = load_reference_list(f)

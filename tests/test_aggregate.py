@@ -187,19 +187,21 @@ class TestSpatial:
                   for i, code in enumerate(c for c in EDITION_CODES if c != "EN")]
         table = spatial_distribution(lists, registry)
         averaged = edition_average(table)
-        assert averaged.value("average", "US") == pytest.approx(100 / 24)
-        assert averaged.value("average", "FR") == pytest.approx(23 / 24)
+        assert averaged.cells[("average", "US")] == pytest.approx(100 / 24)
+        assert averaged.cells[("average", "FR")] == pytest.approx(23 / 24)
 
     def test_counts_conserve_list_length(self, corpus_toplists, corpus_registry):
         table = spatial_distribution(corpus_toplists, corpus_registry)
         for tl in corpus_toplists:
-            assert table.row_sum(tl.edition) == len(tl)
+            assert sum(v for (row, _), v in table.cells.items()
+                       if row == tl.edition) == len(tl)
 
     def test_column_normalized_sums_to_one(self, corpus_toplists, corpus_registry):
         table = column_normalize(spatial_distribution(corpus_toplists,
                                                       corpus_registry))
         for col in table.col_keys:
-            assert table.column_sum(col) == pytest.approx(1.0, abs=1e-12)
+            assert sum(v for (_, c), v in table.cells.items()
+                       if c == col) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTemporal:
@@ -210,7 +212,7 @@ class TestTemporal:
         table = temporal_distribution([toplist("EN", [f"p{i}" for i in range(10)])],
                                       registry)
         assert table.col_keys == (20,)
-        assert table.value("EN", 20) == 10
+        assert table.cells[("EN", 20)] == 10
 
     def test_signed_century_ordering(self):
         rows = [
@@ -234,7 +236,7 @@ class TestTemporal:
                 century = (year + 99) // 100 if year > 0 else -((-year + 99) // 100)
                 tally[century] = tally.get(century, 0) + 1
             for century, count in tally.items():
-                assert table.value(tl.edition, century) == count
+                assert table.cells[(tl.edition, century)] == count
 
     def test_unknown_year_excluded(self, corpus_toplists, corpus_registry):
         table = temporal_distribution(corpus_toplists, corpus_registry)
@@ -358,15 +360,14 @@ class TestLanguageRepresentation:
         registry = make_registry(rows, editions=("EN",))
         lists = [toplist("EN", [r["person_id"] for r in rows])]
         counts = {c.language: c for c in language_representation(
-            registry, pagerank_toplists=lists)}
+            registry, lists)}
         assert counts["EN"].n2 == 100
         assert counts["EN"].n3 is None          # no 2drank lists supplied
         assert counts["WR"].n2 is None          # WR has no edition
 
     def test_global_counts_partition_top_list(self, corpus_toplists,
                                               corpus_registry):
-        counts = language_representation(corpus_registry,
-                                         pagerank_toplists=corpus_toplists)
+        counts = language_representation(corpus_registry, corpus_toplists)
         top = global_ranking(corpus_toplists)[:100]
         total = sum(c.n1 for c in counts if c.n1 is not None)
         assert total == len(top)
@@ -374,7 +375,7 @@ class TestLanguageRepresentation:
     def test_own_culture_counts_match_direct_tally(self, corpus_toplists,
                                                    corpus_registry):
         counts = {c.language: c for c in language_representation(
-            corpus_registry, twodrank_toplists=[
+            corpus_registry, [
                 TopList(edition=t.edition, algorithm="2drank", entries=t.entries)
                 for t in corpus_toplists])}
         for tl in corpus_toplists:

@@ -1,4 +1,5 @@
-"""Binary cache artifacts: format round-trip, corruption detection, keying."""
+"""Binary cache artifacts: format round-trip, corruption detection, keying;
+plus the rank CSV written from a vector."""
 import io
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 
 from gmrank.cache import (CacheFormatError, cache_key, content_hash,
                           graph_key, read_graph, read_vector, write_graph,
-                          write_rank_csv, write_vector)
+                          write_vector)
 from gmrank.graph import INTEGER_IDS, STRING_LABELS, load_edge_list
 from gmrank.rank import RankVector, cheirank, pagerank, rank_indices
+from gmrank.tableio import write_rank_csv
 
 
 def vector(n=5, algorithm="pagerank"):

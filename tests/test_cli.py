@@ -16,7 +16,7 @@ import pytest
 from gmrank import cache, cli
 from gmrank.cli import (EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         load_config, main)
-from gmrank.graph import DirectedGraph
+from gmrank.graph import MAX_EDGE_LIST_NODES, DirectedGraph
 
 from conftest import GOLDEN, rank_columns
 
@@ -187,6 +187,30 @@ class TestRankCommand:
         errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1
         assert "node count 1000000000000 over the limit" in errors[0].getMessage()
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("text, node_count", [
+        ("0 3000000000\n", 3_000_000_001),
+        ("# nodes: 3000000000\n0 1\n", 3_000_000_000),
+    ], ids=["largest-id", "header"])
+    def test_node_count_over_edge_list_limit_exit_2(self, tmp_path, caplog,
+                                                    monkeypatch, text,
+                                                    node_count):
+        # within the int64 key limit, but each per-node array would take
+        # about 24 GB; the build is stubbed so a missing guard fails here
+        # instead of allocating
+        def build(*args, **kwargs):
+            raise AssertionError("graph build reached")
+        monkeypatch.setattr(DirectedGraph, "from_edges", build)
+        graph = tmp_path / "huge.edges"
+        graph.write_text(text)
+        with caplog.at_level(logging.ERROR):
+            assert main(["rank", str(graph), "--out",
+                         str(tmp_path / "o.csv")]) == EXIT_INPUT
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert errors[0].getMessage() == (
+            f"node count {node_count} over the limit {MAX_EDGE_LIST_NODES}")
         assert not (tmp_path / "o.csv").exists()
 
     def test_nonconvergence_exit_3(self, tmp_path):

@@ -1,4 +1,5 @@
 """Culture network construction, weighted Google matrix, culture ranking."""
+import dataclasses
 import io
 
 import numpy as np
@@ -52,8 +53,8 @@ class TestBuildNetwork:
     def test_foreign_figures_become_weights(self, mixed_registry):
         lists = [toplist("EN", ["fr0", "fr1", "fr2", "fr3", "fr4", "us0"])]
         net = build_culture_network(lists, mixed_registry)
-        assert net.weight("EN", "FR") == 5
-        assert net.weight("EN", "DE") == 0
+        assert net.weights[CULTURE_INDEX["EN"], CULTURE_INDEX["FR"]] == 5
+        assert net.weights[CULTURE_INDEX["EN"], CULTURE_INDEX["DE"]] == 0
         assert int(net.own_count[CULTURE_INDEX["EN"]]) == 1
 
     def test_all_own_culture_gives_empty_network(self, mixed_registry):
@@ -65,14 +66,15 @@ class TestBuildNetwork:
     def test_century_filter_excludes_late_birth(self, mixed_registry):
         lists = [toplist("EN", ["de0", "fr0"])]       # de0 born 1850 (century 19)
         net = build_culture_network(lists, mixed_registry, before_century=19)
-        assert net.weight("EN", "DE") == 0
-        assert net.weight("EN", "FR") == 1           # fr0 born 1700, century 17
+        assert net.weights[CULTURE_INDEX["EN"], CULTURE_INDEX["DE"]] == 0
+        # fr0 born 1700, century 17
+        assert net.weights[CULTURE_INDEX["EN"], CULTURE_INDEX["FR"]] == 1
 
     def test_unknown_year_fails_filter(self, mixed_registry):
         lists = [toplist("EN", ["noyear"])]
         unfiltered = build_culture_network(lists, mixed_registry)
         filtered = build_culture_network(lists, mixed_registry, before_century=19)
-        assert unfiltered.weight("EN", "ZH") == 1
+        assert unfiltered.weights[CULTURE_INDEX["EN"], CULTURE_INDEX["ZH"]] == 1
         assert filtered.weights.sum() == 0
         assert int(filtered.list_size.sum()) == 0
 
@@ -130,7 +132,8 @@ class TestCultureMatrix:
     def test_scaled_weights_same_matrix(self):
         net = network_from({("EN", "FR"): 2, ("FR", "DE"): 5, ("DE", "EN"): 1})
         a = culture_google_matrix(net, 0.85)
-        b = culture_google_matrix(net.scaled(7), 0.85)
+        b = culture_google_matrix(
+            dataclasses.replace(net, weights=net.weights * 7), 0.85)
         assert np.allclose(a, b, atol=1e-15)
 
 
@@ -165,7 +168,8 @@ class TestCultureRanks:
                  toplist("FR", ["us1", "de1", "fr2"])]
         net = build_culture_network(lists, mixed_registry)
         base = culture_ranks(net)
-        scaled = culture_ranks(net.scaled(7))
+        scaled = culture_ranks(
+            dataclasses.replace(net, weights=net.weights * 7))
         assert base.k.tolist() == scaled.k.tolist()
         assert base.kstar.tolist() == scaled.kstar.tolist()
 
@@ -180,9 +184,9 @@ class TestCultureRanks:
         # every culture quotes FR figures; FR quotes nothing
         weight_map = {(code, "FR"): 5 for code in CULTURE_CODES if code != "FR"}
         ranks = culture_ranks(network_from(weight_map))
-        k_fr, kstar_fr, _ = ranks.of("FR")
-        assert k_fr == 1                      # most quoted culture
-        assert kstar_fr == 25                 # least communicative
+        fr = CULTURE_INDEX["FR"]
+        assert ranks.k[fr] == 1               # most quoted culture
+        assert ranks.kstar[fr] == 25          # least communicative
 
 
 class TestExportMatrix:

@@ -1,8 +1,51 @@
-"""The package's public names all resolve."""
+"""The package's public names all resolve, and its modules keep their layers."""
+import ast
+from pathlib import Path
+
+import pytest
+
 import gmrank
+
+SOURCE = Path(gmrank.__file__).parent
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in gmrank.__all__ if not hasattr(gmrank, name)]
     assert missing == []
     assert len(set(gmrank.__all__)) == len(gmrank.__all__)
+
+
+def package_imports(tree):
+    """Names of the gmrank modules a module's syntax tree imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("gmrank"):
+                continue
+            module = (node.module or "").removeprefix("gmrank").lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:                       # from . import cache, tableio
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("gmrank."))
+    return found
+
+
+@pytest.mark.parametrize("module, allowed", [
+    ("graph", set()),
+    ("rank", {"graph"}),
+    ("cache", {"graph", "rank"}),
+])
+def test_lower_layers_import_only_below(module, allowed):
+    tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+    assert package_imports(tree) <= allowed
+
+
+def test_cache_holds_no_csv_writer():
+    tree = ast.parse((SOURCE / "cache.py").read_text(encoding="utf-8"))
+    writers = [node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("write_") and node.name.endswith("_csv")]
+    assert writers == []

@@ -1,11 +1,11 @@
-"""Edge-list loading, dedup/self-loop handling, reversal and stats."""
+"""Edge-list loading, dedup/self-loop handling, reversal and degree counts."""
 import io
 
 import numpy as np
 import pytest
 
-from gmrank.graph import (MAX_NODE_COUNT, DirectedGraph, EdgeListError,
-                          load_edge_list, reverse, save_edge_list, stats)
+from gmrank.graph import (MAX_EDGE_LIST_NODES, MAX_NODE_COUNT, DirectedGraph,
+                          EdgeListError, load_edge_list, reverse)
 
 from conftest import random_graph
 
@@ -14,29 +14,38 @@ def load(text, **kw):
     return load_edge_list(io.StringIO(text), **kw)
 
 
+def edges(g):
+    src, tgt = g.edge_arrays()
+    return set(zip(src.tolist(), tgt.tolist()))
+
+
+def dangling_count(g):
+    return int(np.count_nonzero(g.out_degree == 0))
+
+
 class TestLoadEdgeList:
     def test_duplicates_collapse(self):
         g = load("0 1\n0 1\n1 0\n")
         assert g.node_count == 2
         assert g.edge_count == 2
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)
+        assert edges(g) == {(0, 1), (1, 0)}
 
     def test_self_loop_dropped_by_default(self):
         g = load("0 0\n")
         assert g.node_count == 1
         assert g.edge_count == 0
-        assert stats(g).self_loop_count == 1
+        assert g.self_loops_removed == 1
 
     def test_self_loop_kept_on_request(self):
         g = load("0 0\n0 1\n", drop_self_loops=False)
         assert g.edge_count == 2
-        assert g.has_edge(0, 0)
+        assert (0, 0) in edges(g)
 
     def test_string_labels_interned_in_first_appearance_order(self):
         g = load("a b\nb c\n", label_mode="string-labels")
         assert g.node_count == 3
         assert g.labels == ("a", "b", "c")
-        assert g.has_edge(0, 1) and g.has_edge(1, 2)
+        assert edges(g) == {(0, 1), (1, 2)}
 
     def test_comments_and_blank_lines_skipped(self):
         g = load("# a comment\n\n0 1\n")
@@ -45,7 +54,7 @@ class TestLoadEdgeList:
     def test_header_declares_node_count(self):
         g = load("# nodes: 5\n0 1\n")
         assert g.node_count == 5
-        assert stats(g).dangling_count == 4
+        assert dangling_count(g) == 4
 
     def test_header_range_error(self):
         with pytest.raises(EdgeListError, match="line 2"):
@@ -71,12 +80,25 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListError):
             load("# nodes: 5\na b\n", label_mode="string-labels")
 
+    @pytest.mark.parametrize("text", [
+        f"# nodes: {MAX_EDGE_LIST_NODES}\n0 1\n",
+        f"0 {MAX_EDGE_LIST_NODES - 1}\n",
+    ], ids=["header", "largest-id"])
+    def test_node_count_at_limit_reaches_build(self, text, monkeypatch):
+        # the build is stubbed, so the limit itself allocates nothing
+        def build(node_count, *args, **kwargs):
+            raise RuntimeError(f"build of {node_count} nodes")
+        monkeypatch.setattr(DirectedGraph, "from_edges", build)
+        with pytest.raises(RuntimeError,
+                           match=f"build of {MAX_EDGE_LIST_NODES} nodes"):
+            load(text)
+
 
 class TestReverse:
     def test_single_edge_flips(self):
         g = load("0 1\n")
         r = reverse(g)
-        assert r.has_edge(1, 0) and not r.has_edge(0, 1)
+        assert edges(r) == {(1, 0)}
 
     def test_involution_on_random_graph(self):
         g = random_graph(np.random.default_rng(3), 50, 0.05)
@@ -98,43 +120,28 @@ class TestReverse:
 class TestStats:
     def test_no_edges_all_dangling(self):
         g = DirectedGraph.from_edges(3, [], [])
-        s = stats(g)
-        assert s.dangling_count == 3 and s.edge_count == 0
+        assert dangling_count(g) == 3 and g.edge_count == 0
 
     def test_cycle_has_no_dangling(self):
         g = load("0 1\n1 2\n2 0\n")
-        s = stats(g)
-        assert s.dangling_count == 0 and s.edge_count == 3
+        assert dangling_count(g) == 0 and g.edge_count == 3
 
     def test_star_leaves_dangle(self):
         g = load("0 1\n0 2\n0 3\n")
-        assert stats(g).dangling_count == 3
+        assert dangling_count(g) == 3
 
 
 class TestInvariants:
     @pytest.mark.parametrize("seed", range(5))
     def test_degrees_consistent_with_edge_set(self, seed):
         g = random_graph(np.random.default_rng(seed), 60, 0.04)
-        g.validate()
+        src, tgt = g.edge_arrays()
+        assert np.array_equal(np.bincount(src, minlength=g.node_count),
+                              g.out_degree)
+        assert np.array_equal(np.bincount(tgt, minlength=g.node_count),
+                              g.in_degree)
         assert int(g.out_degree.sum()) == g.edge_count
         assert int(g.in_degree.sum()) == g.edge_count
-
-    def test_roundtrip_integer_mode(self):
-        g = random_graph(np.random.default_rng(8), 25, 0.1)
-        buf = io.StringIO()
-        save_edge_list(g, buf)
-        assert load(buf.getvalue()) == g
-
-    def test_serialize_load_idempotent_with_labels(self):
-        text = "beta alpha\nalpha beta\ngamma alpha\n"
-        g1 = load(text, label_mode="string-labels")
-        buf1 = io.StringIO()
-        save_edge_list(g1, buf1)
-        g2 = load(buf1.getvalue(), label_mode="string-labels")
-        buf2 = io.StringIO()
-        save_edge_list(g2, buf2)
-        assert buf1.getvalue() == buf2.getvalue()
-        assert load(buf2.getvalue(), label_mode="string-labels") == g2
 
     def test_from_edges_rejects_out_of_range(self):
         with pytest.raises(ValueError):

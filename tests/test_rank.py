@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from gmrank.graph import DirectedGraph, reverse
-from gmrank.rank import (ConvergenceError, GoogleParams, RankIndex, cheirank,
-                         dense_google_matrix, dense_stationary, google_matrix,
-                         pagerank, rank_indices, two_d_rank)
+from gmrank.rank import (DENSE_LIMIT, ConvergenceError, GoogleParams,
+                         RankIndex, cheirank, dense_google_matrix,
+                         dense_stationary, google_matrix, pagerank,
+                         rank_indices, two_d_rank)
 
 from conftest import random_graph
 
@@ -197,9 +198,10 @@ class TestDenseMatrix:
         assert google_matrix(weights.T, 0.85).flags.c_contiguous
 
     def test_refuses_over_limit(self):
-        g = DirectedGraph.from_edges(3, [0], [1])
+        # edgeless, so the graph is small; the refusal precedes the dense array
+        g = DirectedGraph.from_edges(DENSE_LIMIT + 1, [], [])
         with pytest.raises(ValueError, match="dense limit"):
-            dense_google_matrix(g, 0.85, dense_limit=2)
+            dense_google_matrix(g, 0.85)
 
 
 class TestDenseStationary:
@@ -292,8 +294,3 @@ class TestTwoDRank:
     def test_mismatched_node_sets(self):
         with pytest.raises(ValueError, match="different node sets"):
             two_d_rank(index_from((1, 2)), index_from((1, 2, 3)))
-
-    def test_position_property(self):
-        result = two_d_rank(index_from((1, 2, 3)), index_from((3, 1, 2)))
-        assert result.position[result.ordering[0]] == 1
-        assert sorted(result.position.tolist()) == [1, 2, 3]

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from gmrank.rank import rank_indices
-from gmrank.registry import (EDITION_CODES, TopList, assign_culture,
-                             century_of, default_culture_map, load_persons,
+from gmrank.registry import (EDITION_CODES, TopList, century_of,
+                             default_culture_map, load_persons,
                              select_top_people)
 
 from conftest import make_registry, persons_tsv, synthetic_person_rows
@@ -49,10 +49,6 @@ class TestCultureMap:
 
     def test_unmapped_country_falls_back_to_world(self):
         assert default_culture_map().culture_of("QQ") == "WR"
-
-    def test_assign_culture_is_pure(self):
-        m = default_culture_map()
-        assert assign_culture("DE", m) == assign_culture("DE", m) == "DE"
 
     def test_map_covers_all_catalog_languages(self):
         m = default_culture_map()

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gmrank import aggregate
-from gmrank.cultures import build_culture_network, culture_google_matrix, culture_ranks
+from gmrank.cultures import (CULTURE_INDEX, build_culture_network,
+                             culture_google_matrix, culture_ranks)
 from gmrank.registry import TopList
 from gmrank.tableio import (TOPLIST_HEADER, atomic_write, read_toplist_csv,
                             write_culture_matrix_csv,
@@ -138,8 +139,7 @@ class TestDeterminism:
 
     def test_language_counts_empty_for_missing_algorithm(self, corpus):
         registry, toplists = corpus
-        rows = aggregate.language_representation(registry,
-                                                 pagerank_toplists=toplists)
+        rows = aggregate.language_representation(registry, toplists)
         buf = io.StringIO()
         write_language_counts_csv(buf, rows)
         for line in buf.getvalue().splitlines()[1:]:
@@ -165,7 +165,8 @@ class TestCultureFiles:
         for line in buf.getvalue().splitlines()[1:]:
             source, target, weight = line.split(",")
             assert source != target
-            assert net.weight(source, target) == int(weight)
+            assert net.weights[CULTURE_INDEX[source],
+                               CULTURE_INDEX[target]] == int(weight)
             total += int(weight)
         assert total == int(net.weights.sum())
 
