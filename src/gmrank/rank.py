@@ -4,14 +4,22 @@ The transition matrix S column-normalizes the adjacency; columns of
 dangling nodes (zero out-degree) act as uniform 1/N.  The full matrix
 G = alpha*S + (1-alpha)/N is never materialized on the sparse path:
 each sweep does one sparse matvec plus a uniform redistribution of the
-dangling mass, O(E + N) per iteration.  One dense builder,
+dangling mass, O(E + N) per iteration.  On large graphs each sweep is split
+into contiguous row blocks that run on the process's usable CPUs; every row
+sum and every elementwise step is the same as on one thread, so the output
+bits do not depend on the block count.  One dense builder,
 :func:`google_matrix`, takes a weighted adjacency: it is the oracle for the
 sparse path in tests and self-checks, and it ranks the 25-node culture
 network.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+import math
+import os
+
 import numpy as np
 from scipy import sparse
 
@@ -21,6 +29,13 @@ PAGERANK = "pagerank"
 CHEIRANK = "cheirank"
 
 DENSE_LIMIT = 2000
+
+# Stored entries per row block of a sweep: a matrix gets at most
+# nnz // BLOCK_NNZ blocks, so a two-block split starts at 2**17 entries.
+# Measured on a 2-vCPU x86 box: a two-way sweep lost below about 50k
+# entries and won from about 100k (131k: 0.35-0.40 ms on one thread,
+# 0.31-0.38 ms on two; 262k: 0.77-0.81 vs 0.55-0.59 ms).
+BLOCK_NNZ = 1 << 16
 
 
 class ConvergenceError(RuntimeError):
@@ -45,8 +60,8 @@ class GoogleParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -105,6 +120,56 @@ def _transition_matrix(g: DirectedGraph) -> sparse.csr_matrix:
         shape=(g.node_count, g.node_count))
 
 
+def _usable_cpus() -> int:
+    """CPUs the OS lets this process run on (its affinity mask, if any)."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        return len(getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _row_blocks(matrix: sparse.csr_matrix) -> list[tuple[int, int, sparse.csr_matrix]]:
+    """Contiguous row blocks ``(lo, hi, rows)`` with about equal stored entries.
+
+    There are ``min(usable CPUs, nnz // BLOCK_NNZ)`` blocks, at least one;
+    a single block is ``matrix`` itself.  Otherwise each ``rows`` is a CSR
+    matrix over slices of ``matrix.data`` and ``matrix.indices`` (views);
+    only its rebased ``indptr`` is new.  A block may hold no rows when
+    several cuts fall on one row.
+    """
+    n = matrix.shape[0]
+    parts = max(1, min(_usable_cpus(), matrix.nnz // BLOCK_NNZ))
+    if parts == 1:
+        return [(0, n, matrix)]
+    indptr = matrix.indptr
+    cuts = np.searchsorted(indptr, matrix.nnz * np.arange(parts + 1) // parts)
+    cuts[0], cuts[-1] = 0, n
+    blocks = []
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        start, end = indptr[lo], indptr[hi]
+        # assigned after construction: the (data, indices, indptr)
+        # constructor copies a slice that is under half of its base array
+        rows = sparse.csr_matrix((hi - lo, n))
+        rows.data = matrix.data[start:end]
+        rows.indices = matrix.indices[start:end]
+        rows.indptr = indptr[lo:hi + 1] - start
+        blocks.append((lo, hi, rows))
+    return blocks
+
+
+def _sweep_block(block: tuple[int, int, sparse.csr_matrix], p: np.ndarray,
+                 new_p: np.ndarray, diff: np.ndarray, alpha: float,
+                 shift: float) -> None:
+    # new_p[lo:hi] = alpha * (rows @ p) + shift; diff[lo:hi] = |new_p - p|
+    lo, hi, rows = block
+    out = new_p[lo:hi]
+    np.multiply(rows @ p, alpha, out=out)
+    out += shift
+    step = diff[lo:hi]
+    np.subtract(out, p[lo:hi], out=step)
+    np.abs(step, out=step)
+
+
 def pagerank(g: DirectedGraph, params: GoogleParams = GoogleParams()) -> RankVector:
     """Stationary vector of G by power iteration from the uniform vector.
 
@@ -112,28 +177,40 @@ def pagerank(g: DirectedGraph, params: GoogleParams = GoogleParams()) -> RankVec
     the L1 distance between successive iterates drops to ``params.tol``.
     The returned vector is renormalized to sum exactly 1.
 
+    Each sweep runs its row blocks (:func:`_row_blocks`) side by side: the
+    calling thread takes the first and a thread pool the rest.  With one
+    block no thread is started.  The dangling mass and the residual are
+    summed on the calling thread over the full arrays, so results are
+    bit-identical for any block count.
+
     Raises :class:`ConvergenceError` after ``params.max_iter`` sweeps.
     """
     n = g.node_count
     if n < 1:
         raise ValueError("pagerank requires at least one node")
     alpha = params.alpha
-    matrix = _transition_matrix(g)
+    blocks = _row_blocks(_transition_matrix(g))
     dangling = np.flatnonzero(g.out_degree == 0)
 
     p = np.full(n, 1.0 / n)
     new_p = np.empty(n)         # p and new_p swap roles each sweep
     diff = np.empty(n)
-    for iteration in range(1, params.max_iter + 1):
-        dangling_mass = float(p[dangling].sum())
-        np.multiply(matrix @ p, alpha, out=new_p)
-        new_p += (alpha * dangling_mass + (1.0 - alpha)) / n
-        np.subtract(new_p, p, out=diff)
-        residual = float(np.abs(diff, out=diff).sum())
-        p, new_p = new_p, p
-        if residual <= params.tol:
-            p /= p.sum()
-            return RankVector(p, PAGERANK, iteration, residual)
+    with (ThreadPoolExecutor(len(blocks) - 1, "gmrank-sweep")
+          if len(blocks) > 1 else nullcontext()) as pool:
+        for iteration in range(1, params.max_iter + 1):
+            dangling_mass = float(p[dangling].sum())
+            shift = (alpha * dangling_mass + (1.0 - alpha)) / n
+            futures = [pool.submit(_sweep_block, block, p, new_p, diff,
+                                   alpha, shift)
+                       for block in blocks[1:]]
+            _sweep_block(blocks[0], p, new_p, diff, alpha, shift)
+            for future in futures:
+                future.result()
+            residual = float(diff.sum())
+            p, new_p = new_p, p
+            if residual <= params.tol:
+                p /= p.sum()
+                return RankVector(p, PAGERANK, iteration, residual)
 
     raise ConvergenceError(
         f"no convergence after {params.max_iter} iterations "

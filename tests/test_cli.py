@@ -189,6 +189,21 @@ class TestRankCommand:
         assert "node count 1000000000000 over the limit" in errors[0].getMessage()
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exit_2(self, tmp_path, caplog, tol):
+        # NaN passes a plain tol <= 0 check and would run every sweep, then
+        # exit 3; inf would stop after one sweep and exit 0
+        graph = tmp_path / "tri.edges"
+        graph.write_text("0 1\n1 2\n2 0\n")
+        out = tmp_path / "o.csv"
+        with caplog.at_level(logging.ERROR):
+            assert main(["rank", str(graph), "--out", str(out), "--tol", tol,
+                         "--max-iter", "50"]) == EXIT_INPUT
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert "tol must be positive and finite" in errors[0].getMessage()
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, node_count", [
         ("0 3000000000\n", 3_000_000_001),
         ("# nodes: 3000000000\n0 1\n", 3_000_000_000),
@@ -854,6 +869,14 @@ class TestConfig:
         with caplog.at_level(logging.ERROR):
             assert main(["global", "--config", str(config)]) == EXIT_INPUT
         assert "alpha" in caplog.text
+
+    def test_config_tol_nan_rejected(self, world, tmp_path, caplog):
+        config = _copy_world(world, tmp_path) / "config.ini"
+        config.write_text(config.read_text(encoding="utf-8").replace(
+            "tol = 1e-10", "tol = nan"), encoding="utf-8")
+        with caplog.at_level(logging.ERROR):
+            assert main(["culture", "--config", str(config)]) == EXIT_INPUT
+        assert "tol must be positive and finite" in caplog.text
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"

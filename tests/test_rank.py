@@ -1,9 +1,14 @@
 """Rank-engine contracts: oracles first, then invariants and error paths."""
+import io
+import os
+import sys
+import threading
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+from gmrank import cache, rank
 from gmrank.graph import DirectedGraph, reverse
 from gmrank.rank import (DENSE_LIMIT, ConvergenceError, GoogleParams,
                          RankIndex, cheirank, dense_google_matrix,
@@ -172,6 +177,179 @@ class TestGoogleParams:
             GoogleParams(tol=0.0)
         with pytest.raises(ValueError):
             GoogleParams(max_iter=0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_tol(self, tol):
+        # NaN passes a plain tol <= 0 test; +inf would stop after one sweep
+        with pytest.raises(ValueError, match="tol"):
+            GoogleParams(tol=tol)
+
+
+def _trapped_graph(rng, n=40, pairs=3):
+    """Random links among the first nodes, some of them into 2-cycles u <-> v
+    at the end that send nothing back: a trapped set that mixes slowly."""
+    linking = n - 2 * pairs
+    src = list(rng.integers(0, linking, size=4 * n))
+    tgt = list(rng.integers(0, n, size=4 * n))
+    for k in range(pairs):
+        u, v = linking + 2 * k, linking + 2 * k + 1
+        src += [u, v]
+        tgt += [v, u]
+    return DirectedGraph.from_edges(n, src, tgt, drop_self_loops=True)
+
+
+BLOCK_GRAPHS = {
+    "ring": lambda: DirectedGraph.from_edges(7, range(7), [(i + 1) % 7 for i in range(7)]),
+    "random-dangling": lambda: random_graph(np.random.default_rng(31), 60, 0.05,
+                                            dangling_tail=6),
+    # long enough that pairwise summation splits where the blocks do not
+    "random-1500": lambda: random_graph(np.random.default_rng(33), 1500, 0.002,
+                                        dangling_tail=100),
+    "trapped-2-cycles": lambda: _trapped_graph(np.random.default_rng(32)),
+    # every edge enters node 0, so inner cuts coincide and blocks are empty
+    "hub": lambda: DirectedGraph.from_edges(9, range(1, 9), [0] * 8),
+    "no-edges": lambda: DirectedGraph.from_edges(4, [], []),
+    "single-node": lambda: DirectedGraph.from_edges(1, [], []),
+}
+
+
+def _blocks(monkeypatch, cpus, block_nnz=1):
+    monkeypatch.setattr(rank, "BLOCK_NNZ", block_nnz)
+    monkeypatch.setattr(rank, "_usable_cpus", lambda: cpus)
+
+
+def _vector_bytes(vector):
+    stream = io.BytesIO()
+    cache.write_vector(stream, vector, 0.85, 1e-10)
+    return stream.getvalue()
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("name", BLOCK_GRAPHS)
+    @pytest.mark.parametrize("parts", [2, 3, 5])
+    @pytest.mark.parametrize("algorithm", [pagerank, cheirank])
+    def test_bit_identical_to_one_block(self, monkeypatch, name, parts,
+                                        algorithm):
+        g = BLOCK_GRAPHS[name]()
+        _blocks(monkeypatch, 1)
+        reference = algorithm(g)
+        _blocks(monkeypatch, parts)
+        matrix = rank._transition_matrix(reverse(g) if algorithm is cheirank else g)
+        assert len(rank._row_blocks(matrix)) == min(parts, max(1, matrix.nnz))
+        got = algorithm(g)
+        assert np.array_equal(got.probabilities, reference.probabilities)
+        assert got.iterations_used == reference.iterations_used
+        assert got.residual == reference.residual
+        assert _vector_bytes(got) == _vector_bytes(reference)
+
+    @pytest.mark.parametrize("name", ["random-1500", "trapped-2-cycles"])
+    @pytest.mark.parametrize("parts", [2, 3, 5])
+    @pytest.mark.parametrize("algorithm", [pagerank, cheirank])
+    def test_convergence_error_identical(self, monkeypatch, name, parts,
+                                         algorithm):
+        # every cap up to 20 sweeps, so some final residual would differ if
+        # it were summed block by block
+        g = BLOCK_GRAPHS[name]()
+        for max_iter in range(1, 21):
+            errors = []
+            for cpus in (1, parts):
+                _blocks(monkeypatch, cpus)
+                with pytest.raises(ConvergenceError) as exc_info:
+                    algorithm(g, GoogleParams(max_iter=max_iter))
+                errors.append(exc_info.value)
+            reference, got = errors
+            assert np.array_equal(got.vector, reference.vector)
+            assert got.residual == reference.residual
+            assert got.iterations == reference.iterations == max_iter
+
+    def test_blocks_are_views_with_balanced_entries(self, monkeypatch):
+        _blocks(monkeypatch, 3)
+        matrix = rank._transition_matrix(BLOCK_GRAPHS["random-dangling"]())
+        blocks = rank._row_blocks(matrix)
+        assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
+        assert blocks[-1][1] == matrix.shape[0]
+        sizes = [rows.nnz for _, _, rows in blocks]
+        assert sum(sizes) == matrix.nnz
+        assert max(sizes) - min(sizes) <= 2 * np.diff(matrix.indptr).max()
+        for lo, hi, rows in blocks:
+            assert np.shares_memory(rows.data, matrix.data)
+            assert np.shares_memory(rows.indices, matrix.indices)
+            assert (rows != matrix[lo:hi]).nnz == 0
+
+
+class TestSweepThreads:
+    def test_small_graph_starts_no_thread(self, monkeypatch):
+        # 2 * BLOCK_NNZ entries are needed for a second block
+        _blocks(monkeypatch, 3, block_nnz=rank.BLOCK_NNZ)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("executor built for a one-block sweep")
+
+        monkeypatch.setattr(rank, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        g = random_graph(np.random.default_rng(8), 300, 0.05, dangling_tail=20)
+        assert g.edge_count < 2 * rank.BLOCK_NNZ
+        pagerank(g)
+        cheirank(g)
+
+    def test_block_count_capped_by_usable_cpus(self, monkeypatch):
+        _blocks(monkeypatch, 3)
+        sweeping = set()
+        sweep = rank._sweep_block
+
+        def record(*args):
+            sweeping.add(threading.get_ident())
+            sweep(*args)
+
+        monkeypatch.setattr(rank, "_sweep_block", record)
+        g = random_graph(np.random.default_rng(9), 80, 0.1)
+        assert len(rank._row_blocks(rank._transition_matrix(g))) == 3
+        pagerank(g)
+        assert 1 < len(sweeping) <= 3
+
+    def test_affinity_mask_is_the_limit(self):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        assert rank._usable_cpus() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("count, expected", [(3, 3), (None, 1)])
+    def test_falls_back_to_cpu_count(self, monkeypatch, count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert rank._usable_cpus() == expected
+
+    def test_identical_under_fast_thread_switching(self, monkeypatch):
+        # five blocks and a thread switch every microsecond: a sweep that
+        # read a half-written block would differ
+        g = BLOCK_GRAPHS["random-1500"]()
+        _blocks(monkeypatch, 1)
+        reference = pagerank(g)
+        _blocks(monkeypatch, 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                got = pagerank(g)
+                assert np.array_equal(got.probabilities, reference.probabilities)
+                assert got.residual == reference.residual
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_block_error_reaches_caller(self, monkeypatch):
+        _blocks(monkeypatch, 3)
+        baseline = threading.active_count()
+        sweep = rank._sweep_block
+
+        def fail_off_caller(block, *args):
+            if block[0] > 0:
+                raise FloatingPointError("block failed")
+            sweep(block, *args)
+
+        monkeypatch.setattr(rank, "_sweep_block", fail_off_caller)
+        g = random_graph(np.random.default_rng(10), 80, 0.1)
+        with pytest.raises(FloatingPointError, match="block failed"):
+            pagerank(g)
+        assert threading.active_count() == baseline
 
 
 class TestDenseMatrix:
