@@ -14,7 +14,8 @@ import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import IO, Iterable, Mapping
+from itertools import compress
+from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -89,36 +90,108 @@ class TopList:
 
 
 class PersonRegistry:
-    """Immutable person store with per-edition title indexes."""
+    """Immutable person store: validated fields plus per-edition title indexes.
 
-    def __init__(self, persons: Iterable[Person]):
-        self.persons: dict[str, Person] = {}
+    Built only by :func:`load_persons`, which has checked every row; the
+    constructor takes that function's internal layout and checks only its
+    width.  Each edition's title index is built at once, so a duplicate
+    ``person_id`` or title is rejected at load; a :class:`Person` is built
+    on its first :meth:`get` and kept.
+    """
+
+    def __init__(self, ids: list[str],
+                 fields: list[tuple[str, int | None, str]],
+                 editions: list[str], titles: list[str],
+                 culture_map: CountryCultureMap):
+        if len(titles) != len(ids) * len(editions):
+            raise ValueError("titles must hold one title per person and edition")
+        self._ids = ids
+        self._fields = fields           # (birth_country, birth_year, gender)
+        self._editions = editions
+        # stripped titles row by row: person r's are titles[r*E:(r+1)*E] for
+        # the E editions, so building one Person reads one contiguous slice
+        self._titles = titles
+        self._culture_map = culture_map
+        self._row = dict(zip(ids, range(len(ids))))
+        self._built: dict[str, Person] = {}
         self._by_title: dict[str, dict[str, str]] = {}
-        for person in persons:
-            if person.person_id in self.persons:
-                raise ValueError(f"duplicate person_id {person.person_id!r}")
-            self.persons[person.person_id] = person
-            for code, title in person.titles.items():
-                index = self._by_title.setdefault(code, {})
+        unique = len(self._row) == len(ids)
+        for code, present, owners in self._keyed_titles():
+            index = self._by_title[code] = _index_titles(present, owners)
+            unique = unique and len(index) == len(present)
+        if not unique:
+            self._raise_first_duplicate()
+
+    def _keyed_titles(self) -> Iterator[tuple[str, list[str], list[str]]]:
+        """(edition, its non-empty titles, their owners), one at a time.
+
+        EN comes last; an empty EN title is the person_id.
+        """
+        ids, width = self._ids, len(self._editions)
+        en = None
+        for k, code in enumerate(self._editions):
+            column = self._titles[k::width]
+            if code == "EN":
+                en = column
+            else:
+                yield (code, list(compress(column, column)),
+                       list(compress(ids, column)))
+        yield "EN", ids if en is None else [t or p for t, p in zip(en, ids)], ids
+
+    def _titles_of(self, row: int, person_id: str) -> dict[str, str]:
+        width = len(self._editions)
+        values = self._titles[row * width:(row + 1) * width]
+        titles = dict(compress(zip(self._editions, values), values))
+        titles.setdefault("EN", person_id)
+        return titles
+
+    def _raise_first_duplicate(self) -> None:
+        """Name the first duplicate id or title in file order."""
+        seen_ids: set[str] = set()
+        seen_titles: dict[str, dict[str, str]] = {}
+        for row, person_id in enumerate(self._ids):
+            if person_id in seen_ids:
+                raise ValueError(f"duplicate person_id {person_id!r}")
+            seen_ids.add(person_id)
+            for code, title in self._titles_of(row, person_id).items():
+                index = seen_titles.setdefault(code, {})
                 key = _nfc(title)
                 if key in index:
                     raise ValueError(
                         f"duplicate title {title!r} in edition {code}: "
-                        f"{index[key]!r} vs {person.person_id!r}")
-                index[key] = person.person_id
+                        f"{index[key]!r} vs {person_id!r}")
+                index[key] = person_id
 
     def __len__(self) -> int:
-        return len(self.persons)
+        return len(self._ids)
 
     def __contains__(self, person_id: str) -> bool:
-        return person_id in self.persons
+        return person_id in self._row
 
     def get(self, person_id: str) -> Person:
-        return self.persons[person_id]
+        person = self._built.get(person_id)
+        if person is None:
+            row = self._row[person_id]
+            country, year, gender = self._fields[row]
+            person = self._built[person_id] = Person(
+                person_id=person_id,
+                titles=self._titles_of(row, person_id),
+                birth_country=country,
+                birth_year=year,
+                gender=gender,
+                culture=self._culture_map.culture_of(country),
+            )
+        return person
 
     def title_index(self, edition: str) -> Mapping[str, str]:
         """NFC-normalized localized title -> person_id for one edition."""
         return self._by_title.get(edition, {})
+
+
+def _index_titles(titles: list[str], owners: list[str]) -> dict[str, str]:
+    """NFC-normalized title -> owner; shorter than ``titles`` on a duplicate."""
+    keys = titles if "".join(titles).isascii() else list(map(_nfc, titles))
+    return dict(zip(keys, owners))
 
 
 def century_of(birth_year: int) -> int:
@@ -172,6 +245,7 @@ def load_persons(stream: IO[str] | Iterable[str],
     by one column per edition code holding the localized article title (empty
     when the person has no article there).  An empty EN title defaults to the
     person_id itself, which by construction is the English article title.
+    Every row is checked; an error names the line the bad row ends on.
     """
     if culture_map is None:
         culture_map = default_culture_map()
@@ -191,8 +265,11 @@ def load_persons(stream: IO[str] | Iterable[str],
     if len(set(edition_columns)) != len(edition_columns):
         raise ValueError("persons header: duplicate edition column")
 
-    persons: list[Person] = []
-    for line_no, row in enumerate(reader, start=2):
+    ids: list[str] = []
+    fields: list[tuple[str, int | None, str]] = []
+    titles: list[str] = []
+    for row in reader:
+        line_no = reader.line_num           # the line the row ends on
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(header):
@@ -221,19 +298,10 @@ def load_persons(stream: IO[str] | Iterable[str],
         gender = row[3].strip().lower() or "unknown"
         if gender not in GENDERS:
             raise ValueError(f"persons line {line_no}: unknown gender {gender!r}")
-        titles = {code: title.strip()
-                  for code, title in zip(edition_columns, row[4:])
-                  if title.strip()}
-        titles.setdefault("EN", person_id)
-        persons.append(Person(
-            person_id=person_id,
-            titles=titles,
-            birth_country=birth_country,
-            birth_year=birth_year,
-            gender=gender,
-            culture=culture_map.culture_of(birth_country),
-        ))
-    return PersonRegistry(persons)
+        ids.append(person_id)
+        fields.append((birth_country, birth_year, gender))
+        titles += map(str.strip, row[4:])
+    return PersonRegistry(ids, fields, edition_columns, titles, culture_map)
 
 
 def select_top_people(ranked, labels: tuple[str, ...],

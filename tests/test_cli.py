@@ -568,6 +568,25 @@ class TestUnregisteredPerson:
         assert [p.name for p in (root / "out").iterdir()] == ["toplists"]
 
 
+class TestDuplicateTitle:
+    @pytest.mark.parametrize("command", ["global", "culture"])
+    def test_titles_equal_after_nfc_exit_2(self, world, tmp_path, caplog,
+                                           command):
+        # FR 'Jésus' of Jesus is composed; this one is e + combining acute
+        root = _copy_world(world, tmp_path)
+        persons = root / "persons.tsv"
+        with open(persons, "a", encoding="utf-8") as f:
+            f.write("Jesus_2\tPS\t1\tmale\tJesus_2\tJe\u0301sus\tJesus_2\n")
+        with caplog.at_level(logging.ERROR):
+            code = main([command, "--config", str(root / "config.ini")])
+        assert code == EXIT_INPUT
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert errors == ["duplicate title 'Je\u0301sus' in edition FR: "
+                          "'Jesus' vs 'Jesus_2'"]
+        assert [p.name for p in (root / "out").iterdir()] == ["toplists"]
+
+
 class TestMalformedToplist:
     @pytest.mark.parametrize("command", ["global", "culture"])
     @pytest.mark.parametrize("text, message", [

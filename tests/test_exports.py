@@ -37,6 +37,7 @@ def package_imports(tree):
     ("graph", set()),
     ("rank", {"graph"}),
     ("cache", {"graph", "rank"}),
+    ("registry", set()),
 ])
 def test_lower_layers_import_only_below(module, allowed):
     tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))

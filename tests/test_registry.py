@@ -1,13 +1,16 @@
 """Person registry, culture assignment, century arithmetic, top-list extraction."""
+import csv
 import io
 import logging
+import random
+import unicodedata
 
 import numpy as np
 import pytest
 
 from gmrank.rank import rank_indices
-from gmrank.registry import (EDITION_CODES, TopList, century_of,
-                             default_culture_map, load_persons,
+from gmrank.registry import (EDITION_CODES, Person, PersonRegistry, TopList,
+                             century_of, default_culture_map, load_persons,
                              select_top_people)
 
 from conftest import make_registry, persons_tsv, synthetic_person_rows
@@ -120,6 +123,52 @@ class TestLoadPersons:
         with pytest.raises(ValueError,
                            match=r"^persons line 3: birth_year .*'abc'"):
             load_persons(io.StringIO(text))
+
+    def test_error_names_physical_line_after_multiline_title(self):
+        # the quoted FR title of A spans lines 2-3, so B's row is line 4
+        text = ("person_id\tbirth_country\tbirth_year\tgender\tEN\tFR\n"
+                'A\tUS\t1900\tmale\tA\t"Deux\nlignes"\n'
+                "B\tUS\tabc\tmale\tB\tB\n")
+        with pytest.raises(ValueError,
+                           match=r"^persons line 4: birth_year .*'abc'"):
+            load_persons(io.StringIO(text))
+
+    def test_duplicate_person_id_before_later_duplicate_title(self):
+        text = ("person_id\tbirth_country\tbirth_year\tgender\tEN\tFR\n"
+                "A\tUS\t1900\tmale\tA\tX\n"
+                "A\tUS\t1901\tmale\tA2\tY\n"
+                "B\tUS\t1902\tmale\tB\tX\n")
+        with pytest.raises(ValueError, match=r"^duplicate person_id 'A'$"):
+            load_persons(io.StringIO(text))
+
+    def test_duplicate_title_before_later_duplicate_person_id(self):
+        text = ("person_id\tbirth_country\tbirth_year\tgender\tEN\tFR\n"
+                "A\tUS\t1900\tmale\tA\tX\n"
+                "B\tUS\t1902\tmale\tB\tX\n"
+                "A\tUS\t1901\tmale\tA2\tY\n")
+        with pytest.raises(ValueError,
+                           match=r"^duplicate title 'X' in edition FR: 'A' vs 'B'$"):
+            load_persons(io.StringIO(text))
+
+    def test_empty_en_title_clashing_with_an_en_title(self):
+        # B has no EN title, so it defaults to 'B', which A already holds
+        text = ("person_id\tbirth_country\tbirth_year\tgender\tEN\n"
+                "A\tUS\t1900\tmale\tB\n"
+                "B\tUS\t1901\tmale\t\n")
+        with pytest.raises(ValueError,
+                           match=r"^duplicate title 'B' in edition EN: 'A' vs 'B'$"):
+            load_persons(io.StringIO(text))
+
+    def test_unknown_id_raises_key_error(self):
+        reg = make_registry([{"person_id": "A", "birth_country": "US",
+                              "birth_year": 1900, "gender": "male"}])
+        assert "A" in reg and "Z" not in reg
+        with pytest.raises(KeyError):
+            reg.get("Z")
+
+    def test_get_returns_one_person_per_id(self):
+        reg = make_registry(synthetic_person_rows())
+        assert reg.get("Person 03") is reg.get("Person 03")
 
     def test_empty_year_is_unknown(self):
         reg = make_registry([{"person_id": "A", "birth_country": "US",
@@ -236,3 +285,234 @@ class TestSelectTopPeople:
         toplist = select_top_people(np.arange(6), labels, reg, "EN",
                                     "pagerank", n=100)
         assert [r for _, r in toplist.entries] == [1, 2, 3]
+
+
+NFC_E = "\u00e9"            # é, composed
+NFD_E = "e\u0301"           # e + combining acute
+
+
+class TestColumnNfc:
+    """A non-ASCII edition column is matched after NFC, title by title."""
+
+    HEADER = "person_id\tbirth_country\tbirth_year\tgender\tEN\tFR\n"
+
+    def test_nfd_title_in_file_matches_nfc_label(self):
+        text = (self.HEADER
+                + f"Poincare\tFR\t1854\tmale\t\tHenri Poincar{NFD_E}\n"
+                + f"Curie\tPL\t1867\tfemale\t\tMarie Curie\n")
+        reg = load_persons(io.StringIO(text))
+        labels = ("Marie Curie", f"Henri Poincar{NFC_E}")
+        toplist = select_top_people(np.array([1, 0]), labels, reg, "FR",
+                                    "pagerank", n=2)
+        assert toplist.entries == (("Poincare", 1), ("Curie", 2))
+        assert reg.get("Poincare").titles["FR"] == f"Henri Poincar{NFD_E}"
+
+    def test_titles_equal_after_nfc_are_duplicates(self):
+        text = (self.HEADER
+                + f"A\tFR\t1900\tmale\tA\tJ{NFC_E}sus\n"
+                + f"B\tFR\t1901\tmale\tB\tJ{NFD_E}sus\n")
+        with pytest.raises(ValueError) as exc_info:
+            load_persons(io.StringIO(text))
+        assert str(exc_info.value) == (
+            f"duplicate title {f'J{NFD_E}sus'!r} in edition FR: 'A' vs 'B'")
+
+    def test_title_holding_newline_next_to_non_ascii_title(self):
+        # a newline inside a title must not split it into two keys
+        text = (self.HEADER
+                + 'A\tFR\t1900\tmale\tA\t"Deux\nlignes"\n'
+                + f"B\tFR\t1901\tmale\tB\tJ{NFD_E}sus\n")
+        reg = load_persons(io.StringIO(text))
+        assert dict(reg.title_index("FR")) == {"Deux\nlignes": "A",
+                                               f"J{NFC_E}sus": "B"}
+        assert reg.get("A").titles["FR"] == "Deux\nlignes"
+
+    def test_constructor_rejects_titles_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match="one title per person and edition"):
+            PersonRegistry(["A", "B"], [("FR", 1900, "male")] * 2,
+                           ["EN", "FR"], ["A", "x", "B"],
+                           default_culture_map())
+
+
+# -- the registry against the eager loader it replaced ------------------------
+
+def eager_load(text):
+    """The row-at-a-time loader: one Person per row, then the title indexes.
+
+    Returns the first error message, or ``(persons, title_indexes)``.
+    Lines are numbered by ``reader.line_num``, as ``load_persons`` does.
+    """
+    culture_map = default_culture_map()
+    reader = csv.reader(io.StringIO(text), delimiter="\t")
+    header = [h.strip() for h in next(reader)]
+    editions = header[4:]
+    persons = []
+    try:
+        for row in reader:
+            line_no = reader.line_num
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"persons line {line_no}: expected "
+                                 f"{len(header)} fields, got {len(row)}")
+            person_id = row[0].strip()
+            if not person_id:
+                raise ValueError(f"persons line {line_no}: empty person_id")
+            country = row[1].strip()
+            if not country:
+                raise ValueError(f"persons line {line_no}: missing "
+                                 "birth_country (use XX for unknown)")
+            year_text = row[2].strip()
+            year = None
+            if year_text:
+                try:
+                    year = int(year_text)
+                except ValueError:
+                    raise ValueError(
+                        f"persons line {line_no}: birth_year must be an "
+                        f"integer, got {year_text!r}") from None
+                if year == 0:
+                    raise ValueError(
+                        f"persons line {line_no}: birth_year 0 is invalid")
+            gender = row[3].strip().lower() or "unknown"
+            if gender not in ("male", "female", "unknown"):
+                raise ValueError(
+                    f"persons line {line_no}: unknown gender {gender!r}")
+            titles = {code: t.strip() for code, t in zip(editions, row[4:])
+                      if t.strip()}
+            titles.setdefault("EN", person_id)
+            persons.append(Person(person_id, titles, country, year, gender,
+                                  culture_map.culture_of(country)))
+        by_id, by_title = {}, {}
+        for person in persons:
+            if person.person_id in by_id:
+                raise ValueError(f"duplicate person_id {person.person_id!r}")
+            by_id[person.person_id] = person
+            for code, title in person.titles.items():
+                index = by_title.setdefault(code, {})
+                key = unicodedata.normalize("NFC", title)
+                if key in index:
+                    raise ValueError(
+                        f"duplicate title {title!r} in edition {code}: "
+                        f"{index[key]!r} vs {person.person_id!r}")
+                index[key] = person.person_id
+    except ValueError as exc:
+        return str(exc)
+    return by_id, by_title
+
+
+def _title_form(rng, base, features):
+    form = rng.choice(("plain", "padded", "nfd", "nfc", "newline", "quote"))
+    features.add(form)
+    return {"plain": base,
+            "padded": f"  {base} ",
+            "nfd": f"{base}-{NFD_E}",
+            "nfc": f"{base}-{NFC_E}",
+            "newline": f"{base}\n{NFC_E}",
+            "quote": f'"{base}'}[form]
+
+
+INJECTIONS = ("duplicate-id", "duplicate-title", "nfc-duplicate-title",
+              "en-default-clash", "bad-year", "year-zero", "bad-gender",
+              "empty-id", "no-country", "ragged")
+
+
+def random_persons_file(seed):
+    """A seeded persons file and the features it exercises."""
+    rng = random.Random(seed)
+    features = set()
+    editions = rng.sample([c for c in EDITION_CODES if c != "EN"],
+                          rng.randint(1, 4))
+    if rng.random() < 0.7:
+        editions.insert(rng.randint(0, len(editions)), "EN")
+    else:
+        features.add("no-en-column")
+    rows = []
+    for i in range(rng.randint(1, 25)):
+        titles = []
+        for code in editions:
+            if rng.random() < 0.3:
+                titles.append("")
+                features.add("empty-en" if code == "EN" else "empty-title")
+            else:
+                titles.append(_title_form(rng, f"T{i}{code}", features))
+        year = rng.choice(("", " 1900 ", str(rng.randint(-3000, 2020) or 1)))
+        rows.append([rng.choice(("P", " P")) + str(i),
+                     rng.choice(("US", "FR", "BE", "XX", "UA", " DE ")), year,
+                     rng.choice(("male", "female", "unknown", "", " Female "))]
+                    + titles)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        kind = rng.choice(INJECTIONS)
+        j = rng.randrange(len(rows))
+        k = rng.randrange(j + 1)           # k <= j
+        col = rng.randrange(len(editions))
+        if kind == "duplicate-id":
+            rows[j][0] = rows[k][0]
+        elif kind in ("duplicate-title", "nfc-duplicate-title"):
+            title = f"Same{NFC_E}" if kind == "duplicate-title" else f"Same{NFD_E}"
+            rows[k][4 + col] = f"Same{NFC_E}"
+            rows[j][4 + col] = title
+        elif kind == "en-default-clash" and "EN" in editions:
+            rows[k][4 + editions.index("EN")] = rows[j][0].strip()
+            rows[j][4 + editions.index("EN")] = ""
+        elif kind == "bad-year":
+            rows[j][2] = "19x0"
+        elif kind == "year-zero":
+            rows[j][2] = " 0"
+        elif kind == "bad-gender":
+            rows[j][3] = "other"
+        elif kind == "empty-id":
+            rows[j][0] = "  "
+        elif kind == "no-country":
+            rows[j][1] = ""
+        elif kind == "ragged":
+            rows[j] = rows[j][:-1]
+        features.add(kind)
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter="\t", lineterminator="\n")
+    writer.writerow(["person_id", "birth_country", "birth_year", "gender",
+                     *editions])
+    for row in rows:
+        if rng.random() < 0.1:
+            out.write(rng.choice(("\n", "   \n")))
+            features.add("blank-row")
+        writer.writerow(row)
+    return out.getvalue(), features
+
+
+SEEDS = range(300)
+
+
+class TestMatchesEagerLoader:
+    def test_draws_exercise_every_feature(self):
+        seen = set()
+        outcomes = set()
+        for seed in SEEDS:
+            text, features = random_persons_file(seed)
+            seen |= features
+            outcomes.add(isinstance(eager_load(text), str))
+        assert seen >= {"plain", "padded", "nfd", "nfc", "newline", "quote",
+                        "no-en-column", "empty-en", "empty-title",
+                        "blank-row", *INJECTIONS}
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_same_persons_indexes_and_first_error(self, seed):
+        text, _ = random_persons_file(seed)
+        expected = eager_load(text)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as exc_info:
+                load_persons(io.StringIO(text))
+            assert str(exc_info.value) == expected
+            return
+        persons, by_title = expected
+        reg = load_persons(io.StringIO(text))
+        assert len(reg) == len(persons)
+        for person_id, person in persons.items():
+            assert person_id in reg
+            assert reg.get(person_id) == person
+            assert list(reg.get(person_id).titles) == list(person.titles)
+        assert "absent" not in reg
+        with pytest.raises(KeyError):
+            reg.get("absent")
+        for code in EDITION_CODES:
+            assert dict(reg.title_index(code)) == by_title.get(code, {})
