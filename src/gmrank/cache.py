@@ -1,6 +1,6 @@
-"""The cache directory: parsed graphs and rank vectors.
+"""The cache directory: parsed graphs, rank vectors and the person registry.
 
-Two artifact kinds share one directory, both little-endian:
+Three artifact kinds share one directory, all little-endian:
 
 - ``{key}.gmrg``, a parsed graph: magic ``GMRG``, version u16, label flag u8,
   one pad byte, then N, E, self-loops removed and the label blob's byte
@@ -11,6 +11,14 @@ Two artifact kinds share one directory, both little-endian:
   tag u8 (0 = pagerank, 1 = cheirank), alpha f64, tol f64, sweeps u64,
   final residual f64, N u64, then N probabilities as f64.  Keyed by the
   graph key's inputs plus algorithm, alpha and tol.
+- ``{key}.gmrp``, the validated columns of a persons file: magic ``GMRP``,
+  version u16, two pad bytes, then the person count P, the edition count E
+  and the string blob's byte length as u64; then P birth years as int64
+  (0 = unknown); then the E edition codes, P ids, P birth countries, P
+  genders and the P*E stripped titles, row by row, joined by NUL in UTF-8.
+  Keyed by the persons file's content hash and the format version, not by
+  the culture map: validation never reads it, and each person's culture is
+  derived from it on lookup.
 
 A reader raises :class:`CacheFormatError` on any file it cannot trust,
 including one of an older version; the caller treats that as a miss.
@@ -20,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from pathlib import Path
-from typing import IO
+from typing import IO, Collection
 
 import numpy as np
 
@@ -39,6 +47,13 @@ GRAPH_VERSION = 1
 
 # 40 bytes, so the int64 arrays after it start 8-byte aligned
 _GRAPH_HEADER = struct.Struct("<4sHBxQQQQ")
+
+
+PERSONS_MAGIC = b"GMRP"
+PERSONS_VERSION = 1
+
+# 32 bytes, so the int64 birth years after it start 8-byte aligned
+_PERSONS_HEADER = struct.Struct("<4sHxxQQQ")
 
 
 class CacheFormatError(ValueError):
@@ -142,8 +157,86 @@ def read_graph(stream: IO[bytes]) -> DirectedGraph:
                          labels=labels, self_loops_removed=removed)
 
 
+def encode_persons(ids: list[str],
+                   fields: list[tuple[str, int | None, str]],
+                   editions: list[str], titles: list[str]) -> bytes | None:
+    """The ``.gmrp`` bytes of a registry's columns.
+
+    None when the columns cannot be stored: a string holding NUL, or a
+    birth year outside int64.  Such a persons file is parsed on every run.
+    """
+    countries, years, genders = zip(*fields) if fields else ((), (), ())
+    try:
+        body = np.array([y or 0 for y in years], dtype="<i8").tobytes()
+    except OverflowError:
+        return None
+    strings = [*editions, *ids, *countries, *genders, *titles]
+    blob = "\0".join(strings).encode("utf-8")
+    # UTF-8 encodes no character but NUL itself as a zero byte
+    if blob.count(b"\0") != max(len(strings) - 1, 0):
+        return None
+    del strings
+    head = _PERSONS_HEADER.pack(PERSONS_MAGIC, PERSONS_VERSION, len(ids),
+                                len(editions), len(blob))
+    return head + body + blob
+
+
+def read_persons(stream: IO[bytes], known_editions: Collection[str],
+                 known_genders: Collection[str]
+                 ) -> tuple[list[str], list[tuple[str, int | None, str]],
+                            list[str], list[str]]:
+    """The stored ``(ids, fields, editions, titles)`` of a persons file.
+
+    Raises :class:`CacheFormatError` on bad magic or version, a length that
+    does not match the header, the wrong number of strings, an edition code
+    outside ``known_editions`` or repeated, a gender outside
+    ``known_genders``, or a repeated id.
+    """
+    data = stream.read()
+    if len(data) < _PERSONS_HEADER.size:
+        raise CacheFormatError("truncated header")
+    magic, version, p, e, blob_bytes = _PERSONS_HEADER.unpack_from(data)
+    if magic != PERSONS_MAGIC:
+        raise CacheFormatError(f"bad magic {magic!r}")
+    if version != PERSONS_VERSION:
+        raise CacheFormatError(f"unsupported version {version}")
+    blob_at = _PERSONS_HEADER.size + 8 * p
+    if len(data) != blob_at + blob_bytes:
+        raise CacheFormatError(
+            f"expected {blob_at + blob_bytes} bytes, found {len(data)}")
+    years = np.frombuffer(data, dtype="<i8", count=p,
+                          offset=_PERSONS_HEADER.size).tolist()
+    try:
+        text = str(memoryview(data)[blob_at:], "utf-8")     # no copy
+    except UnicodeDecodeError as exc:
+        raise CacheFormatError(f"strings are not UTF-8 ({exc})") from None
+    del data
+    count = e + p * (3 + e)
+    strings = text.split("\0") if text or count else []
+    del text
+    if len(strings) != count:
+        raise CacheFormatError(f"expected {count} strings, found {len(strings)}")
+    editions = strings[:e]
+    unknown = set(editions).difference(known_editions)
+    if unknown:
+        raise CacheFormatError(f"unknown edition code {min(unknown)!r}")
+    if len(set(editions)) != e:
+        raise CacheFormatError("duplicate edition code")
+    ids = strings[e:e + p]
+    countries = strings[e + p:e + 2 * p]
+    genders = strings[e + 2 * p:e + 3 * p]
+    unknown = set(genders).difference(known_genders)
+    if unknown:
+        raise CacheFormatError(f"unknown gender {min(unknown)!r}")
+    if len(set(ids)) != p:
+        raise CacheFormatError("duplicate person_id")
+    fields = list(zip(countries, [y or None for y in years], genders))
+    del strings[:e + 3 * p]             # what is left are the titles
+    return ids, fields, editions, strings
+
+
 def content_hash(path: str | Path) -> str:
-    """SHA-256 of the raw edge-list bytes."""
+    """SHA-256 of a file's raw bytes."""
     digest = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
@@ -170,6 +263,12 @@ def cache_key(edge_list_hash: str, algorithm: str, alpha: float, tol: float,
     return hashlib.sha256(raw).hexdigest()[:32]
 
 
+def persons_key(persons_hash: str) -> str:
+    """Stable key for one persons file in the current ``.gmrp`` version."""
+    raw = f"{persons_hash}:persons:{PERSONS_VERSION}".encode()
+    return hashlib.sha256(raw).hexdigest()[:32]
+
+
 def cache_path(cache_dir: str | Path, key: str) -> Path:
     return Path(cache_dir) / f"{key}.gmrk"
 
@@ -177,3 +276,6 @@ def cache_path(cache_dir: str | Path, key: str) -> Path:
 def graph_path(cache_dir: str | Path, key: str) -> Path:
     return Path(cache_dir) / f"{key}.gmrg"
 
+
+def persons_path(cache_dir: str | Path, key: str) -> Path:
+    return Path(cache_dir) / f"{key}.gmrp"

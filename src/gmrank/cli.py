@@ -19,7 +19,7 @@ from .graph import (INTEGER_IDS, STRING_LABELS, DirectedGraph, EdgeListError,
                     load_edge_list)
 from .rank import (CHEIRANK, PAGERANK, ConvergenceError, GoogleParams,
                    cheirank, pagerank, rank_indices, two_d_rank)
-from .registry import (EDITION_CODES, PAGERANK_LIST, TWODRANK_LIST,
+from .registry import (EDITION_CODES, GENDERS, PAGERANK_LIST, TWODRANK_LIST,
                        PersonRegistry, default_culture_map, load_culture_map,
                        load_persons, select_top_people)
 
@@ -148,14 +148,38 @@ def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> None:
 
 
 def _load_registry(config: PipelineConfig) -> PersonRegistry:
+    """The configured persons file as a registry.
+
+    With a cache directory, the validated columns are read from its
+    ``.gmrp`` artifact when it holds them and written there otherwise.
+    """
     if config.persons_path is None:
         raise ConfigError("no persons file configured")
     culture_map = default_culture_map()
     if config.culture_map_path is not None:
         with open(config.culture_map_path, encoding="utf-8") as f:
             culture_map = load_culture_map(f)
+    artifact = None
+    if config.cache_dir is not None:
+        artifact = cache.persons_path(config.cache_dir, cache.persons_key(
+            cache.content_hash(config.persons_path)))
+        columns = _read_artifact(
+            artifact, lambda f: cache.read_persons(f, EDITION_CODES, GENDERS),
+            "re-parsing")
+        if columns is not None:
+            log.info("cache hit: %s (registry)", artifact.name)
+            return PersonRegistry(*columns, culture_map)
     with open(config.persons_path, encoding="utf-8") as f:
-        return load_persons(f, culture_map)
+        registry = load_persons(f, culture_map)
+    if artifact is not None:
+        blob = cache.encode_persons(*registry.columns())
+        if blob is None:
+            log.info("persons file %s cannot be cached, parsed on every run",
+                     config.persons_path)
+        else:
+            with tableio.atomic_write(artifact, binary=True) as f:
+                f.write(blob)
+    return registry
 
 
 def _read_artifact(path: Path, read, redo: str):

@@ -92,11 +92,11 @@ class TopList:
 class PersonRegistry:
     """Immutable person store: validated fields plus per-edition title indexes.
 
-    Built only by :func:`load_persons`, which has checked every row; the
-    constructor takes that function's internal layout and checks only its
-    width.  Each edition's title index is built at once, so a duplicate
-    ``person_id`` or title is rejected at load; a :class:`Person` is built
-    on its first :meth:`get` and kept.
+    Built by :func:`load_persons`, which has checked every row and every
+    title, or from a cache artifact of that function's columns; the
+    constructor takes those columns and checks only their width.  Each
+    edition's title index is built on its first :meth:`title_index`, and a
+    :class:`Person` on its first :meth:`get`; both are kept.
     """
 
     def __init__(self, ids: list[str],
@@ -115,28 +115,34 @@ class PersonRegistry:
         self._row = dict(zip(ids, range(len(ids))))
         self._built: dict[str, Person] = {}
         self._by_title: dict[str, dict[str, str]] = {}
-        unique = len(self._row) == len(ids)
-        for code, present, owners in self._keyed_titles():
+
+    def columns(self) -> tuple[list[str], list[tuple[str, int | None, str]],
+                               list[str], list[str]]:
+        """``(ids, fields, editions, titles)``, as the constructor takes them."""
+        return self._ids, self._fields, self._editions, self._titles
+
+    def _keyed_titles(self, code: str) -> tuple[list[str], list[str]]:
+        """One edition's non-empty titles and their owners.
+
+        An empty EN title, or a missing EN column, is the person_id.
+        """
+        ids = self._ids
+        if code not in self._editions:
+            return (ids, ids) if code == "EN" else ([], [])
+        column = self._titles[self._editions.index(code)::len(self._editions)]
+        if code == "EN":
+            return [t or p for t, p in zip(column, ids)], ids
+        return list(compress(column, column)), list(compress(ids, column))
+
+    def _check_unique(self) -> None:
+        """Build every title index; raise on a duplicate id or title."""
+        unique = len(self._row) == len(self._ids)
+        for code in dict.fromkeys((*self._editions, "EN")):
+            present, owners = self._keyed_titles(code)
             index = self._by_title[code] = _index_titles(present, owners)
             unique = unique and len(index) == len(present)
         if not unique:
             self._raise_first_duplicate()
-
-    def _keyed_titles(self) -> Iterator[tuple[str, list[str], list[str]]]:
-        """(edition, its non-empty titles, their owners), one at a time.
-
-        EN comes last; an empty EN title is the person_id.
-        """
-        ids, width = self._ids, len(self._editions)
-        en = None
-        for k, code in enumerate(self._editions):
-            column = self._titles[k::width]
-            if code == "EN":
-                en = column
-            else:
-                yield (code, list(compress(column, column)),
-                       list(compress(ids, column)))
-        yield "EN", ids if en is None else [t or p for t, p in zip(en, ids)], ids
 
     def _titles_of(self, row: int, person_id: str) -> dict[str, str]:
         width = len(self._editions)
@@ -185,7 +191,11 @@ class PersonRegistry:
 
     def title_index(self, edition: str) -> Mapping[str, str]:
         """NFC-normalized localized title -> person_id for one edition."""
-        return self._by_title.get(edition, {})
+        index = self._by_title.get(edition)
+        if index is None:
+            index = self._by_title[edition] = _index_titles(
+                *self._keyed_titles(edition))
+        return index
 
 
 def _index_titles(titles: list[str], owners: list[str]) -> dict[str, str]:
@@ -234,6 +244,18 @@ def default_culture_map() -> CountryCultureMap:
         return load_culture_map(f)
 
 
+def checked_rows(reader, where: str) -> Iterator[list[str]]:
+    """The rows of a ``csv.reader``; a ``csv.Error`` becomes a ValueError.
+
+    The error names the line as ``{where} {reader.line_num}``: a field over
+    ``csv.field_size_limit()`` is bad input, not a crash.
+    """
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{where} {reader.line_num}: {exc}") from None
+
+
 _FIXED_COLUMNS = ("person_id", "birth_country", "birth_year", "gender")
 
 
@@ -245,13 +267,15 @@ def load_persons(stream: IO[str] | Iterable[str],
     by one column per edition code holding the localized article title (empty
     when the person has no article there).  An empty EN title defaults to the
     person_id itself, which by construction is the English article title.
-    Every row is checked; an error names the line the bad row ends on.
+    Every row is checked, and no id or title may repeat; a row error names
+    the line the bad row ends on.
     """
     if culture_map is None:
         culture_map = default_culture_map()
     reader = csv.reader(stream, delimiter="\t")
+    rows = checked_rows(reader, "persons line")
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise ValueError("persons file is empty") from None
     header = [h.strip() for h in header]
@@ -268,7 +292,7 @@ def load_persons(stream: IO[str] | Iterable[str],
     ids: list[str] = []
     fields: list[tuple[str, int | None, str]] = []
     titles: list[str] = []
-    for row in reader:
+    for row in rows:
         line_no = reader.line_num           # the line the row ends on
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -301,7 +325,9 @@ def load_persons(stream: IO[str] | Iterable[str],
         ids.append(person_id)
         fields.append((birth_country, birth_year, gender))
         titles += map(str.strip, row[4:])
-    return PersonRegistry(ids, fields, edition_columns, titles, culture_map)
+    registry = PersonRegistry(ids, fields, edition_columns, titles, culture_map)
+    registry._check_unique()
+    return registry
 
 
 def select_top_people(ranked, labels: tuple[str, ...],

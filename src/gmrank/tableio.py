@@ -21,7 +21,7 @@ from .aggregate import (DistributionTable, GenderDistribution, GlobalEntry,
 from .cultures import (CULTURE_CODES, CultureNetwork, CultureRanks,
                        export_matrix_by_rank)
 from .rank import RankIndex, RankVector, TwoDRankResult
-from .registry import PersonRegistry, TopList, century_of
+from .registry import PersonRegistry, TopList, century_of, checked_rows
 
 
 @contextmanager
@@ -101,12 +101,13 @@ def read_toplist_csv(stream: IO[str], edition: str,
     a row of another edition or algorithm.
     """
     reader = csv.reader(stream)
-    header = tuple(next(reader, ()))
+    rows = checked_rows(reader, "line")
+    header = tuple(next(rows, ()))
     if header != TOPLIST_HEADER:
         raise ValueError("line 1: expected the top-list header, got "
                          f"{header or 'an empty file'}")
     entries: list[tuple[str, int]] = []
-    for row in reader:
+    for row in rows:
         if not row:
             continue
         line = reader.line_num

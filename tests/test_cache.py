@@ -1,15 +1,17 @@
 """Binary cache artifacts: format round-trip, corruption detection, keying;
 plus the rank CSV written from a vector."""
 import io
+import struct
 
 import numpy as np
 import pytest
 
 from gmrank.cache import (CacheFormatError, cache_key, content_hash,
-                          graph_key, read_graph, read_vector, write_graph,
-                          write_vector)
+                          encode_persons, graph_key, persons_key, read_graph,
+                          read_persons, read_vector, write_graph, write_vector)
 from gmrank.graph import INTEGER_IDS, STRING_LABELS, load_edge_list
 from gmrank.rank import RankVector, cheirank, pagerank, rank_indices
+from gmrank.registry import EDITION_CODES, GENDERS
 from gmrank.tableio import write_rank_csv
 
 
@@ -212,6 +214,105 @@ def _drop_last_label(raw):
             + raw[40:len(raw) - blob_len] + shorter)
 
 
+# columns as load_persons keeps them: ids, fields, editions, row-major titles
+COLUMNS = (["Napoleon", "Jesus", "Ada_Lovelace"],
+           [("FR", 1769, "male"), ("PS", -4, "male"), ("UK", None, "female")],
+           ["FR", "EN", "ZH"],
+           ["Napoléon_Ier", "", "拿破仑", "Jésus", "Jesus", "",
+            "", "", "愛達·勒芙蕾絲"])
+
+
+def persons_bytes(ids, fields, editions, titles):
+    blob = encode_persons(ids, fields, editions, titles)
+    assert blob is not None
+    return blob
+
+
+def read_persons_bytes(raw):
+    return read_persons(io.BytesIO(raw), EDITION_CODES, GENDERS)
+
+
+def _strings_joined(raw):
+    return raw[32 + 8 * int.from_bytes(raw[8:16], "little"):]
+
+
+def _with_blob(raw, blob):
+    """``raw`` with its string blob, and the blob length, replaced."""
+    head = raw[:len(raw) - len(_strings_joined(raw))]
+    return head[:24] + struct.pack("<Q", len(blob)) + head[32:] + blob
+
+
+class TestPersonsArtifact:
+    @pytest.mark.parametrize("columns", [
+        COLUMNS, ([], [], [], []), ([], [], ["EN", "DE"], []),
+        (["A"], [("XX", None, "unknown")], [], []),
+        (["A"], [("XX", 2**63 - 1, "unknown")], ["DE"], [""])],
+        ids=["persons", "empty", "no-persons", "no-editions", "one-empty-title"])
+    def test_roundtrip(self, columns):
+        assert read_persons_bytes(persons_bytes(*columns)) == tuple(columns)
+
+    def test_layout_is_little_endian_with_magic(self):
+        raw = persons_bytes(*COLUMNS)
+        assert raw[:4] == b"GMRP"
+        assert raw[4:8] == (1).to_bytes(2, "little") + b"\0\0"
+        assert struct.unpack_from("<QQQ", raw, 8) == (
+            3, 3, len(raw) - 32 - 8 * 3)
+        assert np.frombuffer(raw[32:56], dtype="<i8").tolist() == [
+            1769, -4, 0]
+        strings = _strings_joined(raw).decode().split("\0")
+        assert strings[:12] == ["FR", "EN", "ZH",
+                                "Napoleon", "Jesus", "Ada_Lovelace",
+                                "FR", "PS", "UK", "male", "male", "female"]
+        assert strings[12:] == COLUMNS[3]
+
+    @pytest.mark.parametrize("columns", [
+        (["A"], [("XX", None, "male")], ["EN"], ["A\0B"]),
+        (["A\0"], [("XX", None, "male")], [], []),
+        (["A"], [("X\0X", None, "male")], [], []),
+        (["A"], [("XX", 2**63, "male")], [], []),
+        (["A"], [("XX", -2**63 - 1, "male")], [], [])],
+        ids=["nul-in-title", "nul-in-id", "nul-in-country", "year-over-int64",
+             "year-under-int64"])
+    def test_unstorable_columns_give_none(self, columns):
+        assert encode_persons(*columns) is None
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda raw: raw[:20], "truncated header"),
+        (lambda raw: raw[:-1], "expected"),
+        (lambda raw: raw + b"x", "expected"),
+        (lambda raw: b"GMRG" + raw[4:], "magic"),
+        (lambda raw: raw[:4] + (0).to_bytes(2, "little") + raw[6:],
+         "unsupported version 0"),
+        (lambda raw: _with_blob(raw, _strings_joined(raw).replace(
+            b"\0", b"_", 1)), "expected 21 strings, found 20"),
+        (lambda raw: _with_blob(raw, _strings_joined(raw) + b"\0"),
+         "expected 21 strings, found 22"),
+        (lambda raw: raw[:-1] + b"\xff", "UTF-8"),
+    ], ids=["header-cut", "body-cut", "trailing-byte", "magic", "version",
+            "string-missing", "string-extra", "not-utf8"])
+    def test_corruption_detected(self, corrupt, match):
+        with pytest.raises(CacheFormatError, match=match):
+            read_persons_bytes(corrupt(persons_bytes(*COLUMNS)))
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda ids, fields, editions: editions.__setitem__(2, "XY"),
+         "unknown edition code 'XY'"),
+        (lambda ids, fields, editions: editions.__setitem__(2, "FR"),
+         "duplicate edition code"),
+        (lambda ids, fields, editions: fields.__setitem__(
+            1, ("PS", -4, "other")), "unknown gender 'other'"),
+        (lambda ids, fields, editions: ids.__setitem__(2, "Napoleon"),
+         "duplicate person_id"),
+    ], ids=["unknown-edition", "duplicate-edition", "unknown-gender",
+            "duplicate-id"])
+    def test_invalid_columns_detected(self, edit, match):
+        ids, fields, editions, titles = (list(c) for c in COLUMNS)
+        edit(ids, fields, editions)
+        raw = persons_bytes(ids, fields, editions, titles)
+        with pytest.raises(CacheFormatError, match=match):
+            read_persons_bytes(raw)
+
+
 class TestKeying:
     def test_key_depends_on_every_parameter(self):
         args = ("abc", "pagerank", 0.85, 1e-10, "integer-ids", True)
@@ -229,6 +330,11 @@ class TestKeying:
             changed = args[:i] + (other,) + args[i + 1:]
             assert graph_key(*changed) != base
         assert graph_key(*args) == base
+
+    def test_persons_key_tracks_the_file_hash(self):
+        assert persons_key("abc") == persons_key("abc")
+        assert persons_key("abc") != persons_key("abd")
+        assert persons_key("abc") != graph_key("abc", "string-labels", True)
 
     def test_content_hash_tracks_file_bytes(self, tmp_path):
         f = tmp_path / "edges.txt"

@@ -1,5 +1,6 @@
 """End-to-end CLI runs over a small synthetic three-edition world."""
 import csv
+import io
 import json
 import logging
 import os
@@ -17,6 +18,7 @@ from gmrank import cache, cli
 from gmrank.cli import (EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         load_config, main)
 from gmrank.graph import MAX_EDGE_LIST_NODES, DirectedGraph
+from gmrank.registry import EDITION_CODES, GENDERS
 
 from conftest import GOLDEN, rank_columns
 
@@ -115,7 +117,8 @@ def read_csv(path):
 
 
 def cache_layout(cache_dir):
-    """Files in ``cache_dir`` counted by suffix: .gmrk vectors, .gmrg graphs."""
+    """Files in ``cache_dir`` counted by suffix: .gmrk vectors, .gmrg graphs
+    and .gmrp registries."""
     return Counter(p.suffix for p in cache_dir.iterdir())
 
 
@@ -587,6 +590,22 @@ class TestDuplicateTitle:
         assert [p.name for p in (root / "out").iterdir()] == ["toplists"]
 
 
+class TestOversizedPersonsField:
+    @pytest.mark.parametrize("command", ["top-people", "global"])
+    def test_exit_2_naming_line(self, world, tmp_path, caplog, command):
+        root = _copy_world(world, tmp_path)
+        with open(root / "persons.tsv", "a", encoding="utf-8") as f:
+            f.write(f"Long\tXX\t1\tmale\tLong\t{'x' * (1 << 17)}x\tLong\n")
+        args = [command, "--config", str(root / "config.ini")]
+        args += ["--all"] * (command == "top-people")
+        with caplog.at_level(logging.ERROR):
+            assert main(args) == EXIT_INPUT
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert errors == [
+            "persons line 10: field larger than field limit (131072)"]
+
+
 class TestMalformedToplist:
     @pytest.mark.parametrize("command", ["global", "culture"])
     @pytest.mark.parametrize("text, message", [
@@ -597,7 +616,9 @@ class TestMalformedToplist:
         (lambda good: good.replace("DE,pagerank,Napoleon,Napoleon_Bonaparte,2,",
                                    "DE,pagerank,Napoleon,Napoleon_Bonaparte,two,"),
          "line 3: rank must be an integer, got 'two'"),
-    ], ids=["empty", "short-row", "non-integer-rank"])
+        (lambda good: good.replace("Napoleon_Bonaparte", "x" * (1 << 17) + "x"),
+         "line 3: field larger than field limit (131072)"),
+    ], ids=["empty", "short-row", "non-integer-rank", "oversized-field"])
     def test_exit_2_naming_file_and_line(self, world, tmp_path, caplog,
                                          command, text, message):
         root = _copy_world(world, tmp_path)
@@ -672,14 +693,15 @@ def _rank_args(graph, cache_dir, out, label_mode=False, keep_self_loops=False):
             + ["--keep-self-loops"] * keep_self_loops)
 
 
-def _count_parses(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """The keyword arguments of each call of ``cli.<name>``, which still runs."""
     calls = []
-    load_edge_list = cli.load_edge_list
+    original = getattr(cli, name)
 
     def counting(*args, **kwargs):
         calls.append(kwargs)
-        return load_edge_list(*args, **kwargs)
-    monkeypatch.setattr(cli, "load_edge_list", counting)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(cli, name, counting)
     return calls
 
 
@@ -706,7 +728,7 @@ class TestGraphArtifact:
         artifact = next(cache_dir.glob("*.gmrg"))
         good = artifact.read_bytes()
         artifact.write_bytes(corrupt(good))
-        parses = _count_parses(monkeypatch)
+        parses = _count_calls(monkeypatch, "load_edge_list")
         with caplog.at_level(logging.WARNING):
             assert main(_rank_args(graph, cache_dir, out,
                                    label_mode=True)) == EXIT_OK
@@ -728,7 +750,7 @@ class TestGraphArtifact:
             out = tmp_path / "fresh.csv"
             assert main(_rank_args(graph, None, out, *mode)) == EXIT_OK
             fresh[mode] = out.read_bytes()
-        parses = _count_parses(monkeypatch)
+        parses = _count_calls(monkeypatch, "load_edge_list")
         for i, mode in enumerate(modes):
             out = tmp_path / "cached.csv"
             assert main(_rank_args(graph, cache_dir, out, *mode)) == EXIT_OK
@@ -755,7 +777,8 @@ class TestGraphArtifact:
             errors = [r.getMessage() for r in caplog.records
                       if r.levelno >= logging.ERROR]
             assert errors == ["edition DE: graph has no labeled nodes"], run
-        assert cache_layout(root / "cache") == {".gmrg": 1}
+        # the registry loads before any edition is ranked
+        assert cache_layout(root / "cache") == {".gmrg": 1, ".gmrp": 1}
 
     @pytest.mark.parametrize("algorithm", ["pagerank", "2drank"])
     def test_warm_top_people_neither_parses_nor_builds(
@@ -779,6 +802,148 @@ class TestGraphArtifact:
                         (world / "out" / "toplists" /
                          f"{code}_{algorithm}.csv").read_bytes()
                         for code in PLANT}
+
+
+def _edit_columns(edit):
+    """A corruption that rewrites a registry artifact's decoded columns."""
+    def corrupt(raw):
+        columns = cache.read_persons(io.BytesIO(raw), EDITION_CODES, GENDERS)
+        edit(*columns)
+        return cache.encode_persons(*columns)
+    return corrupt
+
+
+def _one_string_less(raw):
+    """A registry artifact whose last two titles are one string."""
+    at = raw.rindex(b"\0")
+    return raw[:at] + b"_" + raw[at + 1:]
+
+
+def _outputs(out):
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+
+
+class TestRegistryArtifact:
+    @pytest.mark.parametrize("command, algorithm, before", [
+        ("global", "pagerank", None), ("global", "2drank", None),
+        ("culture", "pagerank", None), ("culture", "pagerank", 19)])
+    def test_golden_outputs_cold_and_warm(self, world, tmp_path, monkeypatch,
+                                          caplog, command, algorithm, before):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        root = _copy_world(world, tmp_path)
+        args = [command, "--config", str(root / "config.ini"),
+                "--algorithm", algorithm]
+        if command == "global":
+            # the reference file's name is part of the overlap report
+            ref = root / "reference.txt"
+            ref.write_text("Napoleon\nJesus\nSomeone_Else\n")
+            args += ["--women", "--reference", str(ref)]
+            names = [f"{algorithm}_{name}.csv" for name in GLOBAL_OUTPUTS]
+            names.append(f"{algorithm}_overlap_report.json")
+        else:
+            suffix = "" if before is None else f"_before{before}"
+            args += [] if before is None else ["--before-century", str(before)]
+            names = [f"{algorithm}_culture_{kind}{suffix}.csv"
+                     for kind in ("network", "ranks", "matrix")]
+        for run in ("cold", "warm"):
+            if run == "warm":
+                monkeypatch.setattr(cli, "load_persons", _raise)
+            caplog.clear()
+            with caplog.at_level(logging.INFO):
+                assert main(args) == EXIT_OK, run
+            assert ("(registry)" in caplog.text) == (run == "warm")
+            for name in names:
+                path = root / "out" / name
+                if "_culture_ranks" in name:    # see TestCulture
+                    assert (rank_columns(path.read_text(encoding="utf-8"))
+                            == (GOLDEN / name).read_text(encoding="utf-8"))
+                else:
+                    assert path.read_bytes() == (GOLDEN / name).read_bytes()
+                path.unlink()                   # the warm run writes it anew
+        assert cache_layout(root / "cache") == {".gmrp": 1}
+
+    @pytest.mark.parametrize("corrupt, reason", [
+        (lambda raw: raw[:-3], "expected"),
+        (lambda raw: b"GMRG" + raw[4:], "bad magic"),
+        (lambda raw: raw[:4] + (0).to_bytes(2, "little") + raw[6:],
+         "unsupported version 0"),
+        (_one_string_less, "strings, found"),
+        (_edit_columns(lambda ids, fields, editions, titles: fields.__setitem__(
+            0, fields[0][:2] + ("other",))), "unknown gender 'other'"),
+        (_edit_columns(lambda ids, fields, editions, titles: ids.__setitem__(
+            1, ids[0])), "duplicate person_id"),
+    ], ids=["truncated", "bad-magic", "old-version", "wrong-string-count",
+            "unknown-gender", "duplicate-id"])
+    def test_corrupt_artifact_reparsed_and_rewritten(
+            self, world, tmp_path, monkeypatch, caplog, corrupt, reason):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        root = _copy_world(world, tmp_path)
+        args = ["global", "--config", str(root / "config.ini"), "--women"]
+        assert main(args) == EXIT_OK
+        reference = _outputs(root / "out")
+        artifact = next((root / "cache").glob("*.gmrp"))
+        good = artifact.read_bytes()
+        artifact.write_bytes(corrupt(good))
+        loads = _count_calls(monkeypatch, "load_persons")
+        with caplog.at_level(logging.WARNING):
+            assert main(args) == EXIT_OK
+        assert f"corrupt cache file {artifact} (" in caplog.text
+        assert reason in caplog.text and "re-parsing" in caplog.text
+        assert len(loads) == 1
+        assert _outputs(root / "out") == reference
+        assert artifact.read_bytes() == good
+        assert cache_layout(root / "cache") == {".gmrp": 1}
+
+    def test_title_holding_nul_is_parsed_every_run(self, world, tmp_path,
+                                                   monkeypatch, caplog):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        root = _copy_world(world, tmp_path)
+        with open(root / "persons.tsv", "a", encoding="utf-8") as f:
+            f.write("Extra\tXX\t1800\tmale\tExtra\tEx\0tra\tExtra\n")
+        config = root / "config.ini"
+        uncached = root / "uncached.ini"
+        uncached.write_text(config.read_text(encoding="utf-8").replace(
+            "cache_dir = cache\n", ""), encoding="utf-8")
+        assert main(["global", "--config", str(uncached), "--women"]) == EXIT_OK
+        assert not (root / "cache").exists()
+        reference = _outputs(root / "out")
+        loads = _count_calls(monkeypatch, "load_persons")
+        for run in (1, 2):
+            with caplog.at_level(logging.INFO):
+                assert main(["global", "--config", str(config),
+                             "--women"]) == EXIT_OK
+            assert len(loads) == run
+            assert _outputs(root / "out") == reference
+        assert "cannot be cached" in caplog.text
+        assert not (root / "cache").exists()
+
+    @pytest.mark.parametrize("valid, invalid, message", [
+        ("\t1769\t", "\t17x9\t",
+         "persons line 2: birth_year must be an integer, got '17x9'"),
+        ("\tKonfuziuz\n", "\tKonfuzius\n",
+         "duplicate title 'Konfuzius' in edition DE: 'Confucius' vs 'Extra'"),
+    ], ids=["bad-year", "duplicate-title"])
+    def test_one_byte_edit_to_invalid_file_exits_2(
+            self, world, tmp_path, monkeypatch, caplog, valid, invalid,
+            message):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        root = _copy_world(world, tmp_path)
+        persons = root / "persons.tsv"
+        with open(persons, "a", encoding="utf-8") as f:
+            f.write("Extra\tXX\t1800\tmale\tExtra\tExtra\tKonfuziuz\n")
+        args = ["global", "--config", str(root / "config.ini")]
+        assert main(args) == EXIT_OK
+        text = persons.read_text(encoding="utf-8")
+        assert text.count(valid) == 1
+        persons.write_text(text.replace(valid, invalid), encoding="utf-8")
+        caplog.clear()
+        with caplog.at_level(logging.ERROR):
+            assert main(args) == EXIT_INPUT
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert errors == [message]
+        # the artifact of the valid file is still there, under its own key
+        assert cache_layout(root / "cache") == {".gmrp": 1}
 
 
 def _as_version_1(raw):
@@ -871,7 +1036,8 @@ class TestHashOnce:
                      "--cache-dir", str(tmp_path / "cache"),
                      "--output-dir", str(tmp_path / "out")]) == EXIT_OK
         assert sorted(hashed) == sorted(
-            str(world / f"{code.lower()}.edges") for code in PLANT)
+            [str(world / "persons.tsv")]
+            + [str(world / f"{code.lower()}.edges") for code in PLANT])
 
 
 class TestConfig:

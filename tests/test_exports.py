@@ -50,3 +50,16 @@ def test_cache_holds_no_csv_writer():
                if isinstance(node, ast.FunctionDef)
                and node.name.startswith("write_") and node.name.endswith("_csv")]
     assert writers == []
+
+
+def test_cache_does_not_reach_registry():
+    # the registry artifact codec returns plain columns; cli builds the
+    # registry, so no chain of imports leads from cache to registry
+    reached, todo = set(), ["cache"]
+    while todo:
+        module = todo.pop()
+        tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+        for name in package_imports(tree) - reached:
+            reached.add(name)
+            todo.append(name)
+    assert "registry" not in reached

@@ -8,9 +8,11 @@ import unicodedata
 import numpy as np
 import pytest
 
+from gmrank import cache
 from gmrank.rank import rank_indices
-from gmrank.registry import (EDITION_CODES, Person, PersonRegistry, TopList,
-                             century_of, default_culture_map, load_persons,
+from gmrank.registry import (EDITION_CODES, GENDERS, CountryCultureMap,
+                             Person, PersonRegistry, TopList, century_of,
+                             default_culture_map, load_persons,
                              select_top_people)
 
 from conftest import make_registry, persons_tsv, synthetic_person_rows
@@ -516,3 +518,48 @@ class TestMatchesEagerLoader:
             reg.get("absent")
         for code in EDITION_CODES:
             assert dict(reg.title_index(code)) == by_title.get(code, {})
+
+
+# -- a registry rebuilt from its cache artifact ------------------------------
+
+VALID_SEEDS = [seed for seed in SEEDS
+               if not isinstance(eager_load(random_persons_file(seed)[0]), str)]
+
+# every country the random files draw gets another culture than by default
+OTHER_MAP = CountryCultureMap({"US": "FR", "FR": "DE", "BE": "ZH", "XX": "JA",
+                               "UA": "EN", "DE": "WR"})
+
+
+def from_artifact(registry, culture_map):
+    """The registry a cache hit builds from ``registry``'s artifact."""
+    blob = cache.encode_persons(*registry.columns())
+    assert blob is not None
+    columns = cache.read_persons(io.BytesIO(blob), EDITION_CODES, GENDERS)
+    return PersonRegistry(*columns, culture_map)
+
+
+class TestArtifactMatchesFreshLoad:
+    def test_enough_valid_draws(self):
+        assert len(VALID_SEEDS) >= 100
+
+    @pytest.mark.parametrize("seed", VALID_SEEDS)
+    def test_hit_equals_fresh_load_under_another_culture_map(self, seed):
+        text, _ = random_persons_file(seed)
+        fresh = load_persons(io.StringIO(text), OTHER_MAP)
+        # the artifact is written from a load under the default map
+        hit = from_artifact(load_persons(io.StringIO(text)), OTHER_MAP)
+        persons, _ = eager_load(text)
+        assert len(hit) == len(fresh) == len(persons)
+        for person_id in persons:
+            assert person_id in hit
+            assert hit.get(person_id) == fresh.get(person_id)
+            assert (list(hit.get(person_id).titles)
+                    == list(fresh.get(person_id).titles))
+            assert hit.get(person_id).culture == OTHER_MAP.culture_of(
+                persons[person_id].birth_country)
+        assert "absent" not in hit
+        header = text.split("\n", 1)[0].split("\t")[4:]
+        for code in EDITION_CODES:
+            assert dict(hit.title_index(code)) == dict(fresh.title_index(code))
+            if code not in header and code != "EN":
+                assert hit.title_index(code) == {}
