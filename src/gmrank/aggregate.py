@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
 from .registry import (EDITION_CODES, PAGERANK_LIST, WORLD, PersonRegistry,
-                       TopList, century_of, _nfc)
+                       TopList, century_of, check_toplists, _nfc)
 
 GLOBAL = "global"
 LOCAL_HIGH = "local_high"
@@ -66,15 +66,6 @@ def edition_average(table: DistributionTable) -> DistributionTable:
         cells=cells, normalization="edition-averaged")
 
 
-def _check_single_algorithm(toplists: Sequence[TopList]) -> None:
-    algorithms = {t.algorithm for t in toplists}
-    if len(algorithms) > 1:
-        raise ValueError(f"mixed list algorithms: {sorted(algorithms)}")
-    editions = [t.edition for t in toplists]
-    if len(set(editions)) != len(editions):
-        raise ValueError("more than one list for the same edition")
-
-
 def _global_entry(person_id: str, ranks: Sequence[int]) -> GlobalEntry:
     return GlobalEntry(
         person_id=person_id,
@@ -106,7 +97,7 @@ def global_ranking(toplists: Sequence[TopList]) -> list[GlobalEntry]:
     """
     if not toplists:
         raise ValueError("at least one top list is required")
-    _check_single_algorithm(toplists)
+    check_toplists(toplists)
     ranks: dict[str, list[int]] = {}
     for toplist in toplists:
         for person_id, rank in toplist.entries:
@@ -160,7 +151,7 @@ def _edition_rows(toplists: Sequence[TopList]) -> tuple[str, ...]:
 def spatial_distribution(toplists: Sequence[TopList],
                          registry: PersonRegistry) -> DistributionTable:
     """Raw birth-country counts per edition (rows) and country (columns)."""
-    _check_single_algorithm(toplists)
+    check_toplists(toplists)
     cells: dict[tuple, float] = {}
     countries: set[str] = set()
     for toplist in toplists:
@@ -177,7 +168,7 @@ def spatial_distribution(toplists: Sequence[TopList],
 def temporal_distribution(toplists: Sequence[TopList],
                           registry: PersonRegistry) -> DistributionTable:
     """Raw birth-century counts per edition; unknown birth years are skipped."""
-    _check_single_algorithm(toplists)
+    check_toplists(toplists)
     cells: dict[tuple, float] = {}
     centuries: set[int] = set()
     for toplist in toplists:
@@ -213,7 +204,7 @@ class LocalityRatios:
 def locality_ratio(toplists: Sequence[TopList],
                    registry: PersonRegistry) -> LocalityRatios:
     """r = M/N per (edition, century): M own-language figures, N all figures."""
-    _check_single_algorithm(toplists)
+    check_toplists(toplists)
     totals: dict[tuple[str, int], int] = {}
     own: dict[tuple[str, int], int] = {}
     centuries: set[int] = set()
@@ -263,7 +254,7 @@ def gender_distribution(toplists: Sequence[TopList],
     gender are counted separately and excluded from ratios, persons of
     unknown birth year are excluded from the per-century tallies.
     """
-    _check_single_algorithm(toplists)
+    check_toplists(toplists)
     editions = _edition_rows(toplists)
     female = {e: 0 for e in editions}
     male = {e: 0 for e in editions}

@@ -1,24 +1,28 @@
 """The cache directory: parsed graphs, rank vectors and the person registry.
 
-Three artifact kinds share one directory, all little-endian:
+Every artifact is named by one rule, :func:`artifact_path`: the first 32 hex
+digits of the SHA-256 of its inputs joined by ``:``, then its kind's
+suffix.  The first input is always the content hash of the file it derives
+from.  Three kinds share the directory, all little-endian, each opening
+with a 4-byte magic and a u16 version:
 
-- ``{key}.gmrg``, a parsed graph: magic ``GMRG``, version u16, label flag u8,
-  one pad byte, then N, E, self-loops removed and the label blob's byte
-  length as u64; then ``in_indptr`` (N+1), ``in_sources`` (E) and
-  ``out_degree`` (N) as int64, then the labels joined by newlines in UTF-8.
-  Keyed by the edge list's content hash, label mode and self-loop policy.
-- ``{key}.gmrk``, a converged vector: magic ``GMRK``, version u16, algorithm
-  tag u8 (0 = pagerank, 1 = cheirank), alpha f64, tol f64, sweeps u64,
-  final residual f64, N u64, then N probabilities as f64.  Keyed by the
-  graph key's inputs plus algorithm, alpha and tol.
-- ``{key}.gmrp``, the validated columns of a persons file: magic ``GMRP``,
-  version u16, two pad bytes, then the person count P, the edition count E
-  and the string blob's byte length as u64; then P birth years as int64
-  (0 = unknown); then the E edition codes, P ids, P birth countries, P
-  genders and the P*E stripped titles, row by row, joined by NUL in UTF-8.
-  Keyed by the persons file's content hash and the format version, not by
-  the culture map: validation never reads it, and each person's culture is
-  derived from it on lookup.
+- ``.gmrg``, a parsed graph; inputs: edge-list hash, label mode, self-loop
+  policy.  Magic ``GMRG``, version, label flag u8, one pad byte, then N, E,
+  self-loops removed and the label blob's byte length as u64; then
+  ``in_indptr`` (N+1), ``in_sources`` (E) and ``out_degree`` (N) as int64,
+  then the labels joined by newlines in UTF-8.
+- ``.gmrk``, a converged vector; inputs: the graph's plus algorithm, alpha
+  and tol.  Magic ``GMRK``, version, algorithm tag u8 (0 = pagerank,
+  1 = cheirank), alpha f64, tol f64, sweeps u64, final residual f64, N u64,
+  then N probabilities as f64.
+- ``.gmrp``, the validated columns of a persons file; inputs: persons-file
+  hash, ``persons``, :data:`PERSONS_VERSION`.  Not the culture map:
+  validation never reads it, and each person's culture is derived from it
+  on lookup.  Magic ``GMRP``, version, two pad bytes, then the person count
+  P, the edition count E and the string blob's byte length as u64; then P
+  birth years as int64 (0 = unknown); then the E edition codes, P ids, P
+  birth countries, P genders and the P*E stripped titles, row by row,
+  joined by NUL in UTF-8.
 
 A reader raises :class:`CacheFormatError` on any file it cannot trust,
 including one of an older version; the caller treats that as a miss.
@@ -60,6 +64,19 @@ class CacheFormatError(ValueError):
     """Cache file is not a valid artifact of the current version."""
 
 
+def _header(data: bytes, layout: struct.Struct, magic: bytes,
+            version: int) -> tuple:
+    """The header fields after magic and version; raises unless both match."""
+    if len(data) < layout.size:
+        raise CacheFormatError("truncated header")
+    fields = layout.unpack_from(data)
+    if fields[0] != magic:
+        raise CacheFormatError(f"bad magic {fields[0]!r}")
+    if fields[1] != version:
+        raise CacheFormatError(f"unsupported version {fields[1]}")
+    return fields[2:]
+
+
 def write_vector(stream: IO[bytes], vector: RankVector, alpha: float,
                  tol: float) -> None:
     probs = np.ascontiguousarray(vector.probabilities, dtype="<f8")
@@ -77,14 +94,8 @@ def read_vector(stream: IO[bytes]) -> tuple[RankVector, float, float]:
     that does not match the header.
     """
     data = stream.read()
-    if len(data) < _HEADER.size:
-        raise CacheFormatError("truncated header")
-    (magic, version, tag, alpha, tol, sweeps, residual,
-     n) = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise CacheFormatError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise CacheFormatError(f"unsupported version {version}")
+    tag, alpha, tol, sweeps, residual, n = _header(data, _HEADER, MAGIC,
+                                                   VERSION)
     if tag not in _TAG_ALGORITHMS:
         raise CacheFormatError(f"unknown algorithm tag {tag}")
     if len(data) != _HEADER.size + 8 * n:
@@ -118,14 +129,8 @@ def read_graph(stream: IO[bytes]) -> DirectedGraph:
     blob splits into N labels.
     """
     data = stream.read()
-    if len(data) < _GRAPH_HEADER.size:
-        raise CacheFormatError("truncated header")
-    (magic, version, labeled, n, e, removed,
-     label_bytes) = _GRAPH_HEADER.unpack_from(data)
-    if magic != GRAPH_MAGIC:
-        raise CacheFormatError(f"bad magic {magic!r}")
-    if version != GRAPH_VERSION:
-        raise CacheFormatError(f"unsupported version {version}")
+    labeled, n, e, removed, label_bytes = _header(
+        data, _GRAPH_HEADER, GRAPH_MAGIC, GRAPH_VERSION)
     if labeled not in (0, 1) or (label_bytes and not labeled):
         raise CacheFormatError(f"bad label flag {labeled}")
     words = 2 * n + 1 + e
@@ -193,13 +198,8 @@ def read_persons(stream: IO[bytes], known_editions: Collection[str],
     ``known_genders``, or a repeated id.
     """
     data = stream.read()
-    if len(data) < _PERSONS_HEADER.size:
-        raise CacheFormatError("truncated header")
-    magic, version, p, e, blob_bytes = _PERSONS_HEADER.unpack_from(data)
-    if magic != PERSONS_MAGIC:
-        raise CacheFormatError(f"bad magic {magic!r}")
-    if version != PERSONS_VERSION:
-        raise CacheFormatError(f"unsupported version {version}")
+    p, e, blob_bytes = _header(data, _PERSONS_HEADER, PERSONS_MAGIC,
+                               PERSONS_VERSION)
     blob_at = _PERSONS_HEADER.size + 8 * p
     if len(data) != blob_at + blob_bytes:
         raise CacheFormatError(
@@ -244,38 +244,11 @@ def content_hash(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def graph_key(edge_list_hash: str, label_mode: str,
-              drop_self_loops: bool) -> str:
-    """Stable key for one edge list parsed in one label mode and loop policy."""
-    raw = f"{edge_list_hash}:{label_mode}:{drop_self_loops}".encode()
-    return hashlib.sha256(raw).hexdigest()[:32]
+def artifact_path(cache_dir: str | Path, suffix: str, *inputs) -> Path:
+    """``{key}.{suffix}`` in ``cache_dir``, keyed by every input that shapes it.
 
-
-def cache_key(edge_list_hash: str, algorithm: str, alpha: float, tol: float,
-              label_mode: str, drop_self_loops: bool) -> str:
-    """Stable key for one edge list, parse mode, algorithm, alpha and tol.
-
-    The label mode and the self-loop policy change the parsed graph, so
-    they are part of the key along with the file bytes.
+    The key is the first 32 hex digits of the SHA-256 of the inputs' ``str``
+    joined by ``:``.
     """
-    raw = (f"{edge_list_hash}:{label_mode}:{drop_self_loops}:{algorithm}:"
-           f"{alpha!r}:{tol!r}").encode()
-    return hashlib.sha256(raw).hexdigest()[:32]
-
-
-def persons_key(persons_hash: str) -> str:
-    """Stable key for one persons file in the current ``.gmrp`` version."""
-    raw = f"{persons_hash}:persons:{PERSONS_VERSION}".encode()
-    return hashlib.sha256(raw).hexdigest()[:32]
-
-
-def cache_path(cache_dir: str | Path, key: str) -> Path:
-    return Path(cache_dir) / f"{key}.gmrk"
-
-
-def graph_path(cache_dir: str | Path, key: str) -> Path:
-    return Path(cache_dir) / f"{key}.gmrg"
-
-
-def persons_path(cache_dir: str | Path, key: str) -> Path:
-    return Path(cache_dir) / f"{key}.gmrp"
+    raw = ":".join(map(str, inputs)).encode()
+    return Path(cache_dir) / f"{hashlib.sha256(raw).hexdigest()[:32]}.{suffix}"

@@ -8,6 +8,7 @@ produce byte-identical outputs; all files are written atomically.
 from __future__ import annotations
 
 import argparse
+import io
 import logging
 import os
 import sys
@@ -18,7 +19,7 @@ from . import aggregate, cache, cultures, selfcheck, tableio
 from .graph import (INTEGER_IDS, STRING_LABELS, DirectedGraph, EdgeListError,
                     load_edge_list)
 from .rank import (CHEIRANK, PAGERANK, ConvergenceError, GoogleParams,
-                   cheirank, pagerank, rank_indices, two_d_rank)
+                   RankVector, cheirank, pagerank, rank_indices, two_d_rank)
 from .registry import (EDITION_CODES, GENDERS, PAGERANK_LIST, TWODRANK_LIST,
                        PersonRegistry, default_culture_map, load_culture_map,
                        load_persons, select_top_people)
@@ -161,40 +162,60 @@ def _load_registry(config: PipelineConfig) -> PersonRegistry:
             culture_map = load_culture_map(f)
     artifact = None
     if config.cache_dir is not None:
-        artifact = cache.persons_path(config.cache_dir, cache.persons_key(
-            cache.content_hash(config.persons_path)))
-        columns = _read_artifact(
-            artifact, lambda f: cache.read_persons(f, EDITION_CODES, GENDERS),
-            "re-parsing")
-        if columns is not None:
-            log.info("cache hit: %s (registry)", artifact.name)
-            return PersonRegistry(*columns, culture_map)
-    with open(config.persons_path, encoding="utf-8") as f:
-        registry = load_persons(f, culture_map)
-    if artifact is not None:
+        artifact = cache.artifact_path(
+            config.cache_dir, "gmrp", cache.content_hash(config.persons_path),
+            "persons", cache.PERSONS_VERSION)
+
+    def parse() -> PersonRegistry:
+        with open(config.persons_path, encoding="utf-8") as f:
+            return load_persons(f, culture_map)
+
+    def encode(registry: PersonRegistry) -> bytes | None:
         blob = cache.encode_persons(*registry.columns())
         if blob is None:
             log.info("persons file %s cannot be cached, parsed on every run",
                      config.persons_path)
-        else:
-            with tableio.atomic_write(artifact, binary=True) as f:
-                f.write(blob)
-    return registry
+        return blob
+
+    return _cached(
+        artifact, "registry", "re-parsing",
+        lambda f: PersonRegistry(
+            *cache.read_persons(f, EDITION_CODES, GENDERS), culture_map),
+        parse, encode)
 
 
-def _read_artifact(path: Path, read, redo: str):
-    """``read`` of the cache file at ``path``; None if it is absent or corrupt.
+def _cached(path: Path | None, what: str, redo: str, read, build, encode):
+    """``read`` of the cache file at ``path``, or ``build()`` stored there.
 
-    ``redo`` names the work a corrupt file costs, for the warning.
+    With no path, only builds.  A hit logs ``what``; a file that ``read``
+    rejects with :class:`cache.CacheFormatError` is a miss, whose warning
+    names the work it costs, ``redo``.  After a miss, ``encode`` of the
+    built value is written atomically, unless it is None.
     """
-    if not path.is_file():
-        return None
-    try:
-        with open(path, "rb") as f:
-            return read(f)
-    except cache.CacheFormatError as exc:
-        log.warning("corrupt cache file %s (%s), %s", path, exc, redo)
-    return None
+    if path is None:
+        return build()
+    if path.is_file():
+        try:
+            with open(path, "rb") as f:
+                value = read(f)
+        except cache.CacheFormatError as exc:
+            log.warning("corrupt cache file %s (%s), %s", path, exc, redo)
+        else:
+            log.info("cache hit: %s (%s)", path.name, what)
+            return value
+    value = build()
+    blob = encode(value)
+    if blob is not None:
+        with tableio.atomic_write(path, binary=True) as f:
+            f.write(blob)
+    return value
+
+
+def _encoded(write, *args) -> bytes:
+    """What ``write(stream, *args)`` writes to a stream, as bytes."""
+    buffer = io.BytesIO()
+    write(buffer, *args)
+    return buffer.getvalue()
 
 
 def _rank_edge_list(graph_path: Path, algorithm: str, config: PipelineConfig,
@@ -210,48 +231,43 @@ def _rank_edge_list(graph_path: Path, algorithm: str, config: PipelineConfig,
     for 2drank).
     """
     params = config.params()
-    edge_list_hash = g = graph_file = None
+    parse_inputs = None
     if config.cache_dir is not None:
-        edge_list_hash = cache.content_hash(graph_path)
-        graph_file = cache.graph_path(config.cache_dir, cache.graph_key(
-            edge_list_hash, label_mode, drop_self_loops))
-        g = _read_artifact(graph_file, cache.read_graph, "re-parsing")
-        if g is not None:
-            log.info("cache hit: %s (graph)", graph_file.name)
-    if g is None:
+        parse_inputs = (cache.content_hash(graph_path), label_mode,
+                        drop_self_loops)
+
+    def artifact(suffix: str, *inputs) -> Path | None:
+        if parse_inputs is None:
+            return None
+        return cache.artifact_path(config.cache_dir, suffix, *parse_inputs,
+                                   *inputs)
+
+    def parse() -> DirectedGraph:
         with open(graph_path, encoding="utf-8") as f:
-            g = load_edge_list(f, drop_self_loops=drop_self_loops,
-                               label_mode=label_mode)
-        if graph_file is not None:
-            with tableio.atomic_write(graph_file, binary=True) as f:
-                cache.write_graph(f, g)
+            return load_edge_list(f, drop_self_loops=drop_self_loops,
+                                  label_mode=label_mode)
+
+    g = _cached(artifact("gmrg"), "graph", "re-parsing", cache.read_graph,
+                parse, lambda graph: _encoded(cache.write_graph, graph))
     if g.node_count == 0:
         raise EdgeListError(empty_error)
     vectors, ranks = {}, {}
     for name in ((PAGERANK, CHEIRANK) if algorithm == TWODRANK_LIST
                  else (algorithm,)):
-        vector = cache_file = None
-        if edge_list_hash is not None:
-            cache_file = cache.cache_path(config.cache_dir, cache.cache_key(
-                edge_list_hash, name, params.alpha, params.tol, label_mode,
-                drop_self_loops))
-            stored = _read_artifact(cache_file, cache.read_vector,
-                                    "recomputing")
-            if stored is not None:
-                vector, alpha, tol = stored
-                if (len(vector) == g.node_count and vector.algorithm == name
-                        and (alpha, tol) == (params.alpha, params.tol)):
-                    log.info("cache hit: %s (%s)", cache_file.name, name)
-                else:
-                    log.warning("cache file %s does not match graph or "
-                                "parameters, recomputing", cache_file)
-                    vector = None
-        if vector is None:
-            vector = (pagerank if name == PAGERANK else cheirank)(g, params)
-            if cache_file is not None:
-                with tableio.atomic_write(cache_file, binary=True) as f:
-                    cache.write_vector(f, vector, params.alpha, params.tol)
-        vectors[name] = vector
+        def read(f) -> RankVector:
+            vector, alpha, tol = cache.read_vector(f)
+            if (len(vector) != g.node_count or vector.algorithm != name
+                    or (alpha, tol) != (params.alpha, params.tol)):
+                raise cache.CacheFormatError(
+                    "does not match graph or parameters")
+            return vector
+
+        vector = vectors[name] = _cached(
+            artifact("gmrk", name, params.alpha, params.tol), name,
+            "recomputing", read,
+            lambda: (pagerank if name == PAGERANK else cheirank)(g, params),
+            lambda v: _encoded(cache.write_vector, v, params.alpha,
+                               params.tol))
         ranks[name] = rank_indices(vector)
     if algorithm == TWODRANK_LIST:
         ranks[algorithm] = two_d_rank(ranks[PAGERANK], ranks[CHEIRANK])

@@ -16,7 +16,7 @@ import numpy as np
 
 from .rank import dense_stationary, google_matrix, rank_indices, two_d_rank
 from .registry import (EDITION_CODES, WORLD, PersonRegistry, TopList,
-                       century_of)
+                       century_of, check_toplists)
 
 CULTURE_CODES: tuple[str, ...] = tuple(sorted(EDITION_CODES + (WORLD,)))
 CULTURE_INDEX: Mapping[str, int] = {c: i for i, c in enumerate(CULTURE_CODES)}
@@ -49,14 +49,8 @@ def build_culture_network(toplists: Sequence[TopList],
     (persons of unknown birth year never pass the filter).  When ``editions``
     is given, every listed edition must have a top list.
     """
-    by_edition: dict[str, TopList] = {}
-    for toplist in toplists:
-        if toplist.edition in by_edition:
-            raise ValueError(f"more than one list for edition {toplist.edition}")
-        by_edition[toplist.edition] = toplist
-    algorithms = {t.algorithm for t in toplists}
-    if len(algorithms) > 1:
-        raise ValueError(f"mixed list algorithms: {sorted(algorithms)}")
+    check_toplists(toplists)
+    by_edition = {toplist.edition: toplist for toplist in toplists}
     if editions is not None:
         missing = [e for e in editions if e not in by_edition]
         if missing:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import compress
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -89,14 +89,29 @@ class TopList:
         return len(self.entries)
 
 
+def check_toplists(toplists: Sequence[TopList]) -> None:
+    """Raise ValueError unless the lists share one algorithm and no edition
+    has two."""
+    algorithms = {t.algorithm for t in toplists}
+    if len(algorithms) > 1:
+        raise ValueError(f"mixed list algorithms: {sorted(algorithms)}")
+    editions: set[str] = set()
+    for toplist in toplists:
+        if toplist.edition in editions:
+            raise ValueError(
+                f"more than one list for edition {toplist.edition}")
+        editions.add(toplist.edition)
+
+
 class PersonRegistry:
     """Immutable person store: validated fields plus per-edition title indexes.
 
     Built by :func:`load_persons`, which has checked every row and every
     title, or from a cache artifact of that function's columns; the
     constructor takes those columns and checks only their width.  Each
-    edition's title index is built on its first :meth:`title_index`, and a
-    :class:`Person` on its first :meth:`get`; both are kept.
+    edition's title index is built, and checked for a repeated title, on
+    its first :meth:`title_index`, and a :class:`Person` on its first
+    :meth:`get`; both are kept.
     """
 
     def __init__(self, ids: list[str],
@@ -136,13 +151,10 @@ class PersonRegistry:
 
     def _check_unique(self) -> None:
         """Build every title index; raise on a duplicate id or title."""
-        unique = len(self._row) == len(self._ids)
-        for code in dict.fromkeys((*self._editions, "EN")):
-            present, owners = self._keyed_titles(code)
-            index = self._by_title[code] = _index_titles(present, owners)
-            unique = unique and len(index) == len(present)
-        if not unique:
+        if len(self._row) != len(self._ids):
             self._raise_first_duplicate()
+        for code in dict.fromkeys((*self._editions, "EN")):
+            self.title_index(code)
 
     def _titles_of(self, row: int, person_id: str) -> dict[str, str]:
         width = len(self._editions)
@@ -190,11 +202,18 @@ class PersonRegistry:
         return person
 
     def title_index(self, edition: str) -> Mapping[str, str]:
-        """NFC-normalized localized title -> person_id for one edition."""
+        """NFC-normalized localized title -> person_id for one edition.
+
+        Raises ValueError naming the first duplicate id or title in file
+        order when two persons share a title in this edition.
+        """
         index = self._by_title.get(edition)
         if index is None:
-            index = self._by_title[edition] = _index_titles(
-                *self._keyed_titles(edition))
+            titles, owners = self._keyed_titles(edition)
+            index = _index_titles(titles, owners)
+            if len(index) != len(titles):
+                self._raise_first_duplicate()
+            self._by_title[edition] = index
         return index
 
 

@@ -12,6 +12,7 @@ from gmrank.aggregate import (classify_figures, column_normalize,
                               locality_ratio, overlap, per_culture_top,
                               spatial_distribution, temporal_distribution,
                               theta_score)
+from gmrank.cultures import build_culture_network
 from gmrank.registry import EDITION_CODES, TopList
 from gmrank.tableio import write_global_csv
 
@@ -93,10 +94,19 @@ class TestGlobalRanking:
         assert a.theta == b.theta == 2
         assert entries.index(a) < entries.index(b)
 
-    def test_mixed_algorithms_rejected(self):
-        lists = [toplist("EN", ["a"]), toplist("FR", ["a"], algorithm="2drank")]
-        with pytest.raises(ValueError, match="mixed"):
-            global_ranking(lists)
+    @pytest.mark.parametrize("lists, message", [
+        ([toplist("EN", ["a"]), toplist("FR", ["a"], algorithm="2drank")],
+         r"^mixed list algorithms: \['2drank', 'pagerank'\]$"),
+        ([toplist("EN", ["a"]), toplist("FR", ["a"]), toplist("FR", ["b"])],
+         r"^more than one list for edition FR$"),
+    ], ids=["mixed", "repeated-edition"])
+    @pytest.mark.parametrize("caller", [
+        global_ranking,
+        lambda lists: build_culture_network(lists, make_registry([])),
+    ], ids=["global_ranking", "build_culture_network"])
+    def test_invalid_list_set_rejected(self, caller, lists, message):
+        with pytest.raises(ValueError, match=message):
+            caller(lists)
 
     def test_does_not_call_theta_score(self, corpus_toplists, monkeypatch):
         expected = global_ranking(corpus_toplists)

@@ -6,8 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from gmrank.cache import (CacheFormatError, cache_key, content_hash,
-                          encode_persons, graph_key, persons_key, read_graph,
+from gmrank.cache import (PERSONS_VERSION, CacheFormatError, artifact_path,
+                          content_hash, encode_persons, read_graph,
                           read_persons, read_vector, write_graph, write_vector)
 from gmrank.graph import INTEGER_IDS, STRING_LABELS, load_edge_list
 from gmrank.rank import RankVector, cheirank, pagerank, rank_indices
@@ -313,28 +313,36 @@ class TestPersonsArtifact:
             read_persons_bytes(raw)
 
 
+# (suffix, key inputs, a different value for each input), per artifact kind
+ARTIFACT_KINDS = {
+    "graph": ("gmrg", ("abc", "string-labels", True),
+              ("abd", "integer-ids", False)),
+    "vector": ("gmrk", ("abc", "string-labels", True, "cheirank", 0.85, 1e-10),
+               ("abd", "integer-ids", False, "pagerank", 0.5, 1e-8)),
+    "persons": ("gmrp", ("abc", "persons", PERSONS_VERSION),
+                ("abd", "graph", PERSONS_VERSION + 1)),
+}
+
+
 class TestKeying:
-    def test_key_depends_on_every_parameter(self):
-        args = ("abc", "pagerank", 0.85, 1e-10, "integer-ids", True)
-        base = cache_key(*args)
-        for i, other in enumerate(("abd", "cheirank", 0.5, 1e-8,
-                                   "string-labels", False)):
-            changed = args[:i] + (other,) + args[i + 1:]
-            assert cache_key(*changed) != base
-        assert cache_key(*args) == base
+    @pytest.mark.parametrize("kind", ARTIFACT_KINDS)
+    def test_key_depends_on_every_input(self, kind):
+        suffix, inputs, others = ARTIFACT_KINDS[kind]
+        base = artifact_path("c", suffix, *inputs)
+        for i, other in enumerate(others):
+            changed = inputs[:i] + (other,) + inputs[i + 1:]
+            assert artifact_path("c", suffix, *changed) != base
+        assert artifact_path("c", suffix, *inputs) == base
 
-    def test_graph_key_depends_on_every_parse_input(self):
-        args = ("abc", "integer-ids", True)
-        base = graph_key(*args)
-        for i, other in enumerate(("abd", "string-labels", False)):
-            changed = args[:i] + (other,) + args[i + 1:]
-            assert graph_key(*changed) != base
-        assert graph_key(*args) == base
-
-    def test_persons_key_tracks_the_file_hash(self):
-        assert persons_key("abc") == persons_key("abc")
-        assert persons_key("abc") != persons_key("abd")
-        assert persons_key("abc") != graph_key("abc", "string-labels", True)
+    @pytest.mark.parametrize("kind, name", [
+        ("graph", "59c070028d19b099246a7f79f62f403b.gmrg"),
+        ("vector", "428d32fc93ab463d358c1c7fa4af7cb7.gmrk"),
+        ("persons", "969e9f72415a5fb64143f69d23d7c366.gmrp"),
+    ])
+    def test_names_are_pinned(self, tmp_path, kind, name):
+        """A cache filled by an earlier release stays warm."""
+        suffix, inputs, _ = ARTIFACT_KINDS[kind]
+        assert artifact_path(tmp_path, suffix, *inputs) == tmp_path / name
 
     def test_content_hash_tracks_file_bytes(self, tmp_path):
         f = tmp_path / "edges.txt"

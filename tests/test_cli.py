@@ -945,6 +945,31 @@ class TestRegistryArtifact:
         # the artifact of the valid file is still there, under its own key
         assert cache_layout(root / "cache") == {".gmrp": 1}
 
+    def test_duplicate_title_in_artifact_exits_2(self, world, tmp_path,
+                                                 monkeypatch, caplog):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        root = _copy_world(world, tmp_path)
+        args = ["top-people", "--config", str(root / "config.ini"),
+                "--edition", "FR"]
+        assert main(args) == EXIT_OK
+        toplist = root / "out" / "toplists" / "FR_pagerank.csv"
+        before = toplist.read_bytes()
+        artifact = next((root / "cache").glob("*.gmrp"))
+
+        def same_fr_title(ids, fields, editions, titles):
+            width, fr = len(editions), editions.index("FR")
+            titles[fr] = titles[width + fr] = "Same"
+        artifact.write_bytes(_edit_columns(same_fr_title)(
+            artifact.read_bytes()))
+        caplog.clear()
+        with caplog.at_level(logging.ERROR):
+            assert main(args) == EXIT_INPUT
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert errors == ["duplicate title 'Same' in edition FR: "
+                          "'Napoleon' vs 'Carl_Linnaeus'"]
+        assert toplist.read_bytes() == before
+
 
 def _as_version_1(raw):
     """A v2 vector file rewritten in the v1 layout (no tol, sweeps, residual)."""
@@ -1038,6 +1063,27 @@ class TestHashOnce:
         assert sorted(hashed) == sorted(
             [str(world / "persons.tsv")]
             + [str(world / f"{code.lower()}.edges") for code in PLANT])
+
+
+class TestArtifactNames:
+    def test_commands_name_artifacts_as_earlier_releases(
+            self, world, tmp_path, monkeypatch):
+        """Each command keys its artifacts by the inputs of the pinned names
+        in tests/test_cache.py, in their order, so an earlier cache stays
+        warm."""
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        monkeypatch.setattr(cache, "content_hash", lambda path: "abc")
+        root = _copy_world(world, tmp_path)
+        assert main(["rank", str(root / "fr.edges"), "--labels",
+                     "--algorithm", "cheirank", "--cache-dir",
+                     str(root / "cache"), "--out", str(tmp_path / "o.csv")
+                     ]) == EXIT_OK
+        assert main(["global", "--config", str(root / "config.ini")]) == EXIT_OK
+        assert sorted(p.name for p in (root / "cache").iterdir()) == [
+            "428d32fc93ab463d358c1c7fa4af7cb7.gmrk",
+            "59c070028d19b099246a7f79f62f403b.gmrg",
+            "969e9f72415a5fb64143f69d23d7c366.gmrp",
+        ]
 
 
 class TestConfig:

@@ -1,5 +1,7 @@
 """The package's public names all resolve, and its modules keep their layers."""
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -63,3 +65,33 @@ def test_cache_does_not_reach_registry():
             reached.add(name)
             todo.append(name)
     assert "registry" not in reached
+
+
+SPANS = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    """The benchmark tracer, loaded by path: ``benchmarks`` is no package."""
+    spec = importlib.util.spec_from_file_location("gmrank_bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves(spans):
+    # the tracer patches these by name; a rename would silently zero a metric
+    missing = [f"{module}.{name}" for module, names in spans.TRACED.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(module), name,
+                                       None))]
+    assert missing == []
+    for module in spans.RESOLVERS:
+        importlib.import_module(module)
+
+
+def test_tracer_hooks_outside_traced_exist():
+    from gmrank import graph, registry, tableio
+    assert callable(graph.DirectedGraph.from_edges.__func__)
+    assert callable(tableio.atomic_write)
+    assert callable(registry.Person.title_in)

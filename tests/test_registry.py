@@ -563,3 +563,27 @@ class TestArtifactMatchesFreshLoad:
             assert dict(hit.title_index(code)) == dict(fresh.title_index(code))
             if code not in header and code != "EN":
                 assert hit.title_index(code) == {}
+
+
+class TestDuplicateTitleInArtifact:
+    """A hand-edited artifact can give two persons one title; the lazily
+    built index must refuse it rather than keep the later owner."""
+
+    def registry(self):
+        text = ("person_id\tbirth_country\tbirth_year\tgender\tEN\tFR\n"
+                "A\tUS\t1900\tmale\tA\tX\n"
+                "B\tUS\t1902\tmale\tB\tY\n")
+        ids, fields, editions, titles = load_persons(
+            io.StringIO(text)).columns()
+        titles = [t if t not in ("X", "Y") else "Same" for t in titles]
+        blob = cache.encode_persons(ids, fields, editions, titles)
+        columns = cache.read_persons(io.BytesIO(blob), EDITION_CODES, GENDERS)
+        return PersonRegistry(*columns, default_culture_map())
+
+    def test_index_build_names_the_duplicate(self):
+        reg = self.registry()
+        for _ in range(2):          # a refused index is not kept
+            with pytest.raises(ValueError, match=r"^duplicate title 'Same' "
+                               r"in edition FR: 'A' vs 'B'$"):
+                reg.title_index("FR")
+        assert dict(reg.title_index("EN")) == {"A": "A", "B": "B"}
