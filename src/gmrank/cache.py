@@ -14,7 +14,7 @@ with a 4-byte magic and a u16 version:
 - ``.gmrk``, a converged vector; inputs: the graph's plus algorithm, alpha
   and tol.  Magic ``GMRK``, version, algorithm tag u8 (0 = pagerank,
   1 = cheirank), alpha f64, tol f64, sweeps u64, final residual f64, N u64,
-  then N probabilities as f64.
+  then N probabilities as f64: finite, positive and summing to 1.
 - ``.gmrp``, the validated columns of a persons file; inputs: persons-file
   hash, ``persons``, :data:`PERSONS_VERSION`.  Not the culture map:
   validation never reads it, and each person's culture is derived from it
@@ -24,8 +24,10 @@ with a 4-byte magic and a u16 version:
   birth countries, P genders and the P*E stripped titles, row by row,
   joined by NUL in UTF-8.
 
-A reader raises :class:`CacheFormatError` on any file it cannot trust,
-including one of an older version; the caller treats that as a miss.
+Each kind has a writer ``write_<kind>(stream, ...)`` and a reader
+``read_<kind>(stream, ...)``.  A reader raises :class:`CacheFormatError` on
+any file it cannot trust, including one of an older version; the caller
+treats that as a miss.
 """
 from __future__ import annotations
 
@@ -90,8 +92,9 @@ def write_vector(stream: IO[bytes], vector: RankVector, alpha: float,
 def read_vector(stream: IO[bytes]) -> tuple[RankVector, float, float]:
     """Returns the stored vector, with its sweeps and residual, alpha and tol.
 
-    Raises :class:`CacheFormatError` on bad magic, version, or a length
-    that does not match the header.
+    Raises :class:`CacheFormatError` on bad magic, version, a length that
+    does not match the header, or probabilities that are not all finite
+    and positive with a sum within 1e-9 of 1.
     """
     data = stream.read()
     tag, alpha, tol, sweeps, residual, n = _header(data, _HEADER, MAGIC,
@@ -104,6 +107,9 @@ def read_vector(stream: IO[bytes]) -> tuple[RankVector, float, float]:
             f"{(len(data) - _HEADER.size) / 8:g}: file truncated or overlong")
     probs = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).astype(
         np.float64)
+    # a NaN or infinite entry makes the sum fail too; an empty vector sums to 0
+    if not (abs(probs.sum() - 1.0) <= 1e-9 and probs.min() > 0.0):
+        raise CacheFormatError("probabilities are not a positive distribution")
     vector = RankVector(probs, _TAG_ALGORITHMS[tag], iterations_used=sweeps,
                         residual=residual)
     return vector, alpha, tol
@@ -162,28 +168,21 @@ def read_graph(stream: IO[bytes]) -> DirectedGraph:
                          labels=labels, self_loops_removed=removed)
 
 
-def encode_persons(ids: list[str],
-                   fields: list[tuple[str, int | None, str]],
-                   editions: list[str], titles: list[str]) -> bytes | None:
-    """The ``.gmrp`` bytes of a registry's columns.
+def write_persons(stream: IO[bytes], ids: list[str],
+                  fields: list[tuple[str, int | None, str]],
+                  editions: list[str], titles: list[str]) -> None:
+    """The columns of a registry as ``.gmrp``.
 
-    None when the columns cannot be stored: a string holding NUL, or a
-    birth year outside int64.  Such a persons file is parsed on every run.
+    Strings must hold no NUL and birth years must fit int64, as every
+    persons file that ``load_persons`` accepts does.
     """
     countries, years, genders = zip(*fields) if fields else ((), (), ())
-    try:
-        body = np.array([y or 0 for y in years], dtype="<i8").tobytes()
-    except OverflowError:
-        return None
-    strings = [*editions, *ids, *countries, *genders, *titles]
-    blob = "\0".join(strings).encode("utf-8")
-    # UTF-8 encodes no character but NUL itself as a zero byte
-    if blob.count(b"\0") != max(len(strings) - 1, 0):
-        return None
-    del strings
-    head = _PERSONS_HEADER.pack(PERSONS_MAGIC, PERSONS_VERSION, len(ids),
-                                len(editions), len(blob))
-    return head + body + blob
+    blob = "\0".join([*editions, *ids, *countries, *genders, *titles]
+                     ).encode("utf-8")
+    stream.write(_PERSONS_HEADER.pack(PERSONS_MAGIC, PERSONS_VERSION,
+                                      len(ids), len(editions), len(blob)))
+    stream.write(np.array([y or 0 for y in years], dtype="<i8").data)
+    stream.write(blob)
 
 
 def read_persons(stream: IO[bytes], known_editions: Collection[str],

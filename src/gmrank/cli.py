@@ -8,7 +8,6 @@ produce byte-identical outputs; all files are written atomically.
 from __future__ import annotations
 
 import argparse
-import io
 import logging
 import os
 import sys
@@ -170,27 +169,21 @@ def _load_registry(config: PipelineConfig) -> PersonRegistry:
         with open(config.persons_path, encoding="utf-8") as f:
             return load_persons(f, culture_map)
 
-    def encode(registry: PersonRegistry) -> bytes | None:
-        blob = cache.encode_persons(*registry.columns())
-        if blob is None:
-            log.info("persons file %s cannot be cached, parsed on every run",
-                     config.persons_path)
-        return blob
-
     return _cached(
         artifact, "registry", "re-parsing",
         lambda f: PersonRegistry(
             *cache.read_persons(f, EDITION_CODES, GENDERS), culture_map),
-        parse, encode)
+        parse,
+        lambda f, registry: cache.write_persons(f, *registry.columns()))
 
 
-def _cached(path: Path | None, what: str, redo: str, read, build, encode):
+def _cached(path: Path | None, what: str, redo: str, read, build, write):
     """``read`` of the cache file at ``path``, or ``build()`` stored there.
 
     With no path, only builds.  A hit logs ``what``; a file that ``read``
     rejects with :class:`cache.CacheFormatError` is a miss, whose warning
-    names the work it costs, ``redo``.  After a miss, ``encode`` of the
-    built value is written atomically, unless it is None.
+    names the work it costs, ``redo``.  After a miss, ``write(stream,
+    value)`` stores the built value atomically.
     """
     if path is None:
         return build()
@@ -204,18 +197,9 @@ def _cached(path: Path | None, what: str, redo: str, read, build, encode):
             log.info("cache hit: %s (%s)", path.name, what)
             return value
     value = build()
-    blob = encode(value)
-    if blob is not None:
-        with tableio.atomic_write(path, binary=True) as f:
-            f.write(blob)
+    with tableio.atomic_write(path, binary=True) as f:
+        write(f, value)
     return value
-
-
-def _encoded(write, *args) -> bytes:
-    """What ``write(stream, *args)`` writes to a stream, as bytes."""
-    buffer = io.BytesIO()
-    write(buffer, *args)
-    return buffer.getvalue()
 
 
 def _rank_edge_list(graph_path: Path, algorithm: str, config: PipelineConfig,
@@ -248,7 +232,7 @@ def _rank_edge_list(graph_path: Path, algorithm: str, config: PipelineConfig,
                                   label_mode=label_mode)
 
     g = _cached(artifact("gmrg"), "graph", "re-parsing", cache.read_graph,
-                parse, lambda graph: _encoded(cache.write_graph, graph))
+                parse, cache.write_graph)
     if g.node_count == 0:
         raise EdgeListError(empty_error)
     vectors, ranks = {}, {}
@@ -266,8 +250,7 @@ def _rank_edge_list(graph_path: Path, algorithm: str, config: PipelineConfig,
             artifact("gmrk", name, params.alpha, params.tol), name,
             "recomputing", read,
             lambda: (pagerank if name == PAGERANK else cheirank)(g, params),
-            lambda v: _encoded(cache.write_vector, v, params.alpha,
-                               params.tol))
+            lambda f, v: cache.write_vector(f, v, params.alpha, params.tol))
         ranks[name] = rank_indices(vector)
     if algorithm == TWODRANK_LIST:
         ranks[algorithm] = two_d_rank(ranks[PAGERANK], ranks[CHEIRANK])

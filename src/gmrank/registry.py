@@ -276,6 +276,7 @@ def checked_rows(reader, where: str) -> Iterator[list[str]]:
 
 
 _FIXED_COLUMNS = ("person_id", "birth_country", "birth_year", "gender")
+_INT64 = range(-2**63, 2**63)
 
 
 def load_persons(stream: IO[str] | Iterable[str],
@@ -287,7 +288,9 @@ def load_persons(stream: IO[str] | Iterable[str],
     when the person has no article there).  An empty EN title defaults to the
     person_id itself, which by construction is the English article title.
     Every row is checked, and no id or title may repeat; a row error names
-    the line the bad row ends on.
+    the line the bad row ends on.  No field may hold a NUL character, and
+    every birth year must fit int64, so the cache can store every file
+    this accepts.
     """
     if culture_map is None:
         culture_map = default_culture_map()
@@ -319,6 +322,9 @@ def load_persons(stream: IO[str] | Iterable[str],
             raise ValueError(
                 f"persons line {line_no}: expected {len(header)} fields, "
                 f"got {len(row)}")
+        if "\0" in "".join(row):
+            raise ValueError(
+                f"persons line {line_no}: a field holds a NUL character")
         person_id = row[0].strip()
         if not person_id:
             raise ValueError(f"persons line {line_no}: empty person_id")
@@ -336,6 +342,9 @@ def load_persons(stream: IO[str] | Iterable[str],
                                  f"an integer, got {year_text!r}") from None
             if birth_year == 0:
                 raise ValueError(f"persons line {line_no}: birth_year 0 is invalid")
+            if birth_year not in _INT64:
+                raise ValueError(f"persons line {line_no}: birth_year "
+                                 f"{birth_year} does not fit in 64 bits")
         else:
             birth_year = None
         gender = row[3].strip().lower() or "unknown"

@@ -45,8 +45,7 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _century_field(registry: PersonRegistry, person_id: str) -> str:
-    year = registry.get(person_id).birth_year
+def _century_field(year: int | None) -> str:
     return "" if year is None else str(century_of(year))
 
 
@@ -88,7 +87,7 @@ def write_toplist_csv(stream: IO[str], toplist: TopList,
         writer.writerow((
             toplist.edition, toplist.algorithm, person_id,
             person.title_in(toplist.edition) or "", rank, person.culture,
-            person.birth_country, _century_field(registry, person_id),
+            person.birth_country, _century_field(person.birth_year),
             person.gender))
 
 
@@ -143,7 +142,7 @@ def write_global_csv(stream: IO[str], entries: Sequence[GlobalEntry],
         writer.writerow((
             position, entry.person_id, entry.theta, entry.n_appear,
             _fmt(entry.mean_rank), classes[entry.person_id], person.gender,
-            person.culture, _century_field(registry, entry.person_id)))
+            person.culture, _century_field(person.birth_year)))
 
 
 def write_culture_slices_csv(stream: IO[str],

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from gmrank.cache import (PERSONS_VERSION, CacheFormatError, artifact_path,
-                          content_hash, encode_persons, read_graph,
-                          read_persons, read_vector, write_graph, write_vector)
+                          content_hash, read_graph, read_persons, read_vector,
+                          write_graph, write_persons, write_vector)
 from gmrank.graph import INTEGER_IDS, STRING_LABELS, load_edge_list
 from gmrank.rank import RankVector, cheirank, pagerank, rank_indices
 from gmrank.registry import EDITION_CODES, GENDERS
@@ -93,6 +93,32 @@ class TestBinaryFormat:
         raw[4:6] = (9).to_bytes(2, "little")
         with pytest.raises(CacheFormatError, match="version"):
             read_vector(io.BytesIO(bytes(raw)))
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.__setitem__(0, np.nan),
+        lambda p: p.__setitem__(0, np.inf),
+        lambda p: p.__setitem__(slice(0, 2), (p[0] + p[1] + 0.5, -0.5)),
+        lambda p: p.__setitem__(slice(0, 2), (p[0] + p[1], 0.0)),
+        lambda p: p.__imul__(2),
+    ], ids=["nan", "inf", "negative", "zero", "doubled"])
+    def test_probabilities_not_a_distribution_detected(self, edit):
+        buf = io.BytesIO()
+        write_vector(buf, vector(), alpha=0.85, tol=1e-10)
+        raw = buf.getvalue()
+        probs = np.frombuffer(raw, dtype="<f8", offset=47).copy()
+        edit(probs)
+        with pytest.raises(CacheFormatError,
+                           match="not a positive distribution"):
+            read_vector(io.BytesIO(raw[:47] + probs.tobytes()))
+
+    def test_sum_off_by_rounding_is_read(self):
+        probs = np.full(7, 1 / 7)
+        probs[0] += 1e-12
+        buf = io.BytesIO()
+        write_vector(buf, RankVector(probs, "pagerank", 1, 0.0), alpha=0.85,
+                     tol=1e-10)
+        buf.seek(0)
+        assert np.array_equal(read_vector(buf)[0].probabilities, probs)
 
 
 # duplicates, self-loops, multi-byte UTF-8 labels, and in integer mode a
@@ -223,9 +249,9 @@ COLUMNS = (["Napoleon", "Jesus", "Ada_Lovelace"],
 
 
 def persons_bytes(ids, fields, editions, titles):
-    blob = encode_persons(ids, fields, editions, titles)
-    assert blob is not None
-    return blob
+    buf = io.BytesIO()
+    write_persons(buf, ids, fields, editions, titles)
+    return buf.getvalue()
 
 
 def read_persons_bytes(raw):
@@ -264,17 +290,6 @@ class TestPersonsArtifact:
                                 "Napoleon", "Jesus", "Ada_Lovelace",
                                 "FR", "PS", "UK", "male", "male", "female"]
         assert strings[12:] == COLUMNS[3]
-
-    @pytest.mark.parametrize("columns", [
-        (["A"], [("XX", None, "male")], ["EN"], ["A\0B"]),
-        (["A\0"], [("XX", None, "male")], [], []),
-        (["A"], [("X\0X", None, "male")], [], []),
-        (["A"], [("XX", 2**63, "male")], [], []),
-        (["A"], [("XX", -2**63 - 1, "male")], [], [])],
-        ids=["nul-in-title", "nul-in-id", "nul-in-country", "year-over-int64",
-             "year-under-int64"])
-    def test_unstorable_columns_give_none(self, columns):
-        assert encode_persons(*columns) is None
 
     @pytest.mark.parametrize("corrupt, match", [
         (lambda raw: raw[:20], "truncated header"),

@@ -809,7 +809,9 @@ def _edit_columns(edit):
     def corrupt(raw):
         columns = cache.read_persons(io.BytesIO(raw), EDITION_CODES, GENDERS)
         edit(*columns)
-        return cache.encode_persons(*columns)
+        buf = io.BytesIO()
+        cache.write_persons(buf, *columns)
+        return buf.getvalue()
     return corrupt
 
 
@@ -894,28 +896,33 @@ class TestRegistryArtifact:
         assert artifact.read_bytes() == good
         assert cache_layout(root / "cache") == {".gmrp": 1}
 
-    def test_title_holding_nul_is_parsed_every_run(self, world, tmp_path,
-                                                   monkeypatch, caplog):
+    @pytest.mark.parametrize("field, value, message", [
+        (0, "Ex\0tra", "a field holds a NUL character"),
+        (1, "X\0X", "a field holds a NUL character"),
+        (5, "Ex\0tra", "a field holds a NUL character"),
+        (2, str(2**63), f"birth_year {2**63} does not fit in 64 bits"),
+        (2, str(-2**63 - 1),
+         f"birth_year {-2**63 - 1} does not fit in 64 bits"),
+    ], ids=["nul-in-id", "nul-in-country", "nul-in-title", "year-over-int64",
+            "year-under-int64"])
+    def test_row_the_cache_cannot_store_exits_2(
+            self, world, tmp_path, monkeypatch, caplog, field, value,
+            message):
         monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         root = _copy_world(world, tmp_path)
-        with open(root / "persons.tsv", "a", encoding="utf-8") as f:
-            f.write("Extra\tXX\t1800\tmale\tExtra\tEx\0tra\tExtra\n")
-        config = root / "config.ini"
-        uncached = root / "uncached.ini"
-        uncached.write_text(config.read_text(encoding="utf-8").replace(
-            "cache_dir = cache\n", ""), encoding="utf-8")
-        assert main(["global", "--config", str(uncached), "--women"]) == EXIT_OK
-        assert not (root / "cache").exists()
-        reference = _outputs(root / "out")
-        loads = _count_calls(monkeypatch, "load_persons")
-        for run in (1, 2):
-            with caplog.at_level(logging.INFO):
-                assert main(["global", "--config", str(config),
-                             "--women"]) == EXIT_OK
-            assert len(loads) == run
-            assert _outputs(root / "out") == reference
-        assert "cannot be cached" in caplog.text
-        assert not (root / "cache").exists()
+        row = ["Extra", "XX", "1800", "male", "Extra", "Extra", "Extra"]
+        row[field] = value
+        persons = root / "persons.tsv"
+        with open(persons, "a", encoding="utf-8") as f:
+            f.write("\t".join(row) + "\n")
+        line = persons.read_text(encoding="utf-8").count("\n")
+        with caplog.at_level(logging.INFO):
+            assert main(["global", "--config", str(root / "config.ini"),
+                         "--women"]) == EXIT_INPUT
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert errors == [f"persons line {line}: {message}"]
+        assert list((root / "cache").glob("*.gmrp")) == []
 
     @pytest.mark.parametrize("valid, invalid, message", [
         ("\t1769\t", "\t17x9\t",
@@ -1029,6 +1036,63 @@ class TestVectorHeader:
             assert main(args) == EXIT_OK
         assert "does not match" in caplog.text
         assert vector_file.read_bytes() == good
+
+
+    def test_probabilities_not_a_distribution_recomputed(
+            self, tmp_path, monkeypatch, caplog):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        graph = tmp_path / "g.edges"
+        graph.write_text("0 1\n1 2\n2 0\n0 2\n")
+        cache_dir, out = tmp_path / "cache", tmp_path / "a.csv"
+        args = ["rank", str(graph), "--out", str(out)]
+        assert main(args) == EXIT_OK
+        fresh = out.read_bytes()
+        args += ["--cache-dir", str(cache_dir)]
+        assert main(args) == EXIT_OK
+        vector_file = next(cache_dir.glob("*.gmrk"))
+        good = vector_file.read_bytes()
+        vector_file.write_bytes(good[:47] + struct.pack("<dd", np.nan, -0.5)
+                                + good[63:])
+        with caplog.at_level(logging.INFO):
+            assert main(args) == EXIT_OK
+        assert (f"corrupt cache file {vector_file} (probabilities are not a "
+                "positive distribution), recomputing") in caplog.text
+        assert "(pagerank)" not in caplog.text          # no vector hit
+        assert out.read_bytes() == fresh
+        assert vector_file.read_bytes() == good
+
+
+class TestFailedArtifactWrite:
+    def test_writer_failing_mid_file_leaves_nothing(self, tmp_path,
+                                                    monkeypatch, caplog):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        graph = _property_graph(tmp_path / "g.edges")
+        clean, cache_dir = tmp_path / "clean", tmp_path / "cache"
+        out = tmp_path / "o.csv"
+
+        def args(directory):
+            return ["rank", str(graph), "--cache-dir", str(directory),
+                    "--out", str(out)]
+        assert main(args(clean)) == EXIT_OK
+        reference = out.read_bytes()
+        out.unlink()
+        write_graph = cache.write_graph
+
+        def failing(stream, g):
+            stream.write(b"GMRG\x01\x00")
+            raise OSError("no space left on device")
+        monkeypatch.setattr(cache, "write_graph", failing)
+        with caplog.at_level(logging.ERROR):
+            assert main(args(cache_dir)) == EXIT_INPUT
+        assert [r.getMessage() for r in caplog.records
+                if r.levelno >= logging.ERROR] == ["no space left on device"]
+        assert list(cache_dir.iterdir()) == []  # no .gmrg, no temp file
+        assert not out.exists()
+        monkeypatch.setattr(cache, "write_graph", write_graph)
+        assert main(args(cache_dir)) == EXIT_OK
+        assert out.read_bytes() == reference
+        assert ({p.name: p.read_bytes() for p in cache_dir.iterdir()}
+                == {p.name: p.read_bytes() for p in clean.iterdir()})
 
 
 def _count_hashes(monkeypatch):

@@ -2,6 +2,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,24 @@ def test_cache_holds_no_csv_writer():
                if isinstance(node, ast.FunctionDef)
                and node.name.startswith("write_") and node.name.endswith("_csv")]
     assert writers == []
+
+
+@pytest.mark.parametrize("kind", ["graph", "vector", "persons"])
+def test_artifact_codecs_take_the_stream_first(kind):
+    # every kind is written and read through a stream, so no adapter turns
+    # a writer into bytes
+    from gmrank import cache
+    for name in (f"write_{kind}", f"read_{kind}"):
+        parameters = list(inspect.signature(getattr(cache, name)).parameters)
+        assert parameters[0] == "stream", name
+
+
+def test_cache_defines_no_encoder():
+    tree = ast.parse((SOURCE / "cache.py").read_text(encoding="utf-8"))
+    encoders = [node.name for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("encode_")]
+    assert encoders == []
 
 
 def test_cache_does_not_reach_registry():

@@ -126,6 +126,32 @@ class TestLoadPersons:
                            match=r"^persons line 3: birth_year .*'abc'"):
             load_persons(io.StringIO(text))
 
+    @pytest.mark.parametrize("row, message", [
+        ("B\0\tXX\t1800\tmale\tB\n", "a field holds a NUL character"),
+        ("B\tX\0X\t1800\tmale\tB\n", "a field holds a NUL character"),
+        ("B\tXX\t1800\tmale\tB\0B\n", "a field holds a NUL character"),
+        (f"B\tXX\t{2**63}\tmale\tB\n",
+         f"birth_year {2**63} does not fit in 64 bits"),
+        (f"B\tXX\t{-2**63 - 1}\tmale\tB\n",
+         f"birth_year {-2**63 - 1} does not fit in 64 bits"),
+    ], ids=["nul-in-id", "nul-in-country", "nul-in-title", "year-over-int64",
+            "year-under-int64"])
+    def test_row_the_cache_cannot_store_names_line(self, row, message):
+        text = ("person_id\tbirth_country\tbirth_year\tgender\tEN\n"
+                "A\tUS\t1900\tmale\tA\n" + row)
+        with pytest.raises(ValueError) as exc_info:
+            load_persons(io.StringIO(text))
+        assert str(exc_info.value) == f"persons line 3: {message}"
+
+    def test_int64_bounds_are_valid_years(self):
+        text = ("person_id\tbirth_country\tbirth_year\tgender\tEN\n"
+                f"A\tUS\t{2**63 - 1}\tmale\tA\n"
+                f"B\tUS\t{-2**63}\tmale\tB\n")
+        registry = from_artifact(load_persons(io.StringIO(text)),
+                                 default_culture_map())
+        assert registry.get("A").birth_year == 2**63 - 1
+        assert registry.get("B").birth_year == -2**63
+
     def test_error_names_physical_line_after_multiline_title(self):
         # the quoted FR title of A spans lines 2-3, so B's row is line 4
         text = ("person_id\tbirth_country\tbirth_year\tgender\tEN\tFR\n"
@@ -532,9 +558,10 @@ OTHER_MAP = CountryCultureMap({"US": "FR", "FR": "DE", "BE": "ZH", "XX": "JA",
 
 def from_artifact(registry, culture_map):
     """The registry a cache hit builds from ``registry``'s artifact."""
-    blob = cache.encode_persons(*registry.columns())
-    assert blob is not None
-    columns = cache.read_persons(io.BytesIO(blob), EDITION_CODES, GENDERS)
+    buf = io.BytesIO()
+    cache.write_persons(buf, *registry.columns())
+    buf.seek(0)
+    columns = cache.read_persons(buf, EDITION_CODES, GENDERS)
     return PersonRegistry(*columns, culture_map)
 
 
@@ -576,8 +603,10 @@ class TestDuplicateTitleInArtifact:
         ids, fields, editions, titles = load_persons(
             io.StringIO(text)).columns()
         titles = [t if t not in ("X", "Y") else "Same" for t in titles]
-        blob = cache.encode_persons(ids, fields, editions, titles)
-        columns = cache.read_persons(io.BytesIO(blob), EDITION_CODES, GENDERS)
+        buf = io.BytesIO()
+        cache.write_persons(buf, ids, fields, editions, titles)
+        buf.seek(0)
+        columns = cache.read_persons(buf, EDITION_CODES, GENDERS)
         return PersonRegistry(*columns, default_culture_map())
 
     def test_index_build_names_the_duplicate(self):
