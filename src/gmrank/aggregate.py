@@ -7,11 +7,14 @@ are pure; normalized table variants are new objects, never in-place edits.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from typing import IO, Iterable, Mapping, Sequence
 
-from .registry import (EDITION_CODES, PAGERANK_LIST, WORLD, PersonRegistry,
-                       TopList, century_of, check_toplists, _nfc)
+from .registry import (EDITION_CODES, GENDERS, PAGERANK_LIST, WORLD,
+                       PersonRegistry, TopList, appearances, century_of,
+                       check_toplists, _nfc)
 
 GLOBAL = "global"
 LOCAL_HIGH = "local_high"
@@ -148,41 +151,30 @@ def _edition_rows(toplists: Sequence[TopList]) -> tuple[str, ...]:
     return tuple(c for c in EDITION_CODES if c in present)
 
 
+def _table(axis: str, toplists: Sequence[TopList],
+           counts: Counter) -> DistributionTable:
+    """Raw ``(edition, column)`` counts, one row per edition with a list."""
+    return DistributionTable(
+        axis=axis, row_keys=_edition_rows(toplists),
+        col_keys=tuple(sorted({col for _, col in counts})),
+        cells={key: float(n) for key, n in counts.items()})
+
+
 def spatial_distribution(toplists: Sequence[TopList],
                          registry: PersonRegistry) -> DistributionTable:
     """Raw birth-country counts per edition (rows) and country (columns)."""
-    check_toplists(toplists)
-    cells: dict[tuple, float] = {}
-    countries: set[str] = set()
-    for toplist in toplists:
-        for person_id, _ in toplist.entries:
-            country = registry.get(person_id).birth_country
-            countries.add(country)
-            key = (toplist.edition, country)
-            cells[key] = cells.get(key, 0.0) + 1.0
-    return DistributionTable(
-        axis="country", row_keys=_edition_rows(toplists),
-        col_keys=tuple(sorted(countries)), cells=cells)
+    return _table("country", toplists, Counter(
+        (edition, person.birth_country)
+        for edition, person in appearances(toplists, registry)))
 
 
 def temporal_distribution(toplists: Sequence[TopList],
                           registry: PersonRegistry) -> DistributionTable:
     """Raw birth-century counts per edition; unknown birth years are skipped."""
-    check_toplists(toplists)
-    cells: dict[tuple, float] = {}
-    centuries: set[int] = set()
-    for toplist in toplists:
-        for person_id, _ in toplist.entries:
-            year = registry.get(person_id).birth_year
-            if year is None:
-                continue
-            century = century_of(year)
-            centuries.add(century)
-            key = (toplist.edition, century)
-            cells[key] = cells.get(key, 0.0) + 1.0
-    return DistributionTable(
-        axis="century", row_keys=_edition_rows(toplists),
-        col_keys=tuple(sorted(centuries)), cells=cells)
+    return _table("century", toplists, Counter(
+        (edition, century_of(person.birth_year))
+        for edition, person in appearances(toplists, registry)
+        if person.birth_year is not None))
 
 
 @dataclass(frozen=True)
@@ -204,33 +196,20 @@ class LocalityRatios:
 def locality_ratio(toplists: Sequence[TopList],
                    registry: PersonRegistry) -> LocalityRatios:
     """r = M/N per (edition, century): M own-language figures, N all figures."""
-    check_toplists(toplists)
     totals: dict[tuple[str, int], int] = {}
     own: dict[tuple[str, int], int] = {}
-    centuries: set[int] = set()
-    for toplist in toplists:
-        for person_id, _ in toplist.entries:
-            person = registry.get(person_id)
-            if person.birth_year is None:
-                continue
-            century = century_of(person.birth_year)
-            centuries.add(century)
-            key = (toplist.edition, century)
-            totals[key] = totals.get(key, 0) + 1
-            if person.culture == toplist.edition:
-                own[key] = own.get(key, 0) + 1
+    for edition, person in appearances(toplists, registry):
+        if person.birth_year is None:
+            continue
+        key = (edition, century_of(person.birth_year))
+        totals[key] = totals.get(key, 0) + 1
+        if person.culture == edition:
+            own[key] = own.get(key, 0) + 1
     editions = _edition_rows(toplists)
-    ordered_centuries = tuple(sorted(centuries))
-    cells: dict[tuple[str, int], float | None] = {}
-    for edition in editions:
-        for century in ordered_centuries:
-            n = totals.get((edition, century), 0)
-            if n == 0:
-                cells[(edition, century)] = None
-            else:
-                cells[(edition, century)] = own.get((edition, century), 0) / n
-    return LocalityRatios(editions=editions, centuries=ordered_centuries,
-                          cells=cells)
+    centuries = tuple(sorted({century for _, century in totals}))
+    cells = {key: own.get(key, 0) / totals[key] if key in totals else None
+             for key in product(editions, centuries)}
+    return LocalityRatios(editions=editions, centuries=centuries, cells=cells)
 
 
 @dataclass(frozen=True)
@@ -241,8 +220,6 @@ class GenderDistribution:
     male_counts: Mapping[str, int]
     unknown_counts: Mapping[str, int]
     mean_female_count: float
-    century_female: Mapping[int, int]
-    century_male: Mapping[int, int]
     century_ratio: Mapping[int, float | None]
 
 
@@ -254,38 +231,24 @@ def gender_distribution(toplists: Sequence[TopList],
     gender are counted separately and excluded from ratios, persons of
     unknown birth year are excluded from the per-century tallies.
     """
-    check_toplists(toplists)
     editions = _edition_rows(toplists)
-    female = {e: 0 for e in editions}
-    male = {e: 0 for e in editions}
-    unknown = {e: 0 for e in editions}
-    century_female: dict[int, int] = {}
-    century_male: dict[int, int] = {}
-    for toplist in toplists:
-        for person_id, _ in toplist.entries:
-            person = registry.get(person_id)
-            if person.gender == "female":
-                female[toplist.edition] += 1
-            elif person.gender == "male":
-                male[toplist.edition] += 1
-            else:
-                unknown[toplist.edition] += 1
-            if person.birth_year is None or person.gender == "unknown":
-                continue
-            century = century_of(person.birth_year)
-            bucket = century_female if person.gender == "female" else century_male
-            bucket[century] = bucket.get(century, 0) + 1
-    centuries = sorted(set(century_female) | set(century_male))
-    ratio: dict[int, float | None] = {}
-    for century in centuries:
-        f = century_female.get(century, 0)
-        m = century_male.get(century, 0)
-        ratio[century] = f / (f + m) if f + m else None
+    counts = {gender: dict.fromkeys(editions, 0) for gender in GENDERS}
+    by_century: dict[tuple[int, str], int] = {}
+    for edition, person in appearances(toplists, registry):
+        counts[person.gender][edition] += 1
+        if person.birth_year is not None and person.gender != "unknown":
+            key = (century_of(person.birth_year), person.gender)
+            by_century[key] = by_century.get(key, 0) + 1
+    ratio: dict[int, float] = {}
+    for century in sorted({century for century, _ in by_century}):
+        f = by_century.get((century, "female"), 0)
+        ratio[century] = f / (f + by_century.get((century, "male"), 0))
+    female = counts["female"]
     mean_female = sum(female.values()) / len(editions) if editions else 0.0
     return GenderDistribution(
-        female_counts=female, male_counts=male, unknown_counts=unknown,
-        mean_female_count=mean_female, century_female=century_female,
-        century_male=century_male, century_ratio=ratio)
+        female_counts=female, male_counts=counts["male"],
+        unknown_counts=counts["unknown"], mean_female_count=mean_female,
+        century_ratio=ratio)
 
 
 def overlap(list_a: Iterable[str], list_b: Iterable[str]) -> int:
@@ -330,11 +293,10 @@ def language_representation(registry: PersonRegistry,
     for entry in global_ranking(toplists)[:top_n]:
         culture = registry.get(entry.person_id).culture
         global_counts[culture] = global_counts.get(culture, 0) + 1
-    own_counts: dict[str, int] = {}
-    for toplist in toplists:
-        own_counts[toplist.edition] = sum(
-            1 for person_id, _ in toplist.entries
-            if registry.get(person_id).culture == toplist.edition)
+    own_counts = dict.fromkeys((t.edition for t in toplists), 0)
+    for edition, person in appearances(toplists, registry):
+        if person.culture == edition:
+            own_counts[edition] += 1
     # global_ranking has checked that the lists share one algorithm
     pagerank = toplists[0].algorithm == PAGERANK_LIST
 

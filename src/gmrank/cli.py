@@ -300,11 +300,17 @@ def _extract_toplist(config: PipelineConfig, registry: PersonRegistry,
     return path
 
 
-def cmd_top_people(args: argparse.Namespace) -> int:
+def _configured(args: argparse.Namespace
+                ) -> tuple[PipelineConfig, PersonRegistry]:
+    """The validated config, flags applied, and its persons registry."""
     config = load_config(args.config)
     _apply_overrides(config, args)
     config.validate()
-    registry = _load_registry(config)
+    return config, _load_registry(config)
+
+
+def cmd_top_people(args: argparse.Namespace) -> int:
+    config, registry = _configured(args)
     if args.all:
         codes = [code for code, _ in config.editions]
     else:
@@ -341,10 +347,7 @@ def _read_toplists(config: PipelineConfig, registry: PersonRegistry,
 
 
 def cmd_global(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, args)
-    config.validate()
-    registry = _load_registry(config)
+    config, registry = _configured(args)
     algorithm = args.algorithm
     toplists = _read_toplists(config, registry, algorithm)
     out = config.output_dir
@@ -407,10 +410,7 @@ def cmd_global(args: argparse.Namespace) -> int:
 
 
 def cmd_culture(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    _apply_overrides(config, args)
-    config.validate()
-    registry = _load_registry(config)
+    config, registry = _configured(args)
     algorithm = args.algorithm
     toplists = _read_toplists(config, registry, algorithm)
 

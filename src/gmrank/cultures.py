@@ -16,7 +16,7 @@ import numpy as np
 
 from .rank import dense_stationary, google_matrix, rank_indices, two_d_rank
 from .registry import (EDITION_CODES, WORLD, PersonRegistry, TopList,
-                       century_of, check_toplists)
+                       appearances, century_of)
 
 CULTURE_CODES: tuple[str, ...] = tuple(sorted(EDITION_CODES + (WORLD,)))
 CULTURE_INDEX: Mapping[str, int] = {c: i for i, c in enumerate(CULTURE_CODES)}
@@ -49,31 +49,27 @@ def build_culture_network(toplists: Sequence[TopList],
     (persons of unknown birth year never pass the filter).  When ``editions``
     is given, every listed edition must have a top list.
     """
-    check_toplists(toplists)
-    by_edition = {toplist.edition: toplist for toplist in toplists}
+    pairs = appearances(toplists, registry)
     if editions is not None:
-        missing = [e for e in editions if e not in by_edition]
+        present = {toplist.edition for toplist in toplists}
+        missing = [e for e in editions if e not in present]
         if missing:
             raise ValueError(f"no top list for edition(s): {', '.join(missing)}")
 
     weights = np.zeros((N_CULTURES, N_CULTURES), dtype=np.int64)
     own = np.zeros(N_CULTURES, dtype=np.int64)
     size = np.zeros(N_CULTURES, dtype=np.int64)
-    for edition, toplist in by_edition.items():
+    for edition, person in pairs:
+        if before_century is not None and (
+                person.birth_year is None
+                or century_of(person.birth_year) >= before_century):
+            continue
         a = CULTURE_INDEX[edition]
-        for person_id, _ in toplist.entries:
-            person = registry.get(person_id)
-            if before_century is not None:
-                if person.birth_year is None:
-                    continue
-                if century_of(person.birth_year) >= before_century:
-                    continue
-            size[a] += 1
-            culture = person.culture
-            if culture == edition:
-                own[a] += 1
-            else:
-                weights[a, CULTURE_INDEX[culture]] += 1
+        size[a] += 1
+        if person.culture == edition:
+            own[a] += 1
+        else:
+            weights[a, CULTURE_INDEX[person.culture]] += 1
     return CultureNetwork(weights=weights, own_count=own, list_size=size,
                           before_century=before_century)
 

@@ -13,7 +13,7 @@ Edge-list files are UTF-8 text, one ``source target`` pair per line,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -227,11 +227,4 @@ def reverse(g: DirectedGraph) -> DirectedGraph:
     src, tgt = g.edge_arrays()
     rev = DirectedGraph.from_edges(g.node_count, tgt, src, labels=g.labels)
     # carry load-time bookkeeping so reverse(reverse(g)) is indistinguishable
-    return DirectedGraph(
-        node_count=rev.node_count,
-        in_indptr=rev.in_indptr,
-        in_sources=rev.in_sources,
-        out_degree=rev.out_degree,
-        labels=rev.labels,
-        self_loops_removed=g.self_loops_removed,
-    )
+    return replace(rev, self_loops_removed=g.self_loops_removed)

@@ -111,6 +111,21 @@ def world(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def global_run(world):
+    """``global --women`` run once, for the tests that read its outputs."""
+    assert main(["global", "--config", str(world / "config.ini"),
+                 "--women"]) == EXIT_OK
+
+
+@pytest.fixture(scope="module")
+def culture_runs(world):
+    """``culture`` run once plain and once before century 19."""
+    for extra in ([], ["--before-century", "19"]):
+        assert main(["culture", "--config", str(world / "config.ini"),
+                     *extra]) == EXIT_OK
+
+
 def read_csv(path):
     with open(path, encoding="utf-8") as f:
         return list(csv.DictReader(f))
@@ -403,17 +418,20 @@ class TestGlobal:
         assert rows[0]["person_id"] == "Napoleon"
         assert int(rows[0]["theta"]) == 100 + 100 + 99
 
+    @pytest.mark.usefixtures("global_run")
     def test_women_variant(self, world):
         rows = read_csv(world / "out" / "pagerank_global_ranking_female.csv")
         ids = [r["person_id"] for r in rows]
         assert set(ids) == {"Marie_Curie", "Ada_Lovelace"}
 
+    @pytest.mark.usefixtures("global_run")
     def test_distribution_files_written(self, world):
         for name in ("spatial_distribution", "temporal_distribution",
                      "locality_ratio", "gender_distribution",
                      "language_counts", "culture_top10"):
             assert (world / "out" / f"pagerank_{name}.csv").is_file()
 
+    @pytest.mark.usefixtures("global_run")
     def test_spatial_conservation_in_emitted_file(self, world):
         rows = read_csv(world / "out" / "pagerank_spatial_distribution.csv")
         raw = [r for r in rows if r["normalization"] == "raw"]
@@ -442,6 +460,7 @@ class TestGlobal:
         assert code == EXIT_INPUT
         assert "EN" in caplog.text
 
+    @pytest.mark.usefixtures("global_run")
     def test_rerun_byte_identical(self, world):
         target = world / "out" / "pagerank_global_ranking.csv"
         before = target.read_bytes()
@@ -490,6 +509,7 @@ class TestCulture:
             outgoing = sum(w for (a, _), w in got.items() if a == code)
             assert outgoing + own.get(code, 0) == len(PLANT[code])
 
+    @pytest.mark.usefixtures("culture_runs")
     def test_matrix_columns_sum_to_one(self, world):
         with open(world / "out" / "pagerank_culture_matrix.csv",
                   encoding="utf-8") as f:
@@ -498,6 +518,7 @@ class TestCulture:
         for j in range(25):
             assert sum(row[j] for row in matrix) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.usefixtures("culture_runs")
     def test_century_filter_changes_tallies(self, world):
         assert main(["culture", "--config", str(world / "config.ini"),
                      "--before-century", "19"]) == EXIT_OK
@@ -509,6 +530,7 @@ class TestCulture:
         assert total_filtered < total_unfiltered
         assert all(int(r["weight"]) > 0 for r in filtered)
 
+    @pytest.mark.usefixtures("culture_runs")
     def test_ranks_file_structure(self, world):
         rows = read_csv(world / "out" / "pagerank_culture_ranks.csv")
         assert len(rows) == 25

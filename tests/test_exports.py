@@ -114,3 +114,18 @@ def test_tracer_hooks_outside_traced_exist():
     assert callable(graph.DirectedGraph.from_edges.__func__)
     assert callable(tableio.atomic_write)
     assert callable(registry.Person.title_in)
+
+
+def entries_readers(module):
+    """Top-level definitions of ``module`` that read an ``.entries`` attribute."""
+    tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+    return {getattr(node, "name", "<module>") for node in tree.body
+            if any(isinstance(n, ast.Attribute) and n.attr == "entries"
+                   for n in ast.walk(node))}
+
+
+def test_tables_walk_top_lists_through_appearances():
+    # every per-person tally reads the lists through registry.appearances;
+    # only the two rank readers keep their own loops over list entries
+    assert entries_readers("aggregate") == {"global_ranking", "theta_score"}
+    assert entries_readers("cultures") == set()
