@@ -19,6 +19,8 @@ from .registry import (EDITION_CODES, GENDERS, PAGERANK_LIST, WORLD,
 GLOBAL = "global"
 LOCAL_HIGH = "local_high"
 LOCAL_LOW = "local_low"
+NA_MIN = 18        # editions a global figure appears in, at least
+K_MAX = 50.0       # mean rank of a global or locally-high figure, at most
 
 
 @dataclass(frozen=True)
@@ -33,9 +35,8 @@ class GlobalEntry:
 
 @dataclass(frozen=True)
 class DistributionTable:
-    """Sparse (row, column) table; rows are editions, columns the named axis."""
+    """Sparse (row, column) table; rows are editions, columns e.g. countries."""
 
-    axis: str                                   # "country" | "century" | ...
     row_keys: tuple
     col_keys: tuple
     cells: Mapping[tuple, float]
@@ -53,8 +54,8 @@ def column_normalize(table: DistributionTable) -> DistributionTable:
         if totals[c] > 0
     }
     return DistributionTable(
-        axis=table.axis, row_keys=table.row_keys, col_keys=table.col_keys,
-        cells=cells, normalization="column-normalized")
+        row_keys=table.row_keys, col_keys=table.col_keys, cells=cells,
+        normalization="column-normalized")
 
 
 def edition_average(table: DistributionTable) -> DistributionTable:
@@ -65,8 +66,8 @@ def edition_average(table: DistributionTable) -> DistributionTable:
         cells[("average", c)] = cells.get(("average", c), 0.0) + v
     cells = {k: v / n_rows for k, v in cells.items()}
     return DistributionTable(
-        axis=table.axis, row_keys=("average",), col_keys=table.col_keys,
-        cells=cells, normalization="edition-averaged")
+        row_keys=("average",), col_keys=table.col_keys, cells=cells,
+        normalization="edition-averaged")
 
 
 def _global_entry(person_id: str, ranks: Sequence[int]) -> GlobalEntry:
@@ -128,19 +129,18 @@ def per_culture_top(entries: Sequence[GlobalEntry], registry: PersonRegistry,
     return slices
 
 
-def classify_figures(entries: Sequence[GlobalEntry], na_min: int = 18,
-                     k_max: float = 50.0) -> dict[str, str]:
+def classify_figures(entries: Sequence[GlobalEntry]) -> dict[str, str]:
     """Split persons into global / locally-high / locally-low classes.
 
-    Global means appearing in at least ``na_min`` editions with mean rank
-    at most ``k_max``; locally-high misses the appearance bar but keeps the
+    Global means appearing in at least ``NA_MIN`` editions with mean rank
+    at most ``K_MAX``; locally-high misses the appearance bar but keeps the
     rank bar; everything else is locally-low.
     """
     classes: dict[str, str] = {}
     for entry in entries:
-        if entry.mean_rank <= k_max:
+        if entry.mean_rank <= K_MAX:
             classes[entry.person_id] = (
-                GLOBAL if entry.n_appear >= na_min else LOCAL_HIGH)
+                GLOBAL if entry.n_appear >= NA_MIN else LOCAL_HIGH)
         else:
             classes[entry.person_id] = LOCAL_LOW
     return classes
@@ -151,11 +151,10 @@ def _edition_rows(toplists: Sequence[TopList]) -> tuple[str, ...]:
     return tuple(c for c in EDITION_CODES if c in present)
 
 
-def _table(axis: str, toplists: Sequence[TopList],
-           counts: Counter) -> DistributionTable:
+def _table(toplists: Sequence[TopList], counts: Counter) -> DistributionTable:
     """Raw ``(edition, column)`` counts, one row per edition with a list."""
     return DistributionTable(
-        axis=axis, row_keys=_edition_rows(toplists),
+        row_keys=_edition_rows(toplists),
         col_keys=tuple(sorted({col for _, col in counts})),
         cells={key: float(n) for key, n in counts.items()})
 
@@ -163,7 +162,7 @@ def _table(axis: str, toplists: Sequence[TopList],
 def spatial_distribution(toplists: Sequence[TopList],
                          registry: PersonRegistry) -> DistributionTable:
     """Raw birth-country counts per edition (rows) and country (columns)."""
-    return _table("country", toplists, Counter(
+    return _table(toplists, Counter(
         (edition, person.birth_country)
         for edition, person in appearances(toplists, registry)))
 
@@ -171,7 +170,7 @@ def spatial_distribution(toplists: Sequence[TopList],
 def temporal_distribution(toplists: Sequence[TopList],
                           registry: PersonRegistry) -> DistributionTable:
     """Raw birth-century counts per edition; unknown birth years are skipped."""
-    return _table("century", toplists, Counter(
+    return _table(toplists, Counter(
         (edition, century_of(person.birth_year))
         for edition, person in appearances(toplists, registry)
         if person.birth_year is not None))
@@ -220,7 +219,7 @@ class GenderDistribution:
     male_counts: Mapping[str, int]
     unknown_counts: Mapping[str, int]
     mean_female_count: float
-    century_ratio: Mapping[int, float | None]
+    century_ratio: Mapping[int, float]
 
 
 def gender_distribution(toplists: Sequence[TopList],
@@ -251,9 +250,11 @@ def gender_distribution(toplists: Sequence[TopList],
         century_ratio=ratio)
 
 
-def overlap(list_a: Iterable[str], list_b: Iterable[str]) -> int:
-    """Number of shared person ids."""
-    return len(set(list_a) & set(list_b))
+def overlap(list_a: Iterable, list_b: Iterable) -> int:
+    """Number of shared person or node ids; strings are compared in NFC."""
+    def nfc(items: Iterable) -> set:
+        return {_nfc(i) if isinstance(i, str) else i for i in items}
+    return len(nfc(list_a) & nfc(list_b))
 
 
 def load_reference_list(stream: IO[str] | Iterable[str]) -> list[str]:
@@ -280,24 +281,26 @@ class LanguageCounts:
 
 def language_representation(registry: PersonRegistry,
                             toplists: Sequence[TopList],
-                            top_n: int = 100) -> list[LanguageCounts]:
+                            top: Sequence[GlobalEntry]) -> list[LanguageCounts]:
     """Per-language counts of own-culture figures (one row per language + WR).
 
-    How many figures of each language's culture sit in the global top
-    ``top_n`` of ``toplists``, and how many sit in that language's own
-    edition list.  The lists' algorithm picks the columns: n1/n2 for
-    pagerank, n3/n4 for 2drank; the other pair is None, as are the counts
-    of an edition without a list.  WR has no edition of its own.
+    How many figures of each language's culture sit in ``top``, the head
+    of the :func:`global_ranking` of ``toplists``, and how many sit in that
+    language's own edition list.  The lists' algorithm picks the columns:
+    n1/n2 for pagerank, n3/n4 for 2drank; the other pair is None, as are
+    the counts of an edition without a list.  WR has no edition of its own.
     """
-    global_counts: dict[str, int] = {}
-    for entry in global_ranking(toplists)[:top_n]:
-        culture = registry.get(entry.person_id).culture
-        global_counts[culture] = global_counts.get(culture, 0) + 1
+    if not toplists:
+        raise ValueError("at least one top list is required")
     own_counts = dict.fromkeys((t.edition for t in toplists), 0)
     for edition, person in appearances(toplists, registry):
         if person.culture == edition:
             own_counts[edition] += 1
-    # global_ranking has checked that the lists share one algorithm
+    global_counts: dict[str, int] = {}
+    for entry in top:
+        culture = registry.get(entry.person_id).culture
+        global_counts[culture] = global_counts.get(culture, 0) + 1
+    # appearances has checked that the lists share one algorithm
     pagerank = toplists[0].algorithm == PAGERANK_LIST
 
     rows = []

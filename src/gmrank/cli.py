@@ -43,7 +43,7 @@ class PipelineConfig:
     tol: float = 1e-10
     max_iter: int = 1000
     top_n: int = 100
-    editions: list[tuple[str, Path]] = field(default_factory=list)
+    editions: dict[str, Path] = field(default_factory=dict)    # config order
     persons_path: Path | None = None
     culture_map_path: Path | None = None
     output_dir: Path = Path("out")
@@ -60,10 +60,7 @@ class PipelineConfig:
             raise ConfigError(f"top_n must be in [1, 100], got {self.top_n}")
         if self.before_century == 0:
             raise ConfigError("there is no century 0")
-        codes = [c for c, _ in self.editions]
-        if len(set(codes)) != len(codes):
-            raise ConfigError("duplicate edition codes in configuration")
-        for code, path in self.editions:
+        for code, path in self.editions.items():
             if code not in EDITION_CODES:
                 raise ConfigError(f"unknown edition code {code!r}")
             if not path.is_file():
@@ -74,12 +71,6 @@ class PipelineConfig:
                 and not self.culture_map_path.is_file()):
             raise ConfigError(
                 f"culture map file not found: {self.culture_map_path}")
-
-    def edition_path(self, code: str) -> Path:
-        for c, path in self.editions:
-            if c == code:
-                return path
-        raise ConfigError(f"edition {code!r} is not configured")
 
 
 _SCALAR_KEYS = {
@@ -118,7 +109,11 @@ def load_config(path: str | Path) -> PipelineConfig:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if section == "editions":
-            config.editions.append((key.upper(), base / value))
+            code = key.upper()
+            if code in config.editions:
+                raise ConfigError(
+                    f"config line {line_no}: duplicate edition {code}")
+            config.editions[code] = base / value
         elif key in _SCALAR_KEYS:
             try:
                 setattr(config, key, _SCALAR_KEYS[key](value))
@@ -134,14 +129,10 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> None:
-    for key in ("alpha", "tol", "max_iter", "top_n", "before_century"):
+    for key in (*_SCALAR_KEYS, "output_dir", "cache_dir"):
         value = getattr(args, key, None)
         if value is not None:
-            setattr(config, key, value)
-    if getattr(args, "output_dir", None) is not None:
-        config.output_dir = Path(args.output_dir)
-    if getattr(args, "cache_dir", None) is not None:
-        config.cache_dir = Path(args.cache_dir)
+            setattr(config, key, _SCALAR_KEYS.get(key, Path)(value))
     env_cache = os.environ.get(CACHE_ENV)
     if env_cache:
         config.cache_dir = Path(env_cache)
@@ -284,9 +275,9 @@ def _toplist_path(config: PipelineConfig, edition: str, algorithm: str) -> Path:
 
 
 def _extract_toplist(config: PipelineConfig, registry: PersonRegistry,
-                     edition: str, algorithm: str) -> Path:
+                     edition: str, algorithm: str) -> None:
     g, _, ranks = _rank_edge_list(
-        config.edition_path(edition), algorithm, config, STRING_LABELS,
+        config.editions[edition], algorithm, config, STRING_LABELS,
         drop_self_loops=True,
         empty_error=f"edition {edition}: graph has no labeled nodes")
     toplist = select_top_people(ranks[algorithm], g.labels, registry, edition,
@@ -297,7 +288,6 @@ def _extract_toplist(config: PipelineConfig, registry: PersonRegistry,
     with tableio.atomic_write(path) as f:
         tableio.write_toplist_csv(f, toplist, registry)
     log.info("wrote %s (%d persons)", path, len(toplist))
-    return path
 
 
 def _configured(args: argparse.Namespace
@@ -312,11 +302,13 @@ def _configured(args: argparse.Namespace
 def cmd_top_people(args: argparse.Namespace) -> int:
     config, registry = _configured(args)
     if args.all:
-        codes = [code for code, _ in config.editions]
+        codes = list(config.editions)
+    elif not args.edition:
+        raise ConfigError("pass --edition CODE or --all")
     else:
-        if not args.edition:
-            raise ConfigError("pass --edition CODE or --all")
         codes = [args.edition.upper()]
+        if codes[0] not in config.editions:
+            raise ConfigError(f"edition {codes[0]!r} is not configured")
     for code in codes:
         _extract_toplist(config, registry, code, args.algorithm)
     return EXIT_OK
@@ -326,7 +318,7 @@ def _read_toplists(config: PipelineConfig, registry: PersonRegistry,
                    algorithm: str) -> list:
     """Every configured edition's top list; each person must be registered."""
     toplists = []
-    for code, _ in config.editions:
+    for code in config.editions:
         path = _toplist_path(config, code, algorithm)
         if not path.is_file():
             raise ConfigError(
@@ -353,6 +345,7 @@ def cmd_global(args: argparse.Namespace) -> int:
     out = config.output_dir
 
     entries = aggregate.global_ranking(toplists)
+    top100 = entries[:100]
     classes = aggregate.classify_figures(entries)
     with tableio.atomic_write(out / f"{algorithm}_global_ranking.csv") as f:
         tableio.write_global_csv(f, entries, classes, registry)
@@ -367,17 +360,14 @@ def cmd_global(args: argparse.Namespace) -> int:
     with tableio.atomic_write(out / f"{algorithm}_culture_top10.csv") as f:
         tableio.write_culture_slices_csv(f, slices)
 
-    spatial = aggregate.spatial_distribution(toplists, registry)
-    with tableio.atomic_write(out / f"{algorithm}_spatial_distribution.csv") as f:
-        tableio.write_distribution_csv(f, [
-            spatial, aggregate.column_normalize(spatial),
-            aggregate.edition_average(spatial)])
-
-    temporal = aggregate.temporal_distribution(toplists, registry)
-    with tableio.atomic_write(out / f"{algorithm}_temporal_distribution.csv") as f:
-        tableio.write_distribution_csv(f, [
-            temporal, aggregate.column_normalize(temporal),
-            aggregate.edition_average(temporal)])
+    for name, tabulate in (("spatial", aggregate.spatial_distribution),
+                           ("temporal", aggregate.temporal_distribution)):
+        table = tabulate(toplists, registry)
+        with tableio.atomic_write(
+                out / f"{algorithm}_{name}_distribution.csv") as f:
+            tableio.write_distribution_csv(f, [
+                table, aggregate.column_normalize(table),
+                aggregate.edition_average(table)])
 
     locality = aggregate.locality_ratio(toplists, registry)
     with tableio.atomic_write(out / f"{algorithm}_locality_ratio.csv") as f:
@@ -387,20 +377,20 @@ def cmd_global(args: argparse.Namespace) -> int:
     with tableio.atomic_write(out / f"{algorithm}_gender_distribution.csv") as f:
         tableio.write_gender_csv(f, gender)
 
-    counts = aggregate.language_representation(registry, toplists)
+    counts = aggregate.language_representation(registry, toplists, top100)
     with tableio.atomic_write(out / f"{algorithm}_language_counts.csv") as f:
         tableio.write_language_counts_csv(f, counts)
 
     if args.reference:
         with open(args.reference, encoding="utf-8") as f:
             reference = aggregate.load_reference_list(f)
-        top100 = [e.person_id for e in entries[:100]]
         report = {
             "algorithm": algorithm,
             "reference": Path(args.reference).name,
             "reference_size": len(set(reference)),
             "list_size": len(top100),
-            "overlap": aggregate.overlap(top100, reference),
+            "overlap": aggregate.overlap(
+                [e.person_id for e in top100], reference),
         }
         with tableio.atomic_write(out / f"{algorithm}_overlap_report.json") as f:
             tableio.write_overlap_json(f, report)
@@ -416,8 +406,7 @@ def cmd_culture(args: argparse.Namespace) -> int:
 
     net = cultures.build_culture_network(
         toplists, registry, before_century=config.before_century,
-        editions=[code for code, _ in config.editions])
-    matrix = cultures.culture_google_matrix(net, config.alpha)
+        editions=list(config.editions))
     ranks = cultures.culture_ranks(net, config.alpha)
 
     suffix = (f"_before{config.before_century}"
@@ -431,7 +420,8 @@ def cmd_culture(args: argparse.Namespace) -> int:
         tableio.write_culture_ranks_csv(f, ranks)
     with tableio.atomic_write(
             out / f"{algorithm}_culture_matrix{suffix}.csv") as f:
-        tableio.write_culture_matrix_csv(f, matrix, ranks.pagerank_ordering)
+        tableio.write_culture_matrix_csv(f, ranks.matrix,
+                                         ranks.pagerank_ordering)
     log.info("culture outputs written to %s", out)
     return EXIT_OK
 

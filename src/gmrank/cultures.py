@@ -36,7 +36,6 @@ class CultureNetwork:
     weights: np.ndarray          # (25, 25) int64, zero diagonal
     own_count: np.ndarray        # (25,) int64
     list_size: np.ndarray        # (25,) int64, filtered entries per edition
-    before_century: int | None = None
 
 
 def build_culture_network(toplists: Sequence[TopList],
@@ -70,8 +69,7 @@ def build_culture_network(toplists: Sequence[TopList],
             own[a] += 1
         else:
             weights[a, CULTURE_INDEX[person.culture]] += 1
-    return CultureNetwork(weights=weights, own_count=own, list_size=size,
-                          before_century=before_century)
+    return CultureNetwork(weights=weights, own_count=own, list_size=size)
 
 
 def culture_google_matrix(net: CultureNetwork, alpha: float = 0.85) -> np.ndarray:
@@ -90,7 +88,7 @@ class CultureRanks:
     kstar: np.ndarray            # 1-based CheiRank index per culture
     kprime: np.ndarray           # max(k, kstar)
     pagerank_ordering: np.ndarray
-    twod_ordering: np.ndarray
+    matrix: np.ndarray           # (25, 25) Google matrix pagerank_probs solves
 
 
 def culture_ranks(net: CultureNetwork, alpha: float = 0.85) -> CultureRanks:
@@ -103,7 +101,8 @@ def culture_ranks(net: CultureNetwork, alpha: float = 0.85) -> CultureRanks:
     probability gap at N = 25, far above the 1e-14 iteration tolerance) so
     exact symmetries yield exact ties; reported probabilities stay raw.
     """
-    forward = dense_stationary(culture_google_matrix(net, alpha))
+    matrix = culture_google_matrix(net, alpha)
+    forward = dense_stationary(matrix)
     backward = dense_stationary(google_matrix(net.weights.T, alpha))
     kp = rank_indices(np.round(forward.probabilities, 12))
     kc = rank_indices(np.round(backward.probabilities, 12))
@@ -113,7 +112,7 @@ def culture_ranks(net: CultureNetwork, alpha: float = 0.85) -> CultureRanks:
         pagerank_probs=forward.probabilities,
         cheirank_probs=backward.probabilities,
         k=kp.position, kstar=kc.position, kprime=twod.kprime,
-        pagerank_ordering=kp.ordering, twod_ordering=twod.ordering)
+        pagerank_ordering=kp.ordering, matrix=matrix)
 
 
 def export_matrix_by_rank(matrix: np.ndarray, ordering: np.ndarray) -> np.ndarray:

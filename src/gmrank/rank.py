@@ -293,8 +293,7 @@ def dense_google_matrix(g: DirectedGraph, alpha: float = 0.85) -> np.ndarray:
 
 
 def dense_stationary(matrix: np.ndarray, tol: float = 1e-14,
-                     max_iter: int = 100_000,
-                     algorithm: str = PAGERANK) -> RankVector:
+                     max_iter: int = 100_000) -> RankVector:
     """Principal eigenvector (eigenvalue 1) of a column-stochastic matrix.
 
     Dense power iteration to ``tol`` in L1; the oracle for the sparse path.
@@ -317,7 +316,7 @@ def dense_stationary(matrix: np.ndarray, tol: float = 1e-14,
         p = new_p
         if residual <= tol:
             p /= p.sum()
-            return RankVector(p, algorithm, iteration, residual)
+            return RankVector(p, PAGERANK, iteration, residual)
     raise ConvergenceError(
         f"dense iteration stalled at residual {residual:.3e}",
         vector=p, residual=residual, iterations=max_iter)

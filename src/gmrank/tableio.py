@@ -51,13 +51,21 @@ def _century_field(year: int | None) -> str:
 
 # -- rank orderings ----------------------------------------------------------
 
+def _label_field(label: str) -> str:
+    """``label`` as a CSV field.  Labels hold no whitespace, so only one
+    holding ``,`` or ``"`` is quoted."""
+    if "," in label or '"' in label:
+        return '"' + label.replace('"', '""') + '"'
+    return label
+
+
 def write_rank_csv(stream: IO[str], vector: RankVector, index: RankIndex,
                    labels: tuple[str, ...] | None = None) -> None:
     """Rows ``node_id,label,probability,rank`` in rank order."""
     stream.write("node_id,label,probability,rank\n")
     probs = vector.probabilities
     for rank, node in enumerate(index.ordering.tolist(), start=1):
-        label = labels[node] if labels is not None else ""
+        label = _label_field(labels[node]) if labels is not None else ""
         stream.write(f"{node},{label},{float(probs[node])!r},{rank}\n")
 
 
@@ -67,7 +75,7 @@ def write_two_d_rank_csv(stream: IO[str], kp: RankIndex, kc: RankIndex,
     """Rows ``node_id,label,k,kstar,kprime`` in 2DRank order."""
     stream.write("node_id,label,k,kstar,kprime\n")
     for node in result.ordering.tolist():
-        label = labels[node] if labels is not None else ""
+        label = _label_field(labels[node]) if labels is not None else ""
         stream.write(f"{node},{label},{kp.position[node]},"
                      f"{kc.position[node]},{result.kprime[node]}\n")
 
@@ -199,9 +207,8 @@ def write_gender_csv(stream: IO[str], dist: GenderDistribution) -> None:
     writer.writerow(("mean", "female", _fmt(dist.mean_female_count),
                      "edition-averaged"))
     for century in sorted(dist.century_ratio):
-        ratio = dist.century_ratio[century]
         writer.writerow((century, "female_ratio",
-                         "" if ratio is None else _fmt(ratio), "pooled"))
+                         _fmt(dist.century_ratio[century]), "pooled"))
 
 
 def write_language_counts_csv(stream: IO[str],
@@ -209,11 +216,7 @@ def write_language_counts_csv(stream: IO[str],
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(("language", "n1", "n2", "n3", "n4"))
     for row in rows:
-        writer.writerow((row.language,
-                         "" if row.n1 is None else row.n1,
-                         "" if row.n2 is None else row.n2,
-                         "" if row.n3 is None else row.n3,
-                         "" if row.n4 is None else row.n4))
+        writer.writerow((row.language, row.n1, row.n2, row.n3, row.n4))
 
 
 def write_overlap_json(stream: IO[str], report: dict) -> None:

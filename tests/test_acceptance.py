@@ -305,7 +305,7 @@ def test_criterion_11_real_data_mode():
     assert entries[0].theta == 2284
     assert entries[0].n_appear == 24
     counts = {c.language: c for c in
-              language_representation(registry, toplists)}
+              language_representation(registry, toplists, entries[:100])}
     assert counts["EN"].n2 == 47
     with open(root / "reference.txt", encoding="utf-8") as f:
         reference = load_reference_list(f)

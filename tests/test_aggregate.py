@@ -358,6 +358,12 @@ class TestOverlap:
         a, b = ["a", "b", "c"], ["b", "c", "d"]
         assert overlap(a, b) == overlap(b, a) == 2
 
+    def test_nfd_person_id_matches_its_reference_name(self):
+        # the reference loader stores names in NFC; an id kept in NFD is
+        # the same name
+        nfd = "Poincare\u0301"
+        assert overlap([nfd], load_reference_list([nfd])) == 1
+
     def test_reference_list_loader(self):
         text = "# a comment\nCarl Linnaeus\n\nJesus\n"
         assert load_reference_list(io.StringIO(text)) == ["Carl Linnaeus", "Jesus"]
@@ -370,24 +376,24 @@ class TestLanguageRepresentation:
         registry = make_registry(rows, editions=("EN",))
         lists = [toplist("EN", [r["person_id"] for r in rows])]
         counts = {c.language: c for c in language_representation(
-            registry, lists)}
+            registry, lists, global_ranking(lists)[:100])}
         assert counts["EN"].n2 == 100
         assert counts["EN"].n3 is None          # no 2drank lists supplied
         assert counts["WR"].n2 is None          # WR has no edition
 
     def test_global_counts_partition_top_list(self, corpus_toplists,
                                               corpus_registry):
-        counts = language_representation(corpus_registry, corpus_toplists)
         top = global_ranking(corpus_toplists)[:100]
+        counts = language_representation(corpus_registry, corpus_toplists, top)
         total = sum(c.n1 for c in counts if c.n1 is not None)
         assert total == len(top)
 
     def test_own_culture_counts_match_direct_tally(self, corpus_toplists,
                                                    corpus_registry):
+        lists = [TopList(edition=t.edition, algorithm="2drank", entries=t.entries)
+                 for t in corpus_toplists]
         counts = {c.language: c for c in language_representation(
-            corpus_registry, [
-                TopList(edition=t.edition, algorithm="2drank", entries=t.entries)
-                for t in corpus_toplists])}
+            corpus_registry, lists, global_ranking(lists)[:100])}
         for tl in corpus_toplists:
             expected = sum(1 for pid, _ in tl.entries
                            if corpus_registry.get(pid).culture == tl.edition)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmrank import cache, cli
+from gmrank import aggregate, cache, cli, cultures
 from gmrank.cli import (EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         load_config, main)
 from gmrank.graph import MAX_EDGE_LIST_NODES, DirectedGraph
@@ -311,6 +311,21 @@ class TestRankCommand:
         assert main(["rank", str(graph), "--labels", "--out", str(out)]) == EXIT_OK
         rows = read_csv(out)
         assert rows[0]["label"] == "alpha"    # most cited node wins
+
+    @pytest.mark.parametrize("algorithm", RANK_ALGORITHMS)
+    def test_labels_with_comma_or_quote_are_quoted(self, tmp_path, algorithm):
+        # Wikipedia titles such as Washington,_D.C. hold commas
+        graph = tmp_path / "g.edges"
+        graph.write_text('Paris,_France Lyon\nLyon "Quote"x\n')
+        out = tmp_path / "o.csv"
+        assert main(["rank", str(graph), "--labels", "--algorithm", algorithm,
+                     "--out", str(out)]) == EXIT_OK
+        with open(out, encoding="utf-8", newline="") as f:
+            rows = list(csv.reader(f))
+        width = 5 if algorithm == "2drank" else 4
+        assert {len(row) for row in rows} == {width}
+        assert sorted(row[1] for row in rows[1:]) == [
+            '"Quote"x', "Lyon", "Paris,_France"]
 
     @pytest.mark.parametrize("algorithm", RANK_ALGORITHMS)
     def test_integer_ids_match_golden_file(self, tmp_path, algorithm):
@@ -1204,14 +1219,14 @@ class TestConfig:
     def test_duplicate_edition_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[editions]\nEN = a\nEN = b\n")
-        config = load_config(bad)
-        with pytest.raises(ConfigError, match="duplicate"):
-            config.validate()
+        with pytest.raises(ConfigError,
+                           match="config line 3: duplicate edition EN"):
+            load_config(bad)
 
     def test_relative_paths_resolve_against_config(self, world):
         config = load_config(world / "config.ini")
         assert config.persons_path == world / "persons.tsv"
-        assert config.edition_path("EN") == world / "en.edges"
+        assert config.editions["EN"] == world / "en.edges"
 
 
 class TestSelfcheckCommand:
@@ -1231,3 +1246,23 @@ class TestSelfcheckCommand:
                                 capture_output=True, text=True, env=env)
         assert result.returncode == 0
         assert "PASS" in result.stdout
+
+
+def test_global_and_culture_compute_each_fact_once(world, monkeypatch):
+    # one global ranking per ``global`` run, one forward culture Google
+    # matrix per ``culture`` run
+    calls = Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    counting(aggregate, "global_ranking")
+    counting(cultures, "culture_google_matrix")
+    config = str(world / "config.ini")
+    assert main(["global", "--config", config]) == EXIT_OK
+    assert main(["culture", "--config", config]) == EXIT_OK
+    assert calls == {"global_ranking": 1, "culture_google_matrix": 1}

@@ -41,6 +41,8 @@ def package_imports(tree):
     ("rank", {"graph"}),
     ("cache", {"graph", "rank"}),
     ("registry", set()),
+    ("aggregate", {"registry"}),
+    ("cultures", {"rank", "registry"}),
 ])
 def test_lower_layers_import_only_below(module, allowed):
     tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))

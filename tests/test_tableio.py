@@ -139,7 +139,8 @@ class TestDeterminism:
 
     def test_language_counts_empty_for_missing_algorithm(self, corpus):
         registry, toplists = corpus
-        rows = aggregate.language_representation(registry, toplists)
+        rows = aggregate.language_representation(
+            registry, toplists, aggregate.global_ranking(toplists)[:100])
         buf = io.StringIO()
         write_language_counts_csv(buf, rows)
         for line in buf.getvalue().splitlines()[1:]:
