@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import IO, Iterable, Mapping, Sequence
 
-from .registry import (EDITION_CODES, GENDERS, PAGERANK_LIST, WORLD,
-                       PersonRegistry, TopList, appearances, century_of,
-                       check_toplists, _nfc)
+from .registry import (EDITION_CODES, PAGERANK_LIST, WORLD, PersonRegistry,
+                       TopList, appearances, century_of, check_toplists, _nfc)
 
 GLOBAL = "global"
 LOCAL_HIGH = "local_high"
@@ -35,12 +34,18 @@ class GlobalEntry:
 
 @dataclass(frozen=True)
 class DistributionTable:
-    """Sparse (row, column) table; rows are editions, columns e.g. countries."""
+    """Sparse (row, column) table; rows are editions, columns e.g. countries.
+
+    An absent cell is empty; a cell holding ``None`` has no figures at all.
+    """
 
     row_keys: tuple
     col_keys: tuple
-    cells: Mapping[tuple, float]
+    cells: Mapping[tuple, float | None]
     normalization: str = "raw"
+
+    def value(self, row, col) -> float | None:
+        return self.cells.get((row, col))
 
 
 def column_normalize(table: DistributionTable) -> DistributionTable:
@@ -176,25 +181,13 @@ def temporal_distribution(toplists: Sequence[TopList],
         if person.birth_year is not None))
 
 
-@dataclass(frozen=True)
-class LocalityRatios:
-    """Fraction of own-language figures per (edition, century).
-
-    ``None`` marks cells with no figures at all for that edition and century;
-    plotting sentinels are left to consumers.
-    """
-
-    editions: tuple[str, ...]
-    centuries: tuple[int, ...]
-    cells: Mapping[tuple[str, int], float | None]
-
-    def value(self, edition: str, century: int) -> float | None:
-        return self.cells.get((edition, century))
-
-
 def locality_ratio(toplists: Sequence[TopList],
-                   registry: PersonRegistry) -> LocalityRatios:
-    """r = M/N per (edition, century): M own-language figures, N all figures."""
+                   registry: PersonRegistry) -> DistributionTable:
+    """r = M/N per (edition, century): M own-language figures, N all figures.
+
+    Every (edition, century) cell is present; ``None`` marks one with no
+    figures at all, plotting sentinels are left to consumers.
+    """
     totals: dict[tuple[str, int], int] = {}
     own: dict[tuple[str, int], int] = {}
     for edition, person in appearances(toplists, registry):
@@ -208,46 +201,40 @@ def locality_ratio(toplists: Sequence[TopList],
     centuries = tuple(sorted({century for _, century in totals}))
     cells = {key: own.get(key, 0) / totals[key] if key in totals else None
              for key in product(editions, centuries)}
-    return LocalityRatios(editions=editions, centuries=centuries, cells=cells)
-
-
-@dataclass(frozen=True)
-class GenderDistribution:
-    """Per-edition female counts plus the pooled per-century female ratio."""
-
-    female_counts: Mapping[str, int]
-    male_counts: Mapping[str, int]
-    unknown_counts: Mapping[str, int]
-    mean_female_count: float
-    century_ratio: Mapping[int, float]
+    return DistributionTable(editions, centuries, cells, "ratio")
 
 
 def gender_distribution(toplists: Sequence[TopList],
-                        registry: PersonRegistry) -> GenderDistribution:
+                        registry: PersonRegistry) -> list[DistributionTable]:
     """Counts per edition and the per-century ratio female/(female+male).
 
-    The century ratio pools counts across editions; persons of unknown
-    gender are counted separately and excluded from ratios, persons of
-    unknown birth year are excluded from the per-century tallies.
+    Three tables: the raw counts, one row per edition and columns female,
+    male, unknown; the edition-averaged female count as cell ``("mean",
+    "female")``; and the ratio pooled across editions as cells ``(century,
+    "female_ratio")``.  Persons of unknown gender are counted but excluded
+    from ratios, persons of unknown birth year from the per-century tallies.
     """
     editions = _edition_rows(toplists)
-    counts = {gender: dict.fromkeys(editions, 0) for gender in GENDERS}
+    genders = ("female", "male", "unknown")
+    counts = {gender: dict.fromkeys(editions, 0) for gender in genders}
     by_century: dict[tuple[int, str], int] = {}
     for edition, person in appearances(toplists, registry):
         counts[person.gender][edition] += 1
         if person.birth_year is not None and person.gender != "unknown":
             key = (century_of(person.birth_year), person.gender)
             by_century[key] = by_century.get(key, 0) + 1
-    ratio: dict[int, float] = {}
-    for century in sorted({century for century, _ in by_century}):
+    centuries = tuple(sorted({century for century, _ in by_century}))
+    ratio = {}
+    for century in centuries:
         f = by_century.get((century, "female"), 0)
-        ratio[century] = f / (f + by_century.get((century, "male"), 0))
-    female = counts["female"]
-    mean_female = sum(female.values()) / len(editions) if editions else 0.0
-    return GenderDistribution(
-        female_counts=female, male_counts=counts["male"],
-        unknown_counts=counts["unknown"], mean_female_count=mean_female,
-        century_ratio=ratio)
+        ratio[century, "female_ratio"] = f / (
+            f + by_century.get((century, "male"), 0))
+    raw = {(e, g): counts[g][e] for e in editions for g in genders}
+    mean = sum(counts["female"].values()) / len(editions) if editions else 0.0
+    return [DistributionTable(editions, genders, raw),
+            DistributionTable(("mean",), ("female",), {("mean", "female"): mean},
+                              "edition-averaged"),
+            DistributionTable(centuries, ("female_ratio",), ratio, "pooled")]
 
 
 def overlap(list_a: Iterable, list_b: Iterable) -> int:

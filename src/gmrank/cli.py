@@ -231,8 +231,10 @@ def _rank_edge_list(graph_path: Path, algorithm: str, config: PipelineConfig,
                  else (algorithm,)):
         def read(f) -> RankVector:
             vector, alpha, tol = cache.read_vector(f)
+            # a vector of more sweeps than max_iter would not converge now
             if (len(vector) != g.node_count or vector.algorithm != name
-                    or (alpha, tol) != (params.alpha, params.tol)):
+                    or (alpha, tol) != (params.alpha, params.tol)
+                    or vector.iterations_used > params.max_iter):
                 raise cache.CacheFormatError(
                     "does not match graph or parameters")
             return vector
@@ -371,7 +373,7 @@ def cmd_global(args: argparse.Namespace) -> int:
 
     locality = aggregate.locality_ratio(toplists, registry)
     with tableio.atomic_write(out / f"{algorithm}_locality_ratio.csv") as f:
-        tableio.write_locality_csv(f, locality)
+        tableio.write_locality_csv(f, [locality])
 
     gender = aggregate.gender_distribution(toplists, registry)
     with tableio.atomic_write(out / f"{algorithm}_gender_distribution.csv") as f:
@@ -405,8 +407,7 @@ def cmd_culture(args: argparse.Namespace) -> int:
     toplists = _read_toplists(config, registry, algorithm)
 
     net = cultures.build_culture_network(
-        toplists, registry, before_century=config.before_century,
-        editions=list(config.editions))
+        toplists, registry, before_century=config.before_century)
     ranks = cultures.culture_ranks(net, config.alpha)
 
     suffix = (f"_before{config.before_century}"

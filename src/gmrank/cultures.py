@@ -40,25 +40,16 @@ class CultureNetwork:
 
 def build_culture_network(toplists: Sequence[TopList],
                           registry: PersonRegistry,
-                          before_century: int | None = None,
-                          editions: Sequence[str] | None = None) -> CultureNetwork:
+                          before_century: int | None = None) -> CultureNetwork:
     """Tally cross-cultural appearances into the 25-node weight matrix.
 
     ``before_century`` keeps only persons born strictly before that century
-    (persons of unknown birth year never pass the filter).  When ``editions``
-    is given, every listed edition must have a top list.
+    (persons of unknown birth year never pass the filter).
     """
-    pairs = appearances(toplists, registry)
-    if editions is not None:
-        present = {toplist.edition for toplist in toplists}
-        missing = [e for e in editions if e not in present]
-        if missing:
-            raise ValueError(f"no top list for edition(s): {', '.join(missing)}")
-
     weights = np.zeros((N_CULTURES, N_CULTURES), dtype=np.int64)
     own = np.zeros(N_CULTURES, dtype=np.int64)
     size = np.zeros(N_CULTURES, dtype=np.int64)
-    for edition, person in pairs:
+    for edition, person in appearances(toplists, registry):
         if before_century is not None and (
                 person.birth_year is None
                 or century_of(person.birth_year) >= before_century):

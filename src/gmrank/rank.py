@@ -29,6 +29,8 @@ PAGERANK = "pagerank"
 CHEIRANK = "cheirank"
 
 DENSE_LIMIT = 2000
+DENSE_TOL = 1e-14           # L1 tolerance of dense_stationary
+DENSE_MAX_ITER = 100_000    # its iteration cap
 
 # Stored entries per row block of a sweep: a matrix gets at most
 # nnz // BLOCK_NNZ blocks, so a two-block split starts at 2**17 entries.
@@ -292,11 +294,12 @@ def dense_google_matrix(g: DirectedGraph, alpha: float = 0.85) -> np.ndarray:
     return google_matrix(adjacency, alpha)
 
 
-def dense_stationary(matrix: np.ndarray, tol: float = 1e-14,
-                     max_iter: int = 100_000) -> RankVector:
+def dense_stationary(matrix: np.ndarray) -> RankVector:
     """Principal eigenvector (eigenvalue 1) of a column-stochastic matrix.
 
-    Dense power iteration to ``tol`` in L1; the oracle for the sparse path.
+    Dense power iteration to :data:`DENSE_TOL` in L1; the oracle for the
+    sparse path.  Raises :class:`ConvergenceError` after
+    :data:`DENSE_MAX_ITER` iterations.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -310,13 +313,13 @@ def dense_stationary(matrix: np.ndarray, tol: float = 1e-14,
             f"matrix is not column-stochastic (column-sum error {col_err:.3e})")
 
     p = np.full(n, 1.0 / n)
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, DENSE_MAX_ITER + 1):
         new_p = matrix @ p
         residual = float(np.abs(new_p - p).sum())
         p = new_p
-        if residual <= tol:
+        if residual <= DENSE_TOL:
             p /= p.sum()
             return RankVector(p, PAGERANK, iteration, residual)
     raise ConvergenceError(
         f"dense iteration stalled at residual {residual:.3e}",
-        vector=p, residual=residual, iterations=max_iter)
+        vector=p, residual=residual, iterations=DENSE_MAX_ITER)

@@ -107,14 +107,13 @@ def appearances(toplists: Sequence[TopList],
                 registry: PersonRegistry) -> Iterator[tuple[str, Person]]:
     """``(edition, person)`` for every entry of every list, in list order.
 
-    The lists are checked when this is called, not when the walk starts,
-    so a caller's own checks after the call come after that one.  An
-    unregistered person raises KeyError when the walk reaches it.
+    An unregistered person raises KeyError when the walk reaches it.
     """
     check_toplists(toplists)
     get = registry.get
-    return ((toplist.edition, get(person_id))
-            for toplist in toplists for person_id, _ in toplist.entries)
+    for toplist in toplists:
+        for person_id, _ in toplist.entries:
+            yield toplist.edition, get(person_id)
 
 
 class PersonRegistry:

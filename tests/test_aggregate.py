@@ -314,15 +314,15 @@ class TestGender:
                  "birth_year": 1900 + i + 1, "gender": "female"}
                 for i in range(100)]
         registry = make_registry(rows, editions=("EN",))
-        dist = gender_distribution([toplist("EN", [r["person_id"] for r in rows])],
-                                   registry)
-        assert dist.female_counts["EN"] == 100
-        assert dist.mean_female_count == 100.0
-        assert dist.century_ratio[20] == 1.0
+        raw, mean, pooled = gender_distribution(
+            [toplist("EN", [r["person_id"] for r in rows])], registry)
+        assert raw.value("EN", "female") == 100
+        assert mean.value("mean", "female") == 100.0
+        assert pooled.value(20, "female_ratio") == 1.0
 
     def test_pooled_ratio_matches_direct_tally(self, corpus_toplists,
                                                corpus_registry):
-        dist = gender_distribution(corpus_toplists, corpus_registry)
+        pooled = gender_distribution(corpus_toplists, corpus_registry)[2]
         female, male = {}, {}
         for tl in corpus_toplists:
             for pid, _ in tl.entries:
@@ -335,14 +335,15 @@ class TestGender:
                 bucket[century] = bucket.get(century, 0) + 1
         for century in set(female) | set(male):
             f, m = female.get(century, 0), male.get(century, 0)
-            assert dist.century_ratio[century] == pytest.approx(f / (f + m))
+            assert pooled.value(century, "female_ratio") == pytest.approx(
+                f / (f + m))
 
     def test_unknown_gender_counted_separately(self, corpus_toplists,
                                                corpus_registry):
-        dist = gender_distribution(corpus_toplists, corpus_registry)
+        raw = gender_distribution(corpus_toplists, corpus_registry)[0]
         for tl in corpus_toplists:
-            total = (dist.female_counts[tl.edition] + dist.male_counts[tl.edition]
-                     + dist.unknown_counts[tl.edition])
+            total = sum(raw.value(tl.edition, gender)
+                        for gender in ("female", "male", "unknown"))
             assert total == len(tl)
 
 

@@ -501,6 +501,14 @@ class TestGlobal:
 
 
 class TestCulture:
+    def test_missing_toplist_names_edition(self, world, tmp_path, caplog):
+        out_dir = tmp_path / "empty_out"
+        with caplog.at_level(logging.ERROR):
+            code = main(["culture", "--config", str(world / "config.ini"),
+                         "--output-dir", str(out_dir)])
+        assert code == EXIT_INPUT
+        assert "missing top list for edition EN" in caplog.text
+
     def test_outputs_and_conservation(self, world):
         assert main(["culture", "--config", str(world / "config.ini")]) == EXIT_OK
         net_rows = read_csv(world / "out" / "pagerank_culture_network.csv")
@@ -1097,6 +1105,35 @@ class TestVectorHeader:
         assert "(pagerank)" not in caplog.text          # no vector hit
         assert out.read_bytes() == fresh
         assert vector_file.read_bytes() == good
+
+    def test_vector_of_more_sweeps_than_max_iter_not_served(
+            self, tmp_path, monkeypatch, caplog):
+        # a fresh run with --max-iter 3 fails, so a warm one must fail too
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        graph = tmp_path / "g.edges"
+        graph.write_text("0 1\n1 2\n2 0\n0 2\n2 3\n3 1\n")
+        cache_dir, out = tmp_path / "cache", tmp_path / "o.csv"
+        args = ["rank", str(graph), "--cache-dir", str(cache_dir),
+                "--out", str(out)]
+        assert main(args) == EXIT_OK
+        reference = out.read_bytes()
+        vector_file = next(cache_dir.glob("*.gmrk"))
+        good = vector_file.read_bytes()
+        assert cache.read_vector(io.BytesIO(good))[0].iterations_used > 3
+        capped = tmp_path / "capped.csv"
+        with caplog.at_level(logging.WARNING):
+            assert main(["rank", str(graph), "--cache-dir", str(cache_dir),
+                         "--out", str(capped), "--max-iter", "3"]) == EXIT_NUMERIC
+        assert "does not match graph or parameters" in caplog.text
+        assert "no convergence after 3 iterations" in caplog.text
+        assert not capped.exists()
+        assert vector_file.read_bytes() == good
+        out.unlink()
+        caplog.clear()
+        with caplog.at_level(logging.INFO):
+            assert main(args) == EXIT_OK
+        assert "(pagerank)" in caplog.text              # a vector hit
+        assert out.read_bytes() == reference
 
 
 class TestFailedArtifactWrite:

@@ -78,11 +78,6 @@ class TestBuildNetwork:
         assert filtered.weights.sum() == 0
         assert int(filtered.list_size.sum()) == 0
 
-    def test_missing_edition_errors(self, mixed_registry):
-        lists = [toplist("EN", ["fr0"])]
-        with pytest.raises(ValueError, match="FR"):
-            build_culture_network(lists, mixed_registry, editions=["EN", "FR"])
-
     def test_diagonal_is_zero(self, mixed_registry):
         lists = [toplist("EN", ["us0", "fr0"]), toplist("FR", ["fr1", "us1"])]
         net = build_culture_network(lists, mixed_registry)

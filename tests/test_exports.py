@@ -131,3 +131,14 @@ def test_tables_walk_top_lists_through_appearances():
     # only the two rank readers keep their own loops over list entries
     assert entries_readers("aggregate") == {"global_ranking", "theta_score"}
     assert entries_readers("cultures") == set()
+
+
+def test_one_writer_knows_the_distribution_format():
+    # locality and gender files are written as distribution tables, so no
+    # other tableio function spells out the long-form header
+    tree = ast.parse((SOURCE / "tableio.py").read_text(encoding="utf-8"))
+    readers = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(n, ast.Name) and n.id == "DISTRIBUTION_HEADER"
+                       for n in ast.walk(node))}
+    assert readers == {"write_distribution_csv"}

@@ -407,6 +407,15 @@ class TestDenseStationary:
         with pytest.raises(ValueError, match="stochastic"):
             dense_stationary(np.eye(3) * 0.5)
 
+    def test_oscillation_raises_after_iteration_cap(self):
+        # from the uniform start the iterates alternate between
+        # (2/3, 1/3, 0) and (1/3, 2/3, 0), so the residual stays at 2/3
+        matrix = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ConvergenceError, match="stalled") as info:
+            dense_stationary(matrix)
+        assert info.value.iterations == rank.DENSE_MAX_ITER
+        assert info.value.residual == pytest.approx(2 / 3)
+
 
 class TestRankIndices:
     def test_simple_ordering(self):

@@ -122,11 +122,11 @@ class TestDeterminism:
         registry, toplists = corpus
         ratios = aggregate.locality_ratio(toplists, registry)
         buf = io.StringIO()
-        write_locality_csv(buf, ratios)
+        write_locality_csv(buf, [ratios])
         rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
         nulls = [r for r in rows if r[2] == ""]
         values = [r for r in rows if r[2] != ""]
-        assert len(rows) == len(ratios.editions) * len(ratios.centuries)
+        assert len(rows) == len(ratios.row_keys) * len(ratios.col_keys)
         assert all(0.0 <= float(r[2]) <= 1.0 for r in values)
         assert nulls or values
 
