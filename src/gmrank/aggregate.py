@@ -48,10 +48,19 @@ class DistributionTable:
         return self.cells.get((row, col))
 
 
+def _count_cells(table: DistributionTable, caller: str):
+    """The cells of a table of counts; a ``None`` cell is a ``ValueError``."""
+    empty = next((key for key, v in table.cells.items() if v is None), None)
+    if empty is not None:
+        raise ValueError(
+            f"{caller} takes a table of counts; cell {empty} holds None")
+    return table.cells.items()
+
+
 def column_normalize(table: DistributionTable) -> DistributionTable:
     """Divide every column by its total; all-zero columns stay zero."""
     totals = dict.fromkeys(table.col_keys, 0)
-    for (_, c), v in table.cells.items():
+    for (_, c), v in _count_cells(table, "column_normalize"):
         totals[c] += v
     cells = {
         (r, c): v / totals[c]
@@ -67,7 +76,7 @@ def edition_average(table: DistributionTable) -> DistributionTable:
     """Single-row table with each column averaged over all edition rows."""
     n_rows = len(table.row_keys)
     cells: dict[tuple, float] = {}
-    for (_, c), v in table.cells.items():
+    for (_, c), v in _count_cells(table, "edition_average"):
         cells[("average", c)] = cells.get(("average", c), 0.0) + v
     cells = {k: v / n_rows for k, v in cells.items()}
     return DistributionTable(

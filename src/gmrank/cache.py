@@ -14,7 +14,9 @@ with a 4-byte magic and a u16 version:
 - ``.gmrk``, a converged vector; inputs: the graph's plus algorithm, alpha
   and tol.  Magic ``GMRK``, version, algorithm tag u8 (0 = pagerank,
   1 = cheirank), alpha f64, tol f64, sweeps u64, final residual f64, N u64,
-  then N probabilities as f64: finite, positive and summing to 1.
+  then N probabilities as f64: finite, positive and summing to 1.  It
+  serves only a run of its algorithm, alpha, tol and N whose ``max_iter``
+  is at least its sweeps.
 - ``.gmrp``, the validated columns of a persons file; inputs: persons-file
   hash, ``persons``, :data:`PERSONS_VERSION`.  Not the culture map:
   validation never reads it, and each person's culture is derived from it
@@ -26,8 +28,8 @@ with a 4-byte magic and a u16 version:
 
 Each kind has a writer ``write_<kind>(stream, ...)`` and a reader
 ``read_<kind>(stream, ...)``.  A reader raises :class:`CacheFormatError` on
-any file it cannot trust, including one of an older version; the caller
-treats that as a miss.
+any file it cannot trust or use, including one of an older version; the
+caller treats that as a miss.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from typing import IO, Collection
 import numpy as np
 
 from .graph import DirectedGraph
-from .rank import CHEIRANK, PAGERANK, RankVector
+from .rank import CHEIRANK, PAGERANK, GoogleParams, RankVector
 
 MAGIC = b"GMRK"
 VERSION = 2
@@ -79,22 +81,25 @@ def _header(data: bytes, layout: struct.Struct, magic: bytes,
     return fields[2:]
 
 
-def write_vector(stream: IO[bytes], vector: RankVector, alpha: float,
-                 tol: float) -> None:
+def write_vector(stream: IO[bytes], vector: RankVector,
+                 params: GoogleParams) -> None:
     probs = np.ascontiguousarray(vector.probabilities, dtype="<f8")
     tag = _ALGORITHM_TAGS[vector.algorithm]
-    stream.write(_HEADER.pack(MAGIC, VERSION, tag, alpha, tol,
+    stream.write(_HEADER.pack(MAGIC, VERSION, tag, params.alpha, params.tol,
                               vector.iterations_used, vector.residual,
                               probs.size))
     stream.write(probs.tobytes())
 
 
-def read_vector(stream: IO[bytes]) -> tuple[RankVector, float, float]:
-    """Returns the stored vector, with its sweeps and residual, alpha and tol.
+def read_vector(stream: IO[bytes], algorithm: str, node_count: int,
+                params: GoogleParams) -> RankVector:
+    """The stored vector, with its sweeps and residual, if it serves this run.
 
     Raises :class:`CacheFormatError` on bad magic, version, a length that
     does not match the header, or probabilities that are not all finite
-    and positive with a sum within 1e-9 of 1.
+    and positive with a sum within 1e-9 of 1; then on an algorithm, node
+    count, alpha or tol other than the run's; then on more sweeps than
+    ``params.max_iter``, which a fresh run would not converge within.
     """
     data = stream.read()
     tag, alpha, tol, sweeps, residual, n = _header(data, _HEADER, MAGIC,
@@ -110,9 +115,14 @@ def read_vector(stream: IO[bytes]) -> tuple[RankVector, float, float]:
     # a NaN or infinite entry makes the sum fail too; an empty vector sums to 0
     if not (abs(probs.sum() - 1.0) <= 1e-9 and probs.min() > 0.0):
         raise CacheFormatError("probabilities are not a positive distribution")
-    vector = RankVector(probs, _TAG_ALGORITHMS[tag], iterations_used=sweeps,
-                        residual=residual)
-    return vector, alpha, tol
+    if ((_TAG_ALGORITHMS[tag], n, alpha, tol)
+            != (algorithm, node_count, params.alpha, params.tol)):
+        raise CacheFormatError("does not match graph or parameters")
+    if sweeps > params.max_iter:
+        raise CacheFormatError(
+            f"took {sweeps} sweeps, over max_iter {params.max_iter}")
+    return RankVector(probs, algorithm, iterations_used=sweeps,
+                      residual=residual)
 
 
 def write_graph(stream: IO[bytes], g: DirectedGraph) -> None:

@@ -18,7 +18,7 @@ from . import aggregate, cache, cultures, selfcheck, tableio
 from .graph import (INTEGER_IDS, STRING_LABELS, DirectedGraph, EdgeListError,
                     load_edge_list)
 from .rank import (CHEIRANK, PAGERANK, ConvergenceError, GoogleParams,
-                   RankVector, cheirank, pagerank, rank_indices, two_d_rank)
+                   cheirank, pagerank, rank_indices, two_d_rank)
 from .registry import (EDITION_CODES, GENDERS, PAGERANK_LIST, TWODRANK_LIST,
                        PersonRegistry, default_culture_map, load_culture_map,
                        load_persons, select_top_people)
@@ -183,7 +183,7 @@ def _cached(path: Path | None, what: str, redo: str, read, build, write):
             with open(path, "rb") as f:
                 value = read(f)
         except cache.CacheFormatError as exc:
-            log.warning("corrupt cache file %s (%s), %s", path, exc, redo)
+            log.warning("unusable cache file %s (%s), %s", path, exc, redo)
         else:
             log.info("cache hit: %s (%s)", path.name, what)
             return value
@@ -229,21 +229,12 @@ def _rank_edge_list(graph_path: Path, algorithm: str, config: PipelineConfig,
     vectors, ranks = {}, {}
     for name in ((PAGERANK, CHEIRANK) if algorithm == TWODRANK_LIST
                  else (algorithm,)):
-        def read(f) -> RankVector:
-            vector, alpha, tol = cache.read_vector(f)
-            # a vector of more sweeps than max_iter would not converge now
-            if (len(vector) != g.node_count or vector.algorithm != name
-                    or (alpha, tol) != (params.alpha, params.tol)
-                    or vector.iterations_used > params.max_iter):
-                raise cache.CacheFormatError(
-                    "does not match graph or parameters")
-            return vector
-
         vector = vectors[name] = _cached(
             artifact("gmrk", name, params.alpha, params.tol), name,
-            "recomputing", read,
+            "recomputing",
+            lambda f: cache.read_vector(f, name, g.node_count, params),
             lambda: (pagerank if name == PAGERANK else cheirank)(g, params),
-            lambda f, v: cache.write_vector(f, v, params.alpha, params.tol))
+            lambda f, v: cache.write_vector(f, v, params))
         ranks[name] = rank_indices(vector)
     if algorithm == TWODRANK_LIST:
         ranks[algorithm] = two_d_rank(ranks[PAGERANK], ranks[CHEIRANK])

@@ -2,10 +2,10 @@
 
 Node set is fixed: the 24 covered languages plus WR, ordered alphabetically
 by code.  The weight of the directed link A -> B counts figures of culture B
-quoted in edition A's top list; own-culture figures create no link and are
-tallied separately.  Columns are normalized by total outgoing weight, and a
-culture with no outgoing weight (WR always, fully local editions sometimes)
-is dangling, same rule as articles.
+quoted in edition A's top list; own-culture figures create no link.
+Columns are normalized by total outgoing weight, and a culture with no
+outgoing weight (WR always, fully local editions sometimes) is dangling,
+same rule as articles.
 """
 from __future__ import annotations
 
@@ -28,14 +28,10 @@ class CultureNetwork:
     """25-node weighted directed graph of cross-cultural appearances.
 
     ``weights[a, b]`` counts culture-b figures in edition a's list;
-    the diagonal is identically zero.  ``own_count[a]`` tallies edition a's
-    own-culture figures, ``list_size[a]`` the entries that passed the
-    century filter.
+    the diagonal is identically zero.
     """
 
     weights: np.ndarray          # (25, 25) int64, zero diagonal
-    own_count: np.ndarray        # (25,) int64
-    list_size: np.ndarray        # (25,) int64, filtered entries per edition
 
 
 def build_culture_network(toplists: Sequence[TopList],
@@ -47,20 +43,14 @@ def build_culture_network(toplists: Sequence[TopList],
     (persons of unknown birth year never pass the filter).
     """
     weights = np.zeros((N_CULTURES, N_CULTURES), dtype=np.int64)
-    own = np.zeros(N_CULTURES, dtype=np.int64)
-    size = np.zeros(N_CULTURES, dtype=np.int64)
     for edition, person in appearances(toplists, registry):
         if before_century is not None and (
                 person.birth_year is None
                 or century_of(person.birth_year) >= before_century):
             continue
-        a = CULTURE_INDEX[edition]
-        size[a] += 1
-        if person.culture == edition:
-            own[a] += 1
-        else:
-            weights[a, CULTURE_INDEX[person.culture]] += 1
-    return CultureNetwork(weights=weights, own_count=own, list_size=size)
+        if person.culture != edition:
+            weights[CULTURE_INDEX[edition], CULTURE_INDEX[person.culture]] += 1
+    return CultureNetwork(weights=weights)
 
 
 def culture_google_matrix(net: CultureNetwork, alpha: float = 0.85) -> np.ndarray:
@@ -70,9 +60,8 @@ def culture_google_matrix(net: CultureNetwork, alpha: float = 0.85) -> np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class CultureRanks:
-    """Per-culture PageRank / CheiRank / 2DRank triple over the 25 nodes."""
+    """Per-culture PageRank / CheiRank / 2DRank triple, in CULTURE_CODES order."""
 
-    codes: tuple[str, ...]
     pagerank_probs: np.ndarray
     cheirank_probs: np.ndarray
     k: np.ndarray                # 1-based PageRank index per culture
@@ -99,7 +88,6 @@ def culture_ranks(net: CultureNetwork, alpha: float = 0.85) -> CultureRanks:
     kc = rank_indices(np.round(backward.probabilities, 12))
     twod = two_d_rank(kp, kc)
     return CultureRanks(
-        codes=CULTURE_CODES,
         pagerank_probs=forward.probabilities,
         cheirank_probs=backward.probabilities,
         k=kp.position, kstar=kc.position, kprime=twod.kprime,

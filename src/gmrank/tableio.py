@@ -222,7 +222,7 @@ def write_culture_ranks_csv(stream: IO[str], ranks: CultureRanks) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(("culture", "k", "kstar", "kprime", "pagerank_prob",
                      "cheirank_prob"))
-    for i, code in enumerate(ranks.codes):
+    for i, code in enumerate(CULTURE_CODES):
         writer.writerow((code, int(ranks.k[i]), int(ranks.kstar[i]),
                          int(ranks.kprime[i]), _fmt(ranks.pagerank_probs[i]),
                          _fmt(ranks.cheirank_probs[i])))

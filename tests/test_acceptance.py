@@ -24,6 +24,7 @@ from gmrank.rank import (GoogleParams, RankIndex, cheirank,
                          rank_indices, two_d_rank)
 from gmrank.registry import (EDITION_CODES, TopList, century_of, load_persons,
                              select_top_people)
+from gmrank.tableio import read_toplist_csv, write_toplist_csv
 
 from conftest import make_registry, planted_toplists, random_graph, \
     synthetic_person_rows
@@ -197,14 +198,16 @@ def test_criterion_08_culture_network_conservation():
         assert np.all(np.diag(net.weights) == 0)
         for toplist in toplists:
             a = CULTURE_INDEX[toplist.edition]
-            filtered = 0
+            filtered = own = 0
             for pid, _ in toplist.entries:
-                year = registry.get(pid).birth_year
+                person = registry.get(pid)
+                year = person.birth_year
                 if before is not None and (year is None
                                            or century_of(year) >= before):
                     continue
                 filtered += 1
-            assert int(net.weights[a].sum() + net.own_count[a]) == filtered
+                own += person.culture == toplist.edition
+            assert int(net.weights[a].sum()) + own == filtered
     net = build_culture_network(toplists, registry)
     base = culture_ranks(net)
     scaled = culture_ranks(dataclasses.replace(net, weights=net.weights * 7))
@@ -312,3 +315,105 @@ def test_criterion_11_real_data_mode():
     top100 = [entry.person_id for entry in entries[:100]]
     assert overlap(top100, reference) == 43
     print("ACCEPTANCE 11 PASS: real-data reproduction matches published values")
+
+
+def real_data_corpus(root, persons=120, seed=11):
+    """A generated corpus in the real-data layout, and its expected orders.
+
+    Person i has a title in the k-th edition unless (i + k) % 3 == 0; EN
+    titles everyone.  Each edition draws distinct in-link weights for its
+    persons, and filler article F_j links to every person whose weight
+    exceeds j.  A person's in-links are then a superset of those of every
+    lighter person, so PageRank orders an edition's persons by weight.
+    Returns each edition's persons in that order and the reference names.
+    """
+    rng = np.random.default_rng(seed)
+    ids = [f"Person_{i:03d}" for i in range(persons)]
+    countries = ("US", "FR", "DE", "JP", "XX")      # EN, FR, DE, JA and WR
+    titles = {code: {i: ids[i] if code == "EN" else f"{ids[i]}_{code}"
+                     for i in range(persons) if code == "EN" or (i + k) % 3}
+              for k, code in enumerate(EDITION_CODES)}
+    order = {}
+    for code, titled in titles.items():
+        weight = dict(zip(titled, rng.permutation(len(titled)) + 1))
+        lines = [f"F{j} F{j + 1}" for j in range(max(weight.values()) - 1)]
+        lines += [f"F{j} {titled[i]}" for i, w in weight.items()
+                  for j in range(w)]
+        (root / f"{code.lower()}.edges").write_text(
+            "\n".join(lines) + "\n", encoding="utf-8")
+        order[code] = [ids[i] for i in sorted(weight, key=weight.get,
+                                              reverse=True)]
+    rows = ["\t".join(("person_id", "birth_country", "birth_year", "gender",
+                       *EDITION_CODES))]
+    for i, pid in enumerate(ids):
+        year = "" if i % 17 == 0 else str(1500 + 4 * i)
+        rows.append("\t".join((pid, countries[i % 5], year,
+                               "female" if i % 4 == 0 else "male",
+                               *(titles[c].get(i, "") for c in EDITION_CODES))))
+    (root / "persons.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    reference = ids[::3] + ["Nobody_Listed"]
+    (root / "reference.txt").write_text(
+        "# generated reference\n" + "\n".join(reference) + "\n",
+        encoding="utf-8")
+    return order, reference
+
+
+def real_data_calls(root):
+    """Each call criterion 11 makes, in its order, on the data under root."""
+    with open(root / "persons.tsv", encoding="utf-8") as f:
+        registry = load_persons(f)
+    toplists = []
+    toplist_dir = root / "toplists"
+    for code in EDITION_CODES:
+        if toplist_dir.is_dir():
+            with open(toplist_dir / f"{code}_pagerank.csv", encoding="utf-8") as f:
+                toplists.append(read_toplist_csv(f, code, "pagerank"))
+        else:
+            with open(root / f"{code.lower()}.edges", encoding="utf-8") as f:
+                g = load_edge_list(f, label_mode="string-labels")
+            index = rank_indices(pagerank(g, GoogleParams()))
+            toplists.append(select_top_people(index, g.labels, registry, code,
+                                              "pagerank"))
+    entries = global_ranking(toplists)
+    counts = {c.language: c for c in
+              language_representation(registry, toplists, entries[:100])}
+    with open(root / "reference.txt", encoding="utf-8") as f:
+        reference = load_reference_list(f)
+    top100 = [entry.person_id for entry in entries[:100]]
+    return registry, toplists, entries, counts, overlap(top100, reference)
+
+
+def test_real_data_mode_calls_on_generated_corpus(tmp_path):
+    # criterion 11's calls on generated data, so an API change breaks a
+    # test that runs; only invariants are checked, no published value
+    order, reference = real_data_corpus(tmp_path)
+    registry, toplists, entries, counts, shared = real_data_calls(tmp_path)
+    assert [t.edition for t in toplists] == list(EDITION_CODES)
+    for toplist in toplists:
+        assert toplist.entries == tuple(
+            (pid, rank) for rank, pid in enumerate(order[toplist.edition][:100],
+                                                   start=1))
+    assert len(toplists[0].entries) == 100          # EN titles all 120
+    for entry in entries:
+        ranks = [rank for t in toplists for pid, rank in t.entries
+                 if pid == entry.person_id]
+        assert (entry.theta, entry.n_appear) == (sum(101 - r for r in ranks),
+                                                 len(ranks))
+    thetas = [entry.theta for entry in entries]
+    assert thetas == sorted(thetas, reverse=True) and len(entries) == 120
+    top100 = {entry.person_id for entry in entries[:100]}
+    assert sum(c.n1 for c in counts.values()) == 100
+    for toplist in toplists:
+        assert counts[toplist.edition].n2 == sum(
+            registry.get(pid).culture == toplist.edition
+            for pid, _ in toplist.entries)
+    assert shared == len(top100 & set(reference)) > 0
+    # the pass over a toplists/ directory reads back the lists just selected
+    (tmp_path / "toplists").mkdir()
+    for toplist in toplists:
+        with open(tmp_path / "toplists" / f"{toplist.edition}_pagerank.csv",
+                  "w", encoding="utf-8") as f:
+            write_toplist_csv(f, toplist, registry)
+    _, again, *rest = real_data_calls(tmp_path)
+    assert again == toplists
+    assert rest == [entries, counts, shared]

@@ -16,7 +16,7 @@ from gmrank.cultures import build_culture_network
 from gmrank.registry import EDITION_CODES, TopList
 from gmrank.tableio import write_global_csv
 
-from conftest import GOLDEN, make_registry
+from conftest import GOLDEN, make_registry, synthetic_person_rows
 
 
 def toplist(edition, ids, algorithm="pagerank"):
@@ -431,3 +431,17 @@ class TestNormalizationPurity:
         edition_average(raw)
         assert dict(raw.cells) == before
         assert raw.normalization == "raw"
+
+    @pytest.mark.parametrize("normalize", [column_normalize, edition_average])
+    def test_ratio_table_rejected_naming_its_empty_cell(self, normalize):
+        # person 7 has no birth year, so EN holds no figure of century -1
+        rows = synthetic_person_rows(40)
+        ids = [r["person_id"] for r in rows]
+        ratios = locality_ratio(
+            [toplist("EN", ids[:20]), toplist("FR", ids[20:])],
+            make_registry(rows))
+        assert [k for k, v in ratios.cells.items() if v is None] == [("EN", -1)]
+        with pytest.raises(ValueError, match=(
+                rf"^{normalize.__name__} takes a table of counts; "
+                r"cell \('EN', -1\) holds None$")):
+            normalize(ratios)

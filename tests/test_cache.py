@@ -10,9 +10,13 @@ from gmrank.cache import (PERSONS_VERSION, CacheFormatError, artifact_path,
                           content_hash, read_graph, read_persons, read_vector,
                           write_graph, write_persons, write_vector)
 from gmrank.graph import INTEGER_IDS, STRING_LABELS, load_edge_list
-from gmrank.rank import RankVector, cheirank, pagerank, rank_indices
+from gmrank.rank import (GoogleParams, RankVector, cheirank, pagerank,
+                         rank_indices)
 from gmrank.registry import EDITION_CODES, GENDERS
 from gmrank.tableio import write_rank_csv
+
+
+PARAMS = GoogleParams(alpha=0.85, tol=1e-10)
 
 
 def vector(n=5, algorithm="pagerank"):
@@ -21,30 +25,34 @@ def vector(n=5, algorithm="pagerank"):
     return RankVector(probs, algorithm, iterations_used=12, residual=3e-11)
 
 
+def vector_bytes(v=None, params=PARAMS):
+    buf = io.BytesIO()
+    write_vector(buf, vector() if v is None else v, params)
+    return buf.getvalue()
+
+
+def read_back(raw, algorithm="pagerank", n=5, params=PARAMS):
+    return read_vector(io.BytesIO(raw), algorithm, n, params)
+
+
 class TestBinaryFormat:
     def test_roundtrip_preserves_probabilities_bitwise(self):
         v = vector()
-        buf = io.BytesIO()
-        write_vector(buf, v, alpha=0.85, tol=1e-10)
-        buf.seek(0)
-        loaded, alpha, tol = read_vector(buf)
-        assert (alpha, tol) == (0.85, 1e-10)
+        loaded = read_back(vector_bytes(v))
+        assert isinstance(loaded, RankVector)
         assert loaded.algorithm == "pagerank"
         assert np.array_equal(loaded.probabilities, v.probabilities)
         assert (loaded.iterations_used, loaded.residual) == (12, 3e-11)
 
     def test_cheirank_tag_roundtrip(self):
-        buf = io.BytesIO()
-        write_vector(buf, vector(algorithm="cheirank"), alpha=0.5, tol=1e-8)
-        buf.seek(0)
-        loaded, alpha, tol = read_vector(buf)
+        params = GoogleParams(alpha=0.5, tol=1e-8)
+        raw = vector_bytes(vector(algorithm="cheirank"), params)
+        assert raw[6] == 1                                  # cheirank tag u8
+        loaded = read_back(raw, "cheirank", params=params)
         assert loaded.algorithm == "cheirank"
-        assert (alpha, tol) == (0.5, 1e-8)
 
     def test_layout_is_little_endian_with_magic(self):
-        buf = io.BytesIO()
-        write_vector(buf, vector(n=2), alpha=0.85, tol=1e-10)
-        raw = buf.getvalue()
+        raw = vector_bytes(vector(n=2))
         assert raw[:4] == b"GMRK"
         assert raw[4:6] == (2).to_bytes(2, "little")        # version u16
         assert raw[6] == 0                                  # pagerank tag u8
@@ -56,43 +64,33 @@ class TestBinaryFormat:
         assert len(raw) == 47 + 2 * 8
 
     def test_bad_magic_detected(self):
-        buf = io.BytesIO()
-        write_vector(buf, vector(), alpha=0.85, tol=1e-10)
-        corrupted = b"XXXX" + buf.getvalue()[4:]
+        corrupted = b"XXXX" + vector_bytes()[4:]
         with pytest.raises(CacheFormatError, match="magic"):
-            read_vector(io.BytesIO(corrupted))
+            read_back(corrupted)
 
     def test_truncation_detected(self):
-        buf = io.BytesIO()
-        write_vector(buf, vector(), alpha=0.85, tol=1e-10)
         with pytest.raises(CacheFormatError, match="truncated"):
-            read_vector(io.BytesIO(buf.getvalue()[:-4]))
+            read_back(vector_bytes()[:-4])
 
     @pytest.mark.parametrize("tail", [b"\x00" * 4, b"\x00" * 8])
     def test_overlong_file_detected(self, tail):
-        buf = io.BytesIO()
-        write_vector(buf, vector(), alpha=0.85, tol=1e-10)
         with pytest.raises(CacheFormatError, match="overlong"):
-            read_vector(io.BytesIO(buf.getvalue() + tail))
+            read_back(vector_bytes() + tail)
 
     def test_huge_count_rejected_before_reading(self, tmp_path):
         # a header claiming 2**61 probabilities: no read is sized from it
-        buf = io.BytesIO()
-        write_vector(buf, vector(n=2), alpha=0.85, tol=1e-10)
-        raw = buf.getvalue()
+        raw = vector_bytes(vector(n=2))
         path = tmp_path / "huge.gmrk"
         path.write_bytes(raw[:39] + (2 ** 61).to_bytes(8, "little") + raw[47:])
         with open(path, "rb") as f, pytest.raises(CacheFormatError,
                                                   match="truncated"):
-            read_vector(f)
+            read_vector(f, "pagerank", 2, PARAMS)
 
     def test_unknown_version_detected(self):
-        buf = io.BytesIO()
-        write_vector(buf, vector(), alpha=0.85, tol=1e-10)
-        raw = bytearray(buf.getvalue())
+        raw = bytearray(vector_bytes())
         raw[4:6] = (9).to_bytes(2, "little")
         with pytest.raises(CacheFormatError, match="version"):
-            read_vector(io.BytesIO(bytes(raw)))
+            read_back(bytes(raw))
 
     @pytest.mark.parametrize("edit", [
         lambda p: p.__setitem__(0, np.nan),
@@ -102,23 +100,50 @@ class TestBinaryFormat:
         lambda p: p.__imul__(2),
     ], ids=["nan", "inf", "negative", "zero", "doubled"])
     def test_probabilities_not_a_distribution_detected(self, edit):
-        buf = io.BytesIO()
-        write_vector(buf, vector(), alpha=0.85, tol=1e-10)
-        raw = buf.getvalue()
+        raw = vector_bytes()
         probs = np.frombuffer(raw, dtype="<f8", offset=47).copy()
         edit(probs)
         with pytest.raises(CacheFormatError,
                            match="not a positive distribution"):
-            read_vector(io.BytesIO(raw[:47] + probs.tobytes()))
+            read_back(raw[:47] + probs.tobytes())
 
     def test_sum_off_by_rounding_is_read(self):
         probs = np.full(7, 1 / 7)
         probs[0] += 1e-12
-        buf = io.BytesIO()
-        write_vector(buf, RankVector(probs, "pagerank", 1, 0.0), alpha=0.85,
-                     tol=1e-10)
-        buf.seek(0)
-        assert np.array_equal(read_vector(buf)[0].probabilities, probs)
+        raw = vector_bytes(RankVector(probs, "pagerank", 1, 0.0))
+        assert np.array_equal(read_back(raw, n=7).probabilities, probs)
+
+
+class TestVectorFit:
+    """A well-formed vector serves only a run it was computed for."""
+
+    @pytest.mark.parametrize("algorithm, n, params, reason", [
+        ("cheirank", 5, PARAMS, "does not match graph or parameters"),
+        ("pagerank", 6, PARAMS, "does not match graph or parameters"),
+        ("pagerank", 5, GoogleParams(alpha=0.5, tol=1e-10),
+         "does not match graph or parameters"),
+        ("pagerank", 5, GoogleParams(alpha=0.85, tol=1e-6),
+         "does not match graph or parameters"),
+        ("pagerank", 5, GoogleParams(alpha=0.85, tol=1e-10, max_iter=11),
+         "took 12 sweeps, over max_iter 11"),
+    ], ids=["algorithm", "node-count", "alpha", "tol", "sweeps"])
+    def test_misfit_rejected_with_its_reason(self, algorithm, n, params,
+                                             reason):
+        with pytest.raises(CacheFormatError, match=f"^{reason}$"):
+            read_back(vector_bytes(), algorithm, n, params)
+
+    def test_sweeps_equal_to_max_iter_served(self):
+        params = GoogleParams(alpha=0.85, tol=1e-10, max_iter=12)
+        assert read_back(vector_bytes(), params=params).iterations_used == 12
+
+    def test_format_checked_before_fit(self):
+        # the file is damaged and does not fit: the damage is the reason
+        raw = vector_bytes()
+        probs = np.frombuffer(raw, dtype="<f8", offset=47) * 2
+        with pytest.raises(CacheFormatError,
+                           match="not a positive distribution"):
+            read_back(raw[:47] + probs.tobytes(), "cheirank", 6,
+                      GoogleParams(alpha=0.5, max_iter=1))
 
 
 # duplicates, self-loops, multi-byte UTF-8 labels, and in integer mode a

@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from gmrank import aggregate, cache, cli, cultures
 from gmrank.cli import (EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         load_config, main)
 from gmrank.graph import MAX_EDGE_LIST_NODES, DirectedGraph
+from gmrank.rank import GoogleParams
 from gmrank.registry import EDITION_CODES, GENDERS
 
 from conftest import GOLDEN, rank_columns
@@ -185,7 +187,7 @@ class TestRankCommand:
         cache_file.write_bytes(b"JUNK" + b"\x00" * 40)
         with caplog.at_level(logging.WARNING):
             assert main(args) == EXIT_OK
-        assert "corrupt cache" in caplog.text
+        assert "unusable cache file" in caplog.text
         assert out.read_bytes() == reference
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
@@ -712,23 +714,41 @@ class TestCacheRoundTrip:
             self, tmp_path, monkeypatch, algorithm, labels, keep_self_loops):
         monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         graph = _property_graph(tmp_path / "g.edges")
-        args = ["rank", str(graph), "--algorithm", algorithm]
-        args += ["--labels"] * labels + ["--keep-self-loops"] * keep_self_loops
         cache_dir = tmp_path / "cache"
-        outputs = {}
-        for run in ("none", "cold", "warm"):
-            if run == "warm":
-                monkeypatch.setattr(cli, "pagerank", _raise)
-                monkeypatch.setattr(cli, "cheirank", _raise)
-                monkeypatch.setattr(cli, "load_edge_list", _raise)
-            out = tmp_path / f"{run}.csv"
-            extra = [] if run == "none" else ["--cache-dir", str(cache_dir)]
-            assert main(args + extra + ["--out", str(out)]) == EXIT_OK
-            outputs[run] = out.read_bytes()
-        assert outputs["cold"] == outputs["none"]
-        assert outputs["warm"] == outputs["none"]
+        served = 0
+        # one cache directory for every flag set, so each run is offered
+        # the vectors stored by the runs before it; --max-iter 3 comes
+        # after 1000 and meets a stored vector of more sweeps
+        for alpha, tol, max_iter in product(("0.85", "0.5"), ("1e-10", "1e-6"),
+                                            ("1000", "3")):
+            args = ["rank", str(graph), "--algorithm", algorithm,
+                    "--alpha", alpha, "--tol", tol, "--max-iter", max_iter]
+            args += ["--labels"] * labels + ["--keep-self-loops"] * keep_self_loops
+            results, stored = {}, None
+            for run in ("none", "cold", "warm"):
+                out = tmp_path / f"{run}.csv"
+                out.unlink(missing_ok=True)
+                extra = [] if run == "none" else ["--cache-dir", str(cache_dir)]
+                with monkeypatch.context() as m:
+                    if run == "warm":
+                        m.setattr(cli, "load_edge_list", _raise)
+                        if results["none"][0] == EXIT_OK:
+                            m.setattr(cli, "pagerank", _raise)
+                            m.setattr(cli, "cheirank", _raise)
+                    if run == "cold" and cache_dir.is_dir():
+                        stored = {f: f.read_bytes() for f in cache_dir.iterdir()}
+                    code = main(args + extra + ["--out", str(out)])
+                results[run] = (code, out.read_bytes() if out.exists() else None)
+            assert results["cold"] == results["none"]
+            assert results["warm"] == results["none"]
+            if results["none"][0] == EXIT_OK:
+                served += 1
+            else:                       # a failed run leaves the cache as it was
+                assert results["none"][0] == EXIT_NUMERIC
+                assert {f: f.read_bytes() for f in cache_dir.iterdir()} == stored
+        assert served == 4
         assert cache_layout(cache_dir) == {
-            ".gmrk": 2 if algorithm == "2drank" else 1, ".gmrg": 1}
+            ".gmrk": 4 * (2 if algorithm == "2drank" else 1), ".gmrg": 1}
 
 
 def _rank_args(graph, cache_dir, out, label_mode=False, keep_self_loops=False):
@@ -777,7 +797,7 @@ class TestGraphArtifact:
         with caplog.at_level(logging.WARNING):
             assert main(_rank_args(graph, cache_dir, out,
                                    label_mode=True)) == EXIT_OK
-        assert f"corrupt cache file {artifact}" in caplog.text
+        assert f"unusable cache file {artifact}" in caplog.text
         assert "re-parsing" in caplog.text
         assert len(parses) == 1
         assert out.read_bytes() == reference
@@ -934,7 +954,7 @@ class TestRegistryArtifact:
         loads = _count_calls(monkeypatch, "load_persons")
         with caplog.at_level(logging.WARNING):
             assert main(args) == EXIT_OK
-        assert f"corrupt cache file {artifact} (" in caplog.text
+        assert f"unusable cache file {artifact} (" in caplog.text
         assert reason in caplog.text and "re-parsing" in caplog.text
         assert len(loads) == 1
         assert _outputs(root / "out") == reference
@@ -1100,7 +1120,7 @@ class TestVectorHeader:
                                 + good[63:])
         with caplog.at_level(logging.INFO):
             assert main(args) == EXIT_OK
-        assert (f"corrupt cache file {vector_file} (probabilities are not a "
+        assert (f"unusable cache file {vector_file} (probabilities are not a "
                 "positive distribution), recomputing") in caplog.text
         assert "(pagerank)" not in caplog.text          # no vector hit
         assert out.read_bytes() == fresh
@@ -1119,12 +1139,16 @@ class TestVectorHeader:
         reference = out.read_bytes()
         vector_file = next(cache_dir.glob("*.gmrk"))
         good = vector_file.read_bytes()
-        assert cache.read_vector(io.BytesIO(good))[0].iterations_used > 3
+        sweeps = cache.read_vector(io.BytesIO(good), "pagerank", 4,
+                                   GoogleParams()).iterations_used
+        assert sweeps > 3
         capped = tmp_path / "capped.csv"
         with caplog.at_level(logging.WARNING):
             assert main(["rank", str(graph), "--cache-dir", str(cache_dir),
                          "--out", str(capped), "--max-iter", "3"]) == EXIT_NUMERIC
-        assert "does not match graph or parameters" in caplog.text
+        assert (f"unusable cache file {vector_file} (took {sweeps} sweeps, "
+                "over max_iter 3), recomputing") in caplog.text
+        assert "corrupt" not in caplog.text
         assert "no convergence after 3 iterations" in caplog.text
         assert not capped.exists()
         assert vector_file.read_bytes() == good

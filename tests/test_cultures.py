@@ -21,15 +21,11 @@ def toplist(edition, ids, algorithm="pagerank"):
                    entries=tuple((pid, i + 1) for i, pid in enumerate(ids)))
 
 
-def network_from(weight_map, own=None, sizes=None):
+def network_from(weight_map):
     weights = np.zeros((N_CULTURES, N_CULTURES), dtype=np.int64)
     for (a, b), w in weight_map.items():
         weights[CULTURE_INDEX[a], CULTURE_INDEX[b]] = w
-    own_arr = np.zeros(N_CULTURES, dtype=np.int64)
-    for code, v in (own or {}).items():
-        own_arr[CULTURE_INDEX[code]] = v
-    size_arr = weights.sum(axis=1) + own_arr
-    return CultureNetwork(weights=weights, own_count=own_arr, list_size=size_arr)
+    return CultureNetwork(weights=weights)
 
 
 @pytest.fixture
@@ -55,13 +51,12 @@ class TestBuildNetwork:
         net = build_culture_network(lists, mixed_registry)
         assert net.weights[CULTURE_INDEX["EN"], CULTURE_INDEX["FR"]] == 5
         assert net.weights[CULTURE_INDEX["EN"], CULTURE_INDEX["DE"]] == 0
-        assert int(net.own_count[CULTURE_INDEX["EN"]]) == 1
+        assert net.weights.sum() == 5                   # us0 is EN's own
 
     def test_all_own_culture_gives_empty_network(self, mixed_registry):
         lists = [toplist("EN", ["us0", "us1", "us2"])]
         net = build_culture_network(lists, mixed_registry)
         assert net.weights.sum() == 0
-        assert int(net.own_count[CULTURE_INDEX["EN"]]) == 3
 
     def test_century_filter_excludes_late_birth(self, mixed_registry):
         lists = [toplist("EN", ["de0", "fr0"])]       # de0 born 1850 (century 19)
@@ -76,7 +71,6 @@ class TestBuildNetwork:
         filtered = build_culture_network(lists, mixed_registry, before_century=19)
         assert unfiltered.weights[CULTURE_INDEX["EN"], CULTURE_INDEX["ZH"]] == 1
         assert filtered.weights.sum() == 0
-        assert int(filtered.list_size.sum()) == 0
 
     def test_diagonal_is_zero(self, mixed_registry):
         lists = [toplist("EN", ["us0", "fr0"]), toplist("FR", ["fr1", "us1"])]
@@ -93,13 +87,13 @@ class TestBuildNetwork:
                 a = CULTURE_INDEX[toplist_obj.edition]
                 expected = 0
                 for pid, _ in toplist_obj.entries:
-                    year = mixed_registry.get(pid).birth_year
+                    person = mixed_registry.get(pid)
+                    year = person.birth_year
                     if before is not None:
                         if year is None or century_of(year) >= before:
                             continue
-                    expected += 1
-                assert int(net.weights[a].sum() + net.own_count[a]) == expected
-                assert int(net.list_size[a]) == expected
+                    expected += person.culture != toplist_obj.edition
+                assert int(net.weights[a].sum()) == expected
 
 
 class TestCultureMatrix:

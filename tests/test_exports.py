@@ -3,6 +3,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import struct
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,30 @@ def test_every_traced_name_resolves(spans):
     assert missing == []
     for module in spans.RESOLVERS:
         importlib.import_module(module)
+
+
+def test_refused_vector_traced_as_one_miss(spans, tmp_path, monkeypatch):
+    # the codec refuses a vector stored under another alpha by raising, so
+    # the tracer counts no hit, and the recomputed vector's write is the miss
+    from gmrank.cli import main
+    monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+    graph = tmp_path / "g.edges"
+    graph.write_text("a b\nb c\nc a\na c\n")
+    args = ["rank", str(graph), "--labels", "--cache-dir",
+            str(tmp_path / "cache"), "--out", str(tmp_path / "o.csv")]
+    assert main(args) == 0
+    vector_file = next((tmp_path / "cache").glob("*.gmrk"))
+    good = vector_file.read_bytes()
+    vector_file.write_bytes(good[:7] + struct.pack("<d", 0.5) + good[15:])
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(args) == 0
+    finally:
+        tracer.uninstall()
+    values, _ = spans.layer_metrics(tracer.take(), 0.0)
+    assert (values["cache.hits"], values["cache.misses"]) == (0, 1)
+    assert vector_file.read_bytes() == good
 
 
 def test_tracer_hooks_outside_traced_exist():

@@ -220,7 +220,7 @@ def _blocks(monkeypatch, cpus, block_nnz=1):
 
 def _vector_bytes(vector):
     stream = io.BytesIO()
-    cache.write_vector(stream, vector, 0.85, 1e-10)
+    cache.write_vector(stream, vector, GoogleParams())
     return stream.getvalue()
 
 
