@@ -24,7 +24,7 @@ with a 4-byte magic and a u16 version:
   P, the edition count E and the string blob's byte length as u64; then P
   birth years as int64 (0 = unknown); then the E edition codes, P ids, P
   birth countries, P genders and the P*E stripped titles, row by row,
-  joined by NUL in UTF-8.
+  joined by NUL in UTF-8.  The reader leaves the titles joined.
 
 Each kind has a writer ``write_<kind>(stream, ...)`` and a reader
 ``read_<kind>(stream, ...)``.  A reader raises :class:`CacheFormatError` on
@@ -198,8 +198,11 @@ def write_persons(stream: IO[bytes], ids: list[str],
 def read_persons(stream: IO[bytes], known_editions: Collection[str],
                  known_genders: Collection[str]
                  ) -> tuple[list[str], list[tuple[str, int | None, str]],
-                            list[str], list[str]]:
+                            list[str], str]:
     """The stored ``(ids, fields, editions, titles)`` of a persons file.
+
+    The P*E titles come back still joined by NUL: a run that reads no
+    title, such as ``global`` or ``culture``, never splits them.
 
     Raises :class:`CacheFormatError` on bad magic or version, a length that
     does not match the header, the wrong number of strings, an edition code
@@ -221,10 +224,14 @@ def read_persons(stream: IO[bytes], known_editions: Collection[str],
         raise CacheFormatError(f"strings are not UTF-8 ({exc})") from None
     del data
     count = e + p * (3 + e)
-    strings = text.split("\0") if text or count else []
+    found = text.count("\0") + 1 if text or count else 0
+    if found != count:
+        raise CacheFormatError(f"expected {count} strings, found {found}")
+    head = e + 3 * p
+    strings = text.split("\0", head) if head else []
     del text
-    if len(strings) != count:
-        raise CacheFormatError(f"expected {count} strings, found {len(strings)}")
+    # the last piece holds the P*E titles; there is none when P*E is 0
+    titles = strings.pop() if p * e else ""
     editions = strings[:e]
     unknown = set(editions).difference(known_editions)
     if unknown:
@@ -233,15 +240,14 @@ def read_persons(stream: IO[bytes], known_editions: Collection[str],
         raise CacheFormatError("duplicate edition code")
     ids = strings[e:e + p]
     countries = strings[e + p:e + 2 * p]
-    genders = strings[e + 2 * p:e + 3 * p]
+    genders = strings[e + 2 * p:]
     unknown = set(genders).difference(known_genders)
     if unknown:
         raise CacheFormatError(f"unknown gender {min(unknown)!r}")
     if len(set(ids)) != p:
         raise CacheFormatError("duplicate person_id")
     fields = list(zip(countries, [y or None for y in years], genders))
-    del strings[:e + 3 * p]             # what is left are the titles
-    return ids, fields, editions, strings
+    return ids, fields, editions, titles
 
 
 def content_hash(path: str | Path) -> str:

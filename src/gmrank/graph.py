@@ -12,11 +12,18 @@ Edge-list files are UTF-8 text, one ``source target`` pair per line,
 """
 from __future__ import annotations
 
+import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 import numpy as np
+from scipy import sparse
+
+try:
+    import resource
+except ImportError:             # not on every platform
+    resource = None
 
 _HEADER_RE = re.compile(r"#\s*nodes:\s*(\d+)\s*$")
 
@@ -30,6 +37,26 @@ MAX_NODE_COUNT = 3_037_000_499
 # ``# nodes:`` header: well above the 4.2M articles of the largest edition
 # the paper ranks, and each per-node int64 array stays within 2 GiB
 MAX_EDGE_LIST_NODES = 1 << 28
+
+
+# peak bytes per node of ``rank --algorithm 2drank`` on a graph of 2**20
+# nodes and few edges: what each node a file asks for costs to rank
+BYTES_PER_NODE = 120
+
+
+def _memory_limit() -> int | None:
+    """Bytes this process may use: the smaller of its soft address-space
+    limit and the machine's physical memory; None if neither is known."""
+    limits = []
+    if resource is not None:
+        soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+        if soft != resource.RLIM_INFINITY:
+            limits.append(soft)
+    try:
+        limits.append(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+    except (AttributeError, ValueError, OSError):
+        pass
+    return min(limits, default=None)
 
 
 class EdgeListError(ValueError):
@@ -71,14 +98,22 @@ class DirectedGraph:
 
         Duplicate pairs collapse to a single edge.  Endpoints must lie in
         ``[0, node_count)``.  Edges are ordered by target, then source,
-        through one sort of the int64 key ``target * node_count + source``;
-        raises ValueError before allocating anything when ``node_count``
-        exceeds :data:`MAX_NODE_COUNT`, where that key would overflow.
+        through one sort of the int64 key ``target * node_count + source``.
+        Raises ValueError before allocating anything when ``node_count``
+        exceeds :data:`MAX_NODE_COUNT`, where that key would overflow, or
+        when ranking that many nodes, at :data:`BYTES_PER_NODE` each, would
+        need more than :func:`_memory_limit`.
         """
         if node_count > MAX_NODE_COUNT:
             raise ValueError(
                 f"node count {node_count} over the limit {MAX_NODE_COUNT} "
                 "(edge keys target*N+source must fit in int64)")
+        limit = _memory_limit()
+        if limit is not None and node_count * BYTES_PER_NODE > limit:
+            raise ValueError(
+                f"node count {node_count} needs about "
+                f"{node_count * BYTES_PER_NODE / 2**30:.1f} GiB to rank, "
+                f"over the {limit / 2**30:.1f} GiB this process may use")
         src = np.asarray(sources, dtype=np.int64)
         tgt = np.asarray(targets, dtype=np.int64)
         if src.shape != tgt.shape:
@@ -223,8 +258,23 @@ def load_edge_list(
 
 
 def reverse(g: DirectedGraph) -> DirectedGraph:
-    """Graph with every edge (u, v) flipped to (v, u); degrees swap roles."""
-    src, tgt = g.edge_arrays()
-    rev = DirectedGraph.from_edges(g.node_count, tgt, src, labels=g.labels)
+    """Graph with every edge (u, v) flipped to (v, u); degrees swap roles.
+
+    One counting-sort transpose, scipy's CSR to CSC of the 0/1
+    target-by-source matrix, regroups the edges by source with each
+    group's targets ascending: the arrays :meth:`DirectedGraph.from_edges`
+    builds from the flipped pairs, without their sort.
+    """
+    n = g.node_count
+    by_source = sparse.csr_matrix(
+        (np.ones(g.edge_count, dtype=bool), g.in_sources, g.in_indptr),
+        shape=(n, n)).tocsc()
     # carry load-time bookkeeping so reverse(reverse(g)) is indistinguishable
-    return replace(rev, self_loops_removed=g.self_loops_removed)
+    return DirectedGraph(
+        node_count=n,
+        in_indptr=by_source.indptr.astype(np.int64),
+        in_sources=by_source.indices.astype(np.int64),
+        out_degree=np.diff(g.in_indptr),
+        labels=g.labels,
+        self_loops_removed=g.self_loops_removed,
+    )

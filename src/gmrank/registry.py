@@ -50,17 +50,101 @@ class CountryCultureMap:
         return self.entries.get(country, WORLD)
 
 
-@dataclass(frozen=True)
+class _TitleColumn:
+    """Every person's stripped titles, row by row, and each edition's column.
+
+    Person ``r``'s title in the edition of column ``c`` is cell
+    ``r * width + c``.  The cells come as a list, or still joined by NUL as
+    a ``.gmrp`` read leaves them; a joined column is split, and its width
+    checked, on its first :meth:`cells`, so a run that reads no title
+    never walks it.
+    """
+
+    __slots__ = ("columns", "width", "_count", "_cells", "_joined")
+
+    def __init__(self, editions: Sequence[str], titles: list[str] | str,
+                 rows: int):
+        self.columns = dict(zip(editions, range(len(editions))))
+        self.width = len(editions)
+        self._count = rows * self.width
+        self._cells: list[str] | None = None
+        self._joined: str | None = None
+        if isinstance(titles, str):
+            self._joined = titles
+        else:
+            self._cells = self._checked(titles)
+
+    def _checked(self, cells: list[str]) -> list[str]:
+        if len(cells) != self._count:
+            raise ValueError("titles must hold one title per person and edition")
+        return cells
+
+    def cells(self) -> list[str]:
+        if self._cells is None:
+            joined = self._joined
+            self._cells = self._checked(
+                joined.split("\0") if joined or self._count else [])
+            self._joined = None
+        return self._cells
+
+    def cell(self, row: int, edition: str) -> str:
+        """The stored title; empty when there is none or no such column."""
+        column = self.columns.get(edition)
+        if column is None:
+            return ""
+        return self.cells()[row * self.width + column]
+
+    def title(self, row: int, person_id: str, edition: str) -> str | None:
+        """The person's title in ``edition``; an empty EN one is the id."""
+        title = self.cell(row, edition)
+        if not title and edition == "EN":
+            return person_id
+        return title or None
+
+
+_NO_TITLES = _TitleColumn((), [], 0)
+
+
 class Person:
-    person_id: str
-    titles: Mapping[str, str]           # edition code -> localized title
-    birth_country: str
-    birth_year: int | None              # None = unknown; 0 is forbidden
-    gender: str
-    culture: str
+    """One registered person: five scalar fields, which equality compares.
+
+    A person got from a :class:`PersonRegistry` reads its titles from the
+    registry's title column, which it shares without referring to the
+    registry, so dropping the registry frees both by reference counting.
+    One built by hand has only its EN title, its id.
+    """
+
+    __slots__ = ("person_id", "birth_country", "birth_year", "gender",
+                 "culture", "_titles", "_row", "__weakref__")
+
+    def __init__(self, person_id: str, birth_country: str,
+                 birth_year: int | None, gender: str, culture: str,
+                 titles: _TitleColumn = _NO_TITLES, row: int = 0):
+        self.person_id = person_id
+        self.birth_country = birth_country
+        self.birth_year = birth_year        # None = unknown; 0 is forbidden
+        self.gender = gender
+        self.culture = culture
+        self._titles = titles
+        self._row = row
+
+    def _fields(self) -> tuple[str, str, int | None, str, str]:
+        return (self.person_id, self.birth_country, self.birth_year,
+                self.gender, self.culture)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Person):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "Person({!r}, {!r}, {!r}, {!r}, {!r})".format(*self._fields())
 
     def title_in(self, edition: str) -> str | None:
-        return self.titles.get(edition)
+        return self._titles.title(self._row, self.person_id, edition)
 
 
 @dataclass(frozen=True)
@@ -121,24 +205,23 @@ class PersonRegistry:
 
     Built by :func:`load_persons`, which has checked every row and every
     title, or from a cache artifact of that function's columns; the
-    constructor takes those columns and checks only their width.  Each
-    edition's title index is built, and checked for a repeated title, on
-    its first :meth:`title_index`, and a :class:`Person` on its first
-    :meth:`get`; both are kept.
+    constructor takes those columns and checks only their width.  The
+    titles may come as a list, or still joined by NUL as
+    :func:`cache.read_persons` returns them; those are split, and their
+    width checked, on the first title read.  Each edition's title index is
+    built, and checked for a repeated title, on its first
+    :meth:`title_index`, and a :class:`Person` on its first :meth:`get`;
+    both are kept.
     """
 
     def __init__(self, ids: list[str],
                  fields: list[tuple[str, int | None, str]],
-                 editions: list[str], titles: list[str],
+                 editions: list[str], titles: list[str] | str,
                  culture_map: CountryCultureMap):
-        if len(titles) != len(ids) * len(editions):
-            raise ValueError("titles must hold one title per person and edition")
         self._ids = ids
         self._fields = fields           # (birth_country, birth_year, gender)
         self._editions = editions
-        # stripped titles row by row: person r's are titles[r*E:(r+1)*E] for
-        # the E editions, so building one Person reads one contiguous slice
-        self._titles = titles
+        self._titles = _TitleColumn(editions, titles, len(ids))
         self._culture_map = culture_map
         self._row = dict(zip(ids, range(len(ids))))
         self._built: dict[str, Person] = {}
@@ -146,8 +229,8 @@ class PersonRegistry:
 
     def columns(self) -> tuple[list[str], list[tuple[str, int | None, str]],
                                list[str], list[str]]:
-        """``(ids, fields, editions, titles)``, as the constructor takes them."""
-        return self._ids, self._fields, self._editions, self._titles
+        """``(ids, fields, editions, titles)``, the titles as a list."""
+        return self._ids, self._fields, self._editions, self._titles.cells()
 
     def _keyed_titles(self, code: str) -> tuple[list[str], list[str]]:
         """One edition's non-empty titles and their owners.
@@ -155,12 +238,13 @@ class PersonRegistry:
         An empty EN title, or a missing EN column, is the person_id.
         """
         ids = self._ids
-        if code not in self._editions:
+        column = self._titles.columns.get(code)
+        if column is None:
             return (ids, ids) if code == "EN" else ([], [])
-        column = self._titles[self._editions.index(code)::len(self._editions)]
+        titles = self._titles.cells()[column::self._titles.width]
         if code == "EN":
-            return [t or p for t, p in zip(column, ids)], ids
-        return list(compress(column, column)), list(compress(ids, column))
+            return [t or p for t, p in zip(titles, ids)], ids
+        return list(compress(titles, titles)), list(compress(ids, titles))
 
     def _check_unique(self) -> None:
         """Build every title index; raise on a duplicate id or title."""
@@ -169,22 +253,24 @@ class PersonRegistry:
         for code in dict.fromkeys((*self._editions, "EN")):
             self.title_index(code)
 
-    def _titles_of(self, row: int, person_id: str) -> dict[str, str]:
-        width = len(self._editions)
-        values = self._titles[row * width:(row + 1) * width]
-        titles = dict(compress(zip(self._editions, values), values))
-        titles.setdefault("EN", person_id)
-        return titles
-
     def _raise_first_duplicate(self) -> None:
-        """Name the first duplicate id or title in file order."""
+        """Name the first duplicate id or title in file order.
+
+        A person's titles are checked in column order, an empty EN title,
+        which defaults to the id, last.
+        """
         seen_ids: set[str] = set()
         seen_titles: dict[str, dict[str, str]] = {}
         for row, person_id in enumerate(self._ids):
             if person_id in seen_ids:
                 raise ValueError(f"duplicate person_id {person_id!r}")
             seen_ids.add(person_id)
-            for code, title in self._titles_of(row, person_id).items():
+            codes = [code for code in self._editions
+                     if self._titles.cell(row, code)]
+            if "EN" not in codes:
+                codes.append("EN")
+            for code in codes:
+                title = self._titles.title(row, person_id, code)
                 index = seen_titles.setdefault(code, {})
                 key = _nfc(title)
                 if key in index:
@@ -205,14 +291,16 @@ class PersonRegistry:
             row = self._row[person_id]
             country, year, gender = self._fields[row]
             person = self._built[person_id] = Person(
-                person_id=person_id,
-                titles=self._titles_of(row, person_id),
-                birth_country=country,
-                birth_year=year,
-                gender=gender,
-                culture=self._culture_map.culture_of(country),
-            )
+                person_id, country, year, gender,
+                self._culture_map.culture_of(country), self._titles, row)
         return person
+
+    def title(self, person_id: str, edition: str) -> str | None:
+        """The person's localized title in ``edition``, or None.
+
+        An empty EN title, or a missing EN column, is the person_id.
+        """
+        return self._titles.title(self._row[person_id], person_id, edition)
 
     def title_index(self, edition: str) -> Mapping[str, str]:
         """NFC-normalized localized title -> person_id for one edition.

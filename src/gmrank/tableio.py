@@ -93,9 +93,9 @@ def write_toplist_csv(stream: IO[str], toplist: TopList,
         person = registry.get(person_id)
         writer.writerow((
             toplist.edition, toplist.algorithm, person_id,
-            person.title_in(toplist.edition) or "", rank, person.culture,
-            person.birth_country, _century_field(person.birth_year),
-            person.gender))
+            registry.title(person_id, toplist.edition) or "", rank,
+            person.culture, person.birth_country,
+            _century_field(person.birth_year), person.gender))
 
 
 def read_toplist_csv(stream: IO[str], edition: str,

@@ -12,7 +12,8 @@ from gmrank.cache import (PERSONS_VERSION, CacheFormatError, artifact_path,
 from gmrank.graph import INTEGER_IDS, STRING_LABELS, load_edge_list
 from gmrank.rank import (GoogleParams, RankVector, cheirank, pagerank,
                          rank_indices)
-from gmrank.registry import EDITION_CODES, GENDERS
+from gmrank.registry import (EDITION_CODES, GENDERS, PersonRegistry,
+                             default_culture_map)
 from gmrank.tableio import write_rank_csv
 
 
@@ -300,7 +301,12 @@ class TestPersonsArtifact:
         (["A"], [("XX", 2**63 - 1, "unknown")], ["DE"], [""])],
         ids=["persons", "empty", "no-persons", "no-editions", "one-empty-title"])
     def test_roundtrip(self, columns):
-        assert read_persons_bytes(persons_bytes(*columns)) == tuple(columns)
+        ids, fields, editions, titles = columns
+        read = read_persons_bytes(persons_bytes(*columns))
+        # the titles come back still joined, for the registry to split
+        assert read == (ids, fields, editions, "\0".join(titles))
+        registry = PersonRegistry(*read, default_culture_map())
+        assert registry.columns() == tuple(columns)
 
     def test_layout_is_little_endian_with_magic(self):
         raw = persons_bytes(*COLUMNS)

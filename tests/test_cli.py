@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmrank import aggregate, cache, cli, cultures
+from gmrank import aggregate, cache, cli, cultures, registry
 from gmrank.cli import (EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         load_config, main)
 from gmrank.graph import MAX_EDGE_LIST_NODES, DirectedGraph
 from gmrank.rank import GoogleParams
-from gmrank.registry import EDITION_CODES, GENDERS
+from gmrank.registry import (EDITION_CODES, GENDERS, PersonRegistry,
+                             default_culture_map)
 
 from conftest import GOLDEN, rank_columns
 
@@ -246,6 +247,33 @@ class TestRankCommand:
         assert len(errors) == 1
         assert errors[0].getMessage() == (
             f"node count {node_count} over the limit {MAX_EDGE_LIST_NODES}")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_node_count_over_memory_limit_exit_2(self, tmp_path):
+        # a child under a 1.5 GiB address-space limit is asked for 2**26
+        # nodes, about 7.5 GiB to rank: refused before any per-node array
+        resource = pytest.importorskip("resource")
+        graph = tmp_path / "huge.edges"
+        graph.write_text("# nodes: 67108864\n0 1\n")
+
+        def limit_address_space():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, hard))
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run(
+            [sys.executable, "-m", "gmrank.cli", "rank", str(graph),
+             "--out", str(tmp_path / "o.csv")],
+            capture_output=True, text=True, env=env,
+            preexec_fn=limit_address_space)
+        assert result.returncode == EXIT_INPUT, result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("ERROR node count 67108864 needs about "
+                                   "7.5 GiB to rank, over the ")
+        assert lines[0].endswith(" GiB this process may use")
         assert not (tmp_path / "o.csv").exists()
 
     def test_nonconvergence_exit_3(self, tmp_path):
@@ -872,7 +900,9 @@ class TestGraphArtifact:
 def _edit_columns(edit):
     """A corruption that rewrites a registry artifact's decoded columns."""
     def corrupt(raw):
-        columns = cache.read_persons(io.BytesIO(raw), EDITION_CODES, GENDERS)
+        columns = PersonRegistry(
+            *cache.read_persons(io.BytesIO(raw), EDITION_CODES, GENDERS),
+            default_culture_map()).columns()
         edit(*columns)
         buf = io.BytesIO()
         cache.write_persons(buf, *columns)
@@ -928,6 +958,25 @@ class TestRegistryArtifact:
                     assert path.read_bytes() == (GOLDEN / name).read_bytes()
                 path.unlink()                   # the warm run writes it anew
         assert cache_layout(root / "cache") == {".gmrp": 1}
+
+    @pytest.mark.parametrize("args", [
+        ["global", "--women", "--algorithm", "2drank"],
+        ["culture", "--before-century", "19"]], ids=["global", "culture"])
+    def test_warm_run_leaves_titles_unsplit(self, world, tmp_path,
+                                            monkeypatch, caplog, args):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        root = _copy_world(world, tmp_path)
+        args = [*args, "--config", str(root / "config.ini")]
+        assert main(args) == EXIT_OK
+        reference = _outputs(root / "out")
+
+        def split(column):
+            raise AssertionError("global and culture read no title")
+        monkeypatch.setattr(registry._TitleColumn, "cells", split)
+        with caplog.at_level(logging.INFO):
+            assert main(args) == EXIT_OK
+        assert "(registry)" in caplog.text
+        assert _outputs(root / "out") == reference
 
     @pytest.mark.parametrize("corrupt, reason", [
         (lambda raw: raw[:-3], "expected"),

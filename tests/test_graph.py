@@ -1,11 +1,14 @@
 """Edge-list loading, dedup/self-loop handling, reversal and degree counts."""
 import io
+import os
 
 import numpy as np
 import pytest
 
-from gmrank.graph import (MAX_EDGE_LIST_NODES, MAX_NODE_COUNT, DirectedGraph,
-                          EdgeListError, load_edge_list, reverse)
+from gmrank import graph
+from gmrank.graph import (BYTES_PER_NODE, MAX_EDGE_LIST_NODES, MAX_NODE_COUNT,
+                          DirectedGraph, EdgeListError, load_edge_list,
+                          reverse)
 
 from conftest import random_graph
 
@@ -94,6 +97,25 @@ class TestLoadEdgeList:
             load(text)
 
 
+class TestMemoryLimit:
+    def test_graph_over_the_limit_refused(self, monkeypatch):
+        monkeypatch.setattr(graph, "_memory_limit",
+                            lambda: 100 * BYTES_PER_NODE - 1)
+        with pytest.raises(ValueError, match=r"^node count 100 needs about "
+                           r"0\.0 GiB to rank, over the 0\.0 GiB this "
+                           r"process may use$"):
+            DirectedGraph.from_edges(100, [0], [1])
+
+    def test_graph_at_the_limit_or_without_one_built(self, monkeypatch):
+        for limit in (100 * BYTES_PER_NODE, None):
+            monkeypatch.setattr(graph, "_memory_limit", lambda: limit)
+            assert DirectedGraph.from_edges(100, [0], [1]).edge_count == 1
+
+    def test_limit_is_at_most_physical_memory(self):
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        assert 0 < graph._memory_limit() <= physical
+
+
 class TestReverse:
     def test_single_edge_flips(self):
         g = load("0 1\n")
@@ -115,6 +137,40 @@ class TestReverse:
         assert r.edge_count == g.edge_count
         assert np.array_equal(r.out_degree, g.in_degree)
         assert np.array_equal(r.in_degree, g.out_degree)
+
+
+def flipped(g):
+    """The reversal as one build from the flipped edge pairs."""
+    src, tgt = g.edge_arrays()
+    rev = DirectedGraph.from_edges(g.node_count, tgt, src, labels=g.labels)
+    return DirectedGraph(rev.node_count, rev.in_indptr, rev.in_sources,
+                         rev.out_degree, rev.labels, g.self_loops_removed)
+
+
+REVERSE_CASES = {
+    "labels-and-self-loops": lambda: load(
+        "a b\nb b\nc a\na c\nc c\nd a\n", label_mode="string-labels",
+        drop_self_loops=False),
+    "self-loops-removed": lambda: load("0 0\n0 1\n2 1\n1 1\n"),
+    "isolated-nodes": lambda: load("# nodes: 9\n7 2\n2 7\n3 2\n"),
+    "no-edges": lambda: DirectedGraph.from_edges(4, [], []),
+    "no-nodes": lambda: DirectedGraph.from_edges(0, [], []),
+    "random": lambda: random_graph(np.random.default_rng(8), 200, 0.03),
+}
+
+
+class TestReverseMatchesFlippedBuild:
+    @pytest.mark.parametrize("case", REVERSE_CASES)
+    def test_same_arrays_dtypes_and_bookkeeping(self, case):
+        g = REVERSE_CASES[case]()
+        got, expected = reverse(g), flipped(g)
+        assert got.node_count == expected.node_count
+        for name in ("in_indptr", "in_sources", "out_degree"):
+            array, oracle = getattr(got, name), getattr(expected, name)
+            assert array.dtype == oracle.dtype == np.int64, name
+            assert np.array_equal(array, oracle), name
+        assert got.labels == expected.labels
+        assert got.self_loops_removed == g.self_loops_removed
 
 
 class TestStats:

@@ -1,9 +1,11 @@
 """Person registry, culture assignment, century arithmetic, top-list extraction."""
 import csv
+import gc
 import io
 import logging
 import random
 import unicodedata
+import weakref
 
 import numpy as np
 import pytest
@@ -86,8 +88,11 @@ class TestLoadPersons:
         ])
         person = reg.get("Napoleon")
         assert person.culture == "FR"
-        assert person.titles["FR"] == "Napoléon Ier"
-        assert person.titles["EN"] == "Napoleon"
+        assert reg.title("Napoleon", "FR") == "Napoléon Ier"
+        assert reg.title("Napoleon", "EN") == "Napoleon"
+        assert person.title_in("FR") == "Napoléon Ier"
+        assert person.title_in("EN") == "Napoleon"
+        assert reg.title("Napoleon", "JA") is person.title_in("JA") is None
 
     def test_unknown_country_maps_to_world(self):
         reg = make_registry([{"person_id": "A", "birth_country": "XX",
@@ -333,7 +338,7 @@ class TestColumnNfc:
         toplist = select_top_people(np.array([1, 0]), labels, reg, "FR",
                                     "pagerank", n=2)
         assert toplist.entries == (("Poincare", 1), ("Curie", 2))
-        assert reg.get("Poincare").titles["FR"] == f"Henri Poincar{NFD_E}"
+        assert reg.title("Poincare", "FR") == f"Henri Poincar{NFD_E}"
 
     def test_titles_equal_after_nfc_are_duplicates(self):
         text = (self.HEADER
@@ -352,7 +357,7 @@ class TestColumnNfc:
         reg = load_persons(io.StringIO(text))
         assert dict(reg.title_index("FR")) == {"Deux\nlignes": "A",
                                                f"J{NFC_E}sus": "B"}
-        assert reg.get("A").titles["FR"] == "Deux\nlignes"
+        assert reg.title("A", "FR") == "Deux\nlignes"
 
     def test_constructor_rejects_titles_of_the_wrong_width(self):
         with pytest.raises(ValueError, match="one title per person and edition"):
@@ -360,20 +365,35 @@ class TestColumnNfc:
                            ["EN", "FR"], ["A", "x", "B"],
                            default_culture_map())
 
+    @pytest.mark.parametrize("ids, editions, joined", [
+        (["A", "B"], ["EN", "FR"], "A\0x\0B"),
+        (["A"], ["EN", "FR"], "A\0x\0B"),
+        (["A"], [], "A"),
+        ([], ["EN"], "A")], ids=["short", "long", "no-editions", "no-persons"])
+    def test_joined_titles_of_the_wrong_width_refused_on_first_read(
+            self, ids, editions, joined):
+        reg = PersonRegistry(ids, [("FR", 1900, "male")] * len(ids),
+                             editions, joined, default_culture_map())
+        for _ in range(2):          # a refused split is not kept
+            with pytest.raises(ValueError,
+                               match="one title per person and edition"):
+                reg.columns()
+
 
 # -- the registry against the eager loader it replaced ------------------------
 
 def eager_load(text):
     """The row-at-a-time loader: one Person per row, then the title indexes.
 
-    Returns the first error message, or ``(persons, title_indexes)``.
+    Returns the first error message, or ``(persons, titles,
+    title_indexes)``: ``titles`` maps each id to its edition -> title dict.
     Lines are numbered by ``reader.line_num``, as ``load_persons`` does.
     """
     culture_map = default_culture_map()
     reader = csv.reader(io.StringIO(text), delimiter="\t")
     header = [h.strip() for h in next(reader)]
     editions = header[4:]
-    persons = []
+    persons, titles_of = [], {}
     try:
         for row in reader:
             line_no = reader.line_num
@@ -414,14 +434,15 @@ def eager_load(text):
             titles = {code: t.strip() for code, t in zip(editions, row[4:])
                       if t.strip()}
             titles.setdefault("EN", person_id)
-            persons.append(Person(person_id, titles, country, year, gender,
+            persons.append(Person(person_id, country, year, gender,
                                   culture_map.culture_of(country)))
+            titles_of[person_id] = titles
         by_id, by_title = {}, {}
         for person in persons:
             if person.person_id in by_id:
                 raise ValueError(f"duplicate person_id {person.person_id!r}")
             by_id[person.person_id] = person
-            for code, title in person.titles.items():
+            for code, title in titles_of[person.person_id].items():
                 index = by_title.setdefault(code, {})
                 key = unicodedata.normalize("NFC", title)
                 if key in index:
@@ -431,7 +452,7 @@ def eager_load(text):
                 index[key] = person.person_id
     except ValueError as exc:
         return str(exc)
-    return by_id, by_title
+    return by_id, titles_of, by_title
 
 
 def _title_form(rng, base, features):
@@ -545,13 +566,16 @@ class TestMatchesEagerLoader:
                 load_persons(io.StringIO(text))
             assert str(exc_info.value) == expected
             return
-        persons, by_title = expected
+        persons, titles_of, by_title = expected
         reg = load_persons(io.StringIO(text))
         assert len(reg) == len(persons)
         for person_id, person in persons.items():
             assert person_id in reg
             assert reg.get(person_id) == person
-            assert list(reg.get(person_id).titles) == list(person.titles)
+            for code in (*EDITION_CODES, "XY"):
+                expected_title = titles_of[person_id].get(code)
+                assert reg.title(person_id, code) == expected_title
+                assert reg.get(person_id).title_in(code) == expected_title
         assert "absent" not in reg
         with pytest.raises(KeyError):
             reg.get("absent")
@@ -596,13 +620,11 @@ class TestArtifactMatchesFreshLoad:
         fresh = load_persons(io.StringIO(text), OTHER_MAP)
         # the artifact is written from a load under the default map
         hit = from_artifact(load_persons(io.StringIO(text)), OTHER_MAP)
-        persons, _ = eager_load(text)
+        persons, _, _ = eager_load(text)
         assert len(hit) == len(fresh) == len(persons)
         for person_id in persons:
             assert person_id in hit
             assert hit.get(person_id) == fresh.get(person_id)
-            assert (list(hit.get(person_id).titles)
-                    == list(fresh.get(person_id).titles))
             assert hit.get(person_id).culture == OTHER_MAP.culture_of(
                 persons[person_id].birth_country)
         assert "absent" not in hit
@@ -611,6 +633,47 @@ class TestArtifactMatchesFreshLoad:
             assert dict(hit.title_index(code)) == dict(fresh.title_index(code))
             if code not in header and code != "EN":
                 assert hit.title_index(code) == {}
+
+    @pytest.mark.parametrize("seed", VALID_SEEDS)
+    def test_warm_titles_equal_fresh_load(self, seed):
+        text = storable_persons_file(seed)
+        fresh = load_persons(io.StringIO(text))
+        _, titles_of, _ = eager_load(text)
+        codes = (*EDITION_CODES, "XY")     # XY is in no file's columns
+        # each warm registry splits its titles on a different first read
+        by_title = from_artifact(fresh, default_culture_map())
+        by_title_in = from_artifact(fresh, default_culture_map())
+        by_index = from_artifact(fresh, default_culture_map())
+        for code in codes:
+            for person_id, titles in titles_of.items():
+                expected = titles.get(code)
+                assert fresh.title(person_id, code) == expected
+                assert by_title.title(person_id, code) == expected
+                assert by_title_in.get(person_id).title_in(code) == expected
+            assert dict(by_index.title_index(code)) == dict(
+                fresh.title_index(code))
+
+
+class TestNoReferenceCycle:
+    def test_registry_and_person_freed_by_reference_counting(self):
+        text = storable_persons_file(VALID_SEEDS[0])
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            registry = from_artifact(load_persons(io.StringIO(text)),
+                                     default_culture_map())
+            person_id = next(iter(eager_load(text)[0]))
+            person = registry.get(person_id)
+            registry_ref, person_ref = weakref.ref(registry), weakref.ref(person)
+            title = registry.title(person_id, "EN")
+            del registry
+            assert registry_ref() is None       # the person keeps no link
+            assert person.title_in("EN") == title
+            del person
+            assert person_ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestDuplicateTitleInArtifact:
