@@ -13,7 +13,7 @@ from itertools import product
 from typing import IO, Iterable, Mapping, Sequence
 
 from .registry import (EDITION_CODES, PAGERANK_LIST, WORLD, PersonRegistry,
-                       TopList, appearances, century_of, check_toplists, _nfc)
+                       TopList, appearances, check_toplists, _nfc)
 
 GLOBAL = "global"
 LOCAL_HIGH = "local_high"
@@ -185,9 +185,9 @@ def temporal_distribution(toplists: Sequence[TopList],
                           registry: PersonRegistry) -> DistributionTable:
     """Raw birth-century counts per edition; unknown birth years are skipped."""
     return _table(toplists, Counter(
-        (edition, century_of(person.birth_year))
+        (edition, person.century)
         for edition, person in appearances(toplists, registry)
-        if person.birth_year is not None))
+        if person.century is not None))
 
 
 def locality_ratio(toplists: Sequence[TopList],
@@ -200,9 +200,9 @@ def locality_ratio(toplists: Sequence[TopList],
     totals: dict[tuple[str, int], int] = {}
     own: dict[tuple[str, int], int] = {}
     for edition, person in appearances(toplists, registry):
-        if person.birth_year is None:
+        if person.century is None:
             continue
-        key = (edition, century_of(person.birth_year))
+        key = (edition, person.century)
         totals[key] = totals.get(key, 0) + 1
         if person.culture == edition:
             own[key] = own.get(key, 0) + 1
@@ -229,8 +229,8 @@ def gender_distribution(toplists: Sequence[TopList],
     by_century: dict[tuple[int, str], int] = {}
     for edition, person in appearances(toplists, registry):
         counts[person.gender][edition] += 1
-        if person.birth_year is not None and person.gender != "unknown":
-            key = (century_of(person.birth_year), person.gender)
+        if person.century is not None and person.gender != "unknown":
+            key = (person.century, person.gender)
             by_century[key] = by_century.get(key, 0) + 1
     centuries = tuple(sorted({century for century, _ in by_century}))
     ratio = {}
@@ -238,7 +238,7 @@ def gender_distribution(toplists: Sequence[TopList],
         f = by_century.get((century, "female"), 0)
         ratio[century, "female_ratio"] = f / (
             f + by_century.get((century, "male"), 0))
-    raw = {(e, g): counts[g][e] for e in editions for g in genders}
+    raw = {(e, g): float(counts[g][e]) for e in editions for g in genders}
     mean = sum(counts["female"].values()) / len(editions) if editions else 0.0
     return [DistributionTable(editions, genders, raw),
             DistributionTable(("mean",), ("female",), {("mean", "female"): mean},

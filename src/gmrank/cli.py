@@ -504,6 +504,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:   # ConfigError, EdgeListError, ...
         log.error("%s", exc)
         return EXIT_INPUT
+    except MemoryError as exc:   # an allocation the estimate did not foresee
+        log.error("out of memory%s", f": {exc}" if str(exc) else "")
+        return EXIT_INPUT
     except ConvergenceError as exc:
         log.error("numeric failure: %s", exc)
         return EXIT_NUMERIC

@@ -16,7 +16,7 @@ import numpy as np
 
 from .rank import dense_stationary, google_matrix, rank_indices, two_d_rank
 from .registry import (EDITION_CODES, WORLD, PersonRegistry, TopList,
-                       appearances, century_of)
+                       appearances)
 
 CULTURE_CODES: tuple[str, ...] = tuple(sorted(EDITION_CODES + (WORLD,)))
 CULTURE_INDEX: Mapping[str, int] = {c: i for i, c in enumerate(CULTURE_CODES)}
@@ -45,8 +45,7 @@ def build_culture_network(toplists: Sequence[TopList],
     weights = np.zeros((N_CULTURES, N_CULTURES), dtype=np.int64)
     for edition, person in appearances(toplists, registry):
         if before_century is not None and (
-                person.birth_year is None
-                or century_of(person.birth_year) >= before_century):
+                person.century is None or person.century >= before_century):
             continue
         if person.culture != edition:
             weights[CULTURE_INDEX[edition], CULTURE_INDEX[person.culture]] += 1

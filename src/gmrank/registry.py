@@ -106,7 +106,8 @@ _NO_TITLES = _TitleColumn((), [], 0)
 
 
 class Person:
-    """One registered person: five scalar fields, which equality compares.
+    """One registered person: five scalar fields, which equality compares,
+    and the birth ``century`` worked out from the year when it is built.
 
     A person got from a :class:`PersonRegistry` reads its titles from the
     registry's title column, which it shares without referring to the
@@ -115,16 +116,17 @@ class Person:
     """
 
     __slots__ = ("person_id", "birth_country", "birth_year", "gender",
-                 "culture", "_titles", "_row", "__weakref__")
+                 "culture", "century", "_titles", "_row", "__weakref__")
 
     def __init__(self, person_id: str, birth_country: str,
                  birth_year: int | None, gender: str, culture: str,
                  titles: _TitleColumn = _NO_TITLES, row: int = 0):
         self.person_id = person_id
         self.birth_country = birth_country
-        self.birth_year = birth_year        # None = unknown; 0 is forbidden
+        self.birth_year = birth_year        # None = unknown; 0 raises
         self.gender = gender
         self.culture = culture
+        self.century = None if birth_year is None else century_of(birth_year)
         self._titles = titles
         self._row = row
 

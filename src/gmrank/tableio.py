@@ -1,8 +1,10 @@
 """CSV and JSON emission for pipeline outputs, with atomic file replacement.
 
 Every writer produces byte-identical output for identical inputs; floats are
-rendered with ``repr`` so emitted values round-trip exactly.  Top-list CSV is
-also re-ingestible: reading an emitted file reproduces the in-memory list.
+rendered with ``repr`` so emitted values round-trip exactly.  The table
+writers hand ``csv.writer`` plain values, which writes a float by ``repr``
+and ``None`` as an empty field.  Top-list CSV is also re-ingestible: reading
+an emitted file reproduces the in-memory list.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from .aggregate import DistributionTable, GlobalEntry, LanguageCounts
 from .cultures import (CULTURE_CODES, CultureNetwork, CultureRanks,
                        export_matrix_by_rank)
 from .rank import RankIndex, RankVector, TwoDRankResult
-from .registry import PersonRegistry, TopList, century_of, checked_rows
+from .registry import PersonRegistry, TopList, checked_rows
 
 
 @contextmanager
@@ -38,14 +40,6 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _century_field(year: int | None) -> str:
-    return "" if year is None else str(century_of(year))
 
 
 # -- rank orderings ----------------------------------------------------------
@@ -93,9 +87,9 @@ def write_toplist_csv(stream: IO[str], toplist: TopList,
         person = registry.get(person_id)
         writer.writerow((
             toplist.edition, toplist.algorithm, person_id,
-            registry.title(person_id, toplist.edition) or "", rank,
-            person.culture, person.birth_country,
-            _century_field(person.birth_year), person.gender))
+            registry.title(person_id, toplist.edition), rank,
+            person.culture, person.birth_country, person.century,
+            person.gender))
 
 
 def read_toplist_csv(stream: IO[str], edition: str,
@@ -148,8 +142,8 @@ def write_global_csv(stream: IO[str], entries: Sequence[GlobalEntry],
         person = registry.get(entry.person_id)
         writer.writerow((
             position, entry.person_id, entry.theta, entry.n_appear,
-            _fmt(entry.mean_rank), classes[entry.person_id], person.gender,
-            person.culture, _century_field(person.birth_year)))
+            entry.mean_rank, classes[entry.person_id], person.gender,
+            person.culture, person.century))
 
 
 def write_culture_slices_csv(stream: IO[str],
@@ -160,7 +154,7 @@ def write_culture_slices_csv(stream: IO[str],
     for culture in sorted(slices):
         for position, entry in enumerate(slices[culture], start=1):
             writer.writerow((culture, position, entry.person_id, entry.theta,
-                             entry.n_appear, _fmt(entry.mean_rank)))
+                             entry.n_appear, entry.mean_rank))
 
 
 # -- distribution tables -----------------------------------------------------
@@ -182,9 +176,7 @@ def write_distribution_csv(stream: IO[str],
         for row in table.row_keys:
             for col in table.col_keys:
                 if (row, col) in cells:
-                    value = cells[row, col]
-                    writer.writerow((row, col,
-                                     "" if value is None else _fmt(value),
+                    writer.writerow((row, col, cells[row, col],
                                      table.normalization))
 
 
@@ -211,9 +203,8 @@ def write_culture_network_csv(stream: IO[str], net: CultureNetwork) -> None:
     """Nonzero link weights as ``from,to,weight`` in code order."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(("from", "to", "weight"))
-    for a, source in enumerate(CULTURE_CODES):
-        for b, target in enumerate(CULTURE_CODES):
-            w = int(net.weights[a, b])
+    for source, weights in zip(CULTURE_CODES, net.weights.tolist()):
+        for target, w in zip(CULTURE_CODES, weights):
             if w:
                 writer.writerow((source, target, w))
 
@@ -222,10 +213,10 @@ def write_culture_ranks_csv(stream: IO[str], ranks: CultureRanks) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(("culture", "k", "kstar", "kprime", "pagerank_prob",
                      "cheirank_prob"))
-    for i, code in enumerate(CULTURE_CODES):
-        writer.writerow((code, int(ranks.k[i]), int(ranks.kstar[i]),
-                         int(ranks.kprime[i]), _fmt(ranks.pagerank_probs[i]),
-                         _fmt(ranks.cheirank_probs[i])))
+    writer.writerows(zip(CULTURE_CODES, ranks.k.tolist(),
+                         ranks.kstar.tolist(), ranks.kprime.tolist(),
+                         ranks.pagerank_probs.tolist(),
+                         ranks.cheirank_probs.tolist()))
 
 
 def write_culture_matrix_csv(stream: IO[str], matrix: np.ndarray,
@@ -235,5 +226,5 @@ def write_culture_matrix_csv(stream: IO[str], matrix: np.ndarray,
     codes = [CULTURE_CODES[i] for i in np.asarray(ordering).tolist()]
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["culture"] + codes)
-    for i, code in enumerate(codes):
-        writer.writerow([code] + [_fmt(v) for v in permuted[i]])
+    for code, row in zip(codes, permuted.tolist()):
+        writer.writerow([code] + row)

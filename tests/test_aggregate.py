@@ -338,6 +338,13 @@ class TestGender:
             assert pooled.value(century, "female_ratio") == pytest.approx(
                 f / (f + m))
 
+    def test_raw_counts_are_floats(self, corpus_toplists, corpus_registry):
+        # as in every count table, so each count is written as e.g. 3.0
+        for table in (gender_distribution(corpus_toplists, corpus_registry)[0],
+                      spatial_distribution(corpus_toplists, corpus_registry)):
+            assert table.cells
+            assert all(type(v) is float for v in table.cells.values())
+
     def test_unknown_gender_counted_separately(self, corpus_toplists,
                                                corpus_registry):
         raw = gender_distribution(corpus_toplists, corpus_registry)[0]

@@ -249,25 +249,30 @@ class TestRankCommand:
             f"node count {node_count} over the limit {MAX_EDGE_LIST_NODES}")
         assert not (tmp_path / "o.csv").exists()
 
-    def test_node_count_over_memory_limit_exit_2(self, tmp_path):
-        # a child under a 1.5 GiB address-space limit is asked for 2**26
-        # nodes, about 7.5 GiB to rank: refused before any per-node array
+    @staticmethod
+    def run_limited(argv, limit):
+        """``gmrank argv`` in a child under an address-space limit."""
         resource = pytest.importorskip("resource")
-        graph = tmp_path / "huge.edges"
-        graph.write_text("# nodes: 67108864\n0 1\n")
 
         def limit_address_space():
             hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-            resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, hard))
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
         src = str(Path(cli.__file__).parents[1])
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                "PYTHONPATH": os.pathsep.join(
                    filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        result = subprocess.run(
-            [sys.executable, "-m", "gmrank.cli", "rank", str(graph),
-             "--out", str(tmp_path / "o.csv")],
+        return subprocess.run(
+            [sys.executable, "-m", "gmrank.cli", *argv],
             capture_output=True, text=True, env=env,
             preexec_fn=limit_address_space)
+
+    def test_node_count_over_memory_limit_exit_2(self, tmp_path):
+        # a child under a 1.5 GiB address-space limit is asked for 2**26
+        # nodes, about 7.5 GiB to rank: refused before any per-node array
+        graph = tmp_path / "huge.edges"
+        graph.write_text("# nodes: 67108864\n0 1\n")
+        result = self.run_limited(
+            ["rank", str(graph), "--out", str(tmp_path / "o.csv")], 1536 << 20)
         assert result.returncode == EXIT_INPUT, result.stderr
         lines = result.stderr.splitlines()
         assert len(lines) == 1
@@ -275,6 +280,49 @@ class TestRankCommand:
                                    "7.5 GiB to rank, over the ")
         assert lines[0].endswith(" GiB this process may use")
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("message, line", [
+        ("", "out of memory"),
+        ("Unable to allocate 8.0 GiB",
+         "out of memory: Unable to allocate 8.0 GiB"),
+    ], ids=["bare", "numpy"])
+    def test_out_of_memory_exit_2(self, tmp_path, caplog, monkeypatch,
+                                  message, line):
+        # an allocation the node-count estimate did not foresee, here after
+        # the writer has begun the file
+        def write(f, *args, **kwargs):
+            f.write("node_id,label,probability,rank\n")
+            raise MemoryError(message)
+        monkeypatch.setattr(cli.tableio, "write_rank_csv", write)
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        graph = tmp_path / "g.edges"
+        graph.write_text("0 1\n1 2\n")
+        with caplog.at_level(logging.ERROR):
+            assert main(["rank", str(graph), "--out",
+                         str(tmp_path / "o.csv")]) == EXIT_INPUT
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert errors == [line]
+        assert [p.name for p in tmp_path.iterdir()] == ["g.edges"]
+
+    @pytest.mark.parametrize("nodes, limit", [
+        (8_000_000, 1 << 30), (4_400_000, 1 << 29)], ids=["1GiB", "0.5GiB"])
+    def test_node_count_within_estimate_never_crashes(self, tmp_path, nodes,
+                                                      limit):
+        # the estimate allows these node counts under the limit, but the
+        # interpreter, the 2drank writer's lists or the vectors may not fit:
+        # the child exits 0 or 2, never with a traceback
+        graph = tmp_path / "big.edges"
+        graph.write_text(f"# nodes: {nodes}\n0 1\n")
+        result = self.run_limited(
+            ["rank", str(graph), "--algorithm", "2drank",
+             "--out", str(tmp_path / "o.csv")], limit)
+        assert result.returncode in (EXIT_OK, EXIT_INPUT), result.stderr
+        assert "Traceback" not in result.stderr
+        if result.returncode == EXIT_INPUT:
+            assert len(result.stderr.splitlines()) == 1
+            assert result.stderr.startswith("ERROR ")
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["big.edges"]
 
     def test_nonconvergence_exit_3(self, tmp_path):
         graph = tmp_path / "g.edges"

@@ -50,6 +50,17 @@ def test_lower_layers_import_only_below(module, allowed):
     assert package_imports(tree) <= allowed
 
 
+@pytest.mark.parametrize("module", ["aggregate", "cultures", "tableio", "cli"])
+def test_century_worked_out_only_when_a_person_is_built(module):
+    # a Person carries its century, so no layer above works it out again
+    tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+    refs = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "century_of"
+            or isinstance(node, ast.Attribute) and node.attr == "century_of"
+            or isinstance(node, ast.alias) and node.name == "century_of"]
+    assert refs == []
+
+
 def test_cache_holds_no_csv_writer():
     tree = ast.parse((SOURCE / "cache.py").read_text(encoding="utf-8"))
     writers = [node.name for node in tree.body

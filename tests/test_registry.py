@@ -43,6 +43,23 @@ class TestCenturyOf:
         assert negative == sorted(negative)
 
 
+class TestPersonCentury:
+    def test_hand_built_person_gets_its_century(self):
+        assert Person("A", "US", 1901, "male", "EN").century == 20
+        assert Person("B", "GR", -470, "male", "EL").century == -5
+        assert Person("C", "XX", None, "unknown", "WR").century is None
+
+    def test_hand_built_person_of_year_zero_raises(self):
+        with pytest.raises(ValueError, match="^year 0 does not exist$"):
+            Person("A", "US", 0, "male", "EN")
+
+    def test_equality_hash_and_repr_keep_five_fields(self):
+        person = Person("A", "US", 1901, "male", "EN")
+        assert repr(person) == "Person('A', 'US', 1901, 'male', 'EN')"
+        assert hash(person) == hash(("A", "US", 1901, "male", "EN"))
+        assert person == Person("A", "US", 1901, "male", "EN")
+
+
 class TestCultureMap:
     def test_paper_attributions(self):
         m = default_culture_map()
@@ -652,6 +669,30 @@ class TestArtifactMatchesFreshLoad:
                 assert by_title_in.get(person_id).title_in(code) == expected
             assert dict(by_index.title_index(code)) == dict(
                 fresh.title_index(code))
+
+
+def expected_century(year):
+    return None if year is None else century_of(year)
+
+
+class TestCenturyOfEveryLoadedPerson:
+    def test_draws_hold_known_and_unknown_years(self):
+        years = {person.birth_year is None
+                 for seed in VALID_SEEDS
+                 for person in eager_load(storable_persons_file(seed))[0]
+                 .values()}
+        assert years == {True, False}
+
+    @pytest.mark.parametrize("seed", VALID_SEEDS)
+    def test_fresh_and_artifact_persons_carry_their_century(self, seed):
+        text = storable_persons_file(seed)
+        fresh = load_persons(io.StringIO(text))
+        hit = from_artifact(fresh, default_culture_map())
+        for person_id, expected in eager_load(text)[0].items():
+            for registry in (fresh, hit):
+                person = registry.get(person_id)
+                assert person.birth_year == expected.birth_year
+                assert person.century == expected_century(expected.birth_year)
 
 
 class TestNoReferenceCycle:

@@ -118,6 +118,17 @@ class TestDeterminism:
         tags = {line.rsplit(",", 1)[1] for line in lines[1:]}
         assert tags == {"raw", "column-normalized"}
 
+    def test_distribution_cells_written_as_plain_values(self):
+        table = aggregate.DistributionTable(
+            ("EN", "FR"), (19, 20),
+            {("EN", 19): None, ("EN", 20): 3.0, ("FR", 19): 1 / 3}, "ratio")
+        buf = io.StringIO()
+        write_distribution_csv(buf, [table])
+        assert buf.getvalue() == ("row_key,col_key,value,normalization\n"
+                                  "EN,19,,ratio\n"
+                                  "EN,20,3.0,ratio\n"
+                                  "FR,19,0.3333333333333333,ratio\n")
+
     def test_locality_null_marker_is_empty_field(self, corpus):
         registry, toplists = corpus
         ratios = aggregate.locality_ratio(toplists, registry)
