@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 import numpy as np
-from scipy import sparse
 
 try:
     import resource
@@ -128,23 +127,31 @@ class DirectedGraph:
                     f"edge endpoint {lo if lo < 0 else hi} outside [0, {node_count})")
 
         removed = 0
-        if drop_self_loops and src.size:
-            keep = src != tgt
-            removed = int(src.size - np.count_nonzero(keep))
-            src, tgt = src[keep], tgt[keep]
-
         if src.size:
             key = tgt * node_count
             key += src
+            if drop_self_loops:
+                # a self-loop's key becomes -1, so the sort puts it first
+                key[src == tgt] = -1
             key.sort()
-            uniq = np.ones(key.size, dtype=bool)
-            uniq[1:] = key[1:] != key[:-1]
-            tgt, src = np.divmod(key[uniq], node_count)
+            removed = int(np.searchsorted(key, 0))
+            key = key[removed:]
+            keep = np.empty(key.size, dtype=bool)
+            keep[:1] = True
+            np.not_equal(key[1:], key[:-1], out=keep[1:])
+            key = key[keep]
+            del keep
+            # a key's quotient is its target and its remainder, written
+            # over the key, its source: one new array, not divmod's two
+            tgt, src = np.empty_like(key), key
+            np.divmod(key, node_count, out=(tgt, src))
 
         in_counts = np.bincount(tgt, minlength=node_count)
+        del tgt                 # freed before the other per-node arrays
         in_indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(in_counts, out=in_indptr[1:])
-        out_degree = np.bincount(src, minlength=node_count).astype(np.int64)
+        out_degree = np.bincount(src, minlength=node_count).astype(
+            np.int64, copy=False)
         return cls(
             node_count=node_count,
             in_indptr=in_indptr,
@@ -265,6 +272,8 @@ def reverse(g: DirectedGraph) -> DirectedGraph:
     group's targets ascending: the arrays :meth:`DirectedGraph.from_edges`
     builds from the flipped pairs, without their sort.
     """
+    from scipy import sparse
+
     n = g.node_count
     by_source = sparse.csr_matrix(
         (np.ones(g.edge_count, dtype=bool), g.in_sources, g.in_indptr),

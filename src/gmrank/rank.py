@@ -7,23 +7,28 @@ each sweep does one sparse matvec plus a uniform redistribution of the
 dangling mass, O(E + N) per iteration.  On large graphs each sweep is split
 into contiguous row blocks that run on the process's usable CPUs; every row
 sum and every elementwise step is the same as on one thread, so the output
-bits do not depend on the block count.  One dense builder,
+bits do not depend on the block count.  scipy and the thread pool are
+imported by the first call that builds a sparse matrix or splits a sweep,
+so code that only reads stored vectors or ranks the culture network never
+loads them.  One dense builder,
 :func:`google_matrix`, takes a weighted adjacency: it is the oracle for the
 sparse path in tests and self-checks, and it ranks the 25-node culture
 network.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 import math
 import os
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .graph import DirectedGraph, reverse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 PAGERANK = "pagerank"
 CHEIRANK = "cheirank"
@@ -115,10 +120,14 @@ class TwoDRankResult:
 
 
 def _transition_matrix(g: DirectedGraph) -> sparse.csr_matrix:
-    # rows = targets, cols = sources; reuses the graph's target-grouped arrays
-    data = 1.0 / g.out_degree[g.in_sources]
+    # rows = targets, cols = sources; reuses the graph's target-grouped arrays.
+    # Every edge of source j gets the one quotient 1 / out_degree[j].
+    from scipy import sparse
+
+    reciprocal = np.zeros(g.node_count)
+    np.divide(1.0, g.out_degree, out=reciprocal, where=g.out_degree > 0)
     return sparse.csr_matrix(
-        (data, g.in_sources, g.in_indptr),
+        (reciprocal[g.in_sources], g.in_sources, g.in_indptr),
         shape=(g.node_count, g.node_count))
 
 
@@ -143,6 +152,8 @@ def _row_blocks(matrix: sparse.csr_matrix) -> list[tuple[int, int, sparse.csr_ma
     parts = max(1, min(_usable_cpus(), matrix.nnz // BLOCK_NNZ))
     if parts == 1:
         return [(0, n, matrix)]
+    from scipy import sparse
+
     indptr = matrix.indptr
     cuts = np.searchsorted(indptr, matrix.nnz * np.arange(parts + 1) // parts)
     cuts[0], cuts[-1] = 0, n
@@ -197,8 +208,12 @@ def pagerank(g: DirectedGraph, params: GoogleParams = GoogleParams()) -> RankVec
     p = np.full(n, 1.0 / n)
     new_p = np.empty(n)         # p and new_p swap roles each sweep
     diff = np.empty(n)
-    with (ThreadPoolExecutor(len(blocks) - 1, "gmrank-sweep")
-          if len(blocks) > 1 else nullcontext()) as pool:
+    pool = nullcontext()
+    if len(blocks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(len(blocks) - 1, "gmrank-sweep")
+    with pool:
         for iteration in range(1, params.max_iter + 1):
             dangling_mass = float(p[dangling].sum())
             shift = (alpha * dangling_mass + (1.0 - alpha)) / n

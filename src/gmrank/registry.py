@@ -35,6 +35,9 @@ PAGERANK_LIST = "pagerank"
 TWODRANK_LIST = "2drank"
 LIST_ALGORITHMS = (PAGERANK_LIST, TWODRANK_LIST)
 
+# nodes of a rank ordering that :func:`ranked_rows` lists at a time
+ORDERING_SLICE = 1 << 16
+
 
 def _nfc(s: str) -> str:
     return unicodedata.normalize("NFC", s)
@@ -461,22 +464,38 @@ def load_persons(stream: IO[str] | Iterable[str],
     return registry
 
 
+def ranked_rows(ordering: np.ndarray,
+                *columns: np.ndarray) -> Iterator[tuple]:
+    """``(node, *(column[node] for column in columns))`` for each node of a
+    rank ordering in order, as Python values.
+
+    The rows are listed :data:`ORDERING_SLICE` nodes at a time, so a walk
+    that stops early, or writes one line per node, never holds a Python
+    list of every node.
+    """
+    for start in range(0, ordering.size, ORDERING_SLICE):
+        nodes = ordering[start:start + ORDERING_SLICE]
+        yield from zip(nodes.tolist(),
+                       *(column[nodes].tolist() for column in columns))
+
+
 def select_top_people(ranked, labels: tuple[str, ...],
                       registry: PersonRegistry, edition: str,
                       algorithm: str, n: int = 100) -> TopList:
-    """Walk a full rank ordering and keep the first ``n`` registered persons.
+    """Walk a rank ordering and keep the first ``n`` registered persons.
 
     ``ranked`` is anything exposing an ``ordering`` attribute (a RankIndex or
     a TwoDRankResult) or a plain node-id array.  Node labels are matched
     against the registry's localized titles for ``edition`` by exact byte
-    equality after NFC normalization.
+    equality after NFC normalization.  The walk stops at the ``n``-th
+    person, so only a prefix of the ordering is listed (:func:`ranked_rows`).
     """
     ordering = getattr(ranked, "ordering", ranked)
     ordering = np.asarray(ordering)
     index = registry.title_index(edition)
     entries: list[tuple[str, int]] = []
     seen: set[str] = set()
-    for node in ordering.tolist():
+    for (node,) in ranked_rows(ordering):
         person_id = index.get(_nfc(labels[node]))
         if person_id is None or person_id in seen:
             continue

@@ -22,7 +22,7 @@ from .aggregate import DistributionTable, GlobalEntry, LanguageCounts
 from .cultures import (CULTURE_CODES, CultureNetwork, CultureRanks,
                        export_matrix_by_rank)
 from .rank import RankIndex, RankVector, TwoDRankResult
-from .registry import PersonRegistry, TopList, checked_rows
+from .registry import PersonRegistry, TopList, checked_rows, ranked_rows
 
 
 @contextmanager
@@ -56,10 +56,10 @@ def write_rank_csv(stream: IO[str], vector: RankVector, index: RankIndex,
                    labels: tuple[str, ...] | None = None) -> None:
     """Rows ``node_id,label,probability,rank`` in rank order."""
     stream.write("node_id,label,probability,rank\n")
-    probs = vector.probabilities
-    for rank, node in enumerate(index.ordering.tolist(), start=1):
+    rows = ranked_rows(index.ordering, vector.probabilities)
+    for rank, (node, probability) in enumerate(rows, start=1):
         label = _label_field(labels[node]) if labels is not None else ""
-        stream.write(f"{node},{label},{float(probs[node])!r},{rank}\n")
+        stream.write(f"{node},{label},{probability!r},{rank}\n")
 
 
 def write_two_d_rank_csv(stream: IO[str], kp: RankIndex, kc: RankIndex,
@@ -67,10 +67,10 @@ def write_two_d_rank_csv(stream: IO[str], kp: RankIndex, kc: RankIndex,
                          labels: tuple[str, ...] | None = None) -> None:
     """Rows ``node_id,label,k,kstar,kprime`` in 2DRank order."""
     stream.write("node_id,label,k,kstar,kprime\n")
-    for node in result.ordering.tolist():
+    for node, k, kstar, kprime in ranked_rows(
+            result.ordering, kp.position, kc.position, result.kprime):
         label = _label_field(labels[node]) if labels is not None else ""
-        stream.write(f"{node},{label},{kp.position[node]},"
-                     f"{kc.position[node]},{result.kprime[node]}\n")
+        stream.write(f"{node},{label},{k},{kstar},{kprime}\n")
 
 
 # -- top lists ---------------------------------------------------------------

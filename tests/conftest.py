@@ -103,6 +103,36 @@ def random_graph(rng: np.random.Generator, n: int, density: float,
     return DirectedGraph.from_edges(n, src, tgt, drop_self_loops=True)
 
 
+def trapped_graph(rng, n=40, pairs=3):
+    """Random links among the first nodes, some of them into 2-cycles u <-> v
+    at the end that send nothing back: a trapped set that mixes slowly."""
+    linking = n - 2 * pairs
+    src = list(rng.integers(0, linking, size=4 * n))
+    tgt = list(rng.integers(0, n, size=4 * n))
+    for k in range(pairs):
+        u, v = linking + 2 * k, linking + 2 * k + 1
+        src += [u, v]
+        tgt += [v, u]
+    return DirectedGraph.from_edges(n, src, tgt, drop_self_loops=True)
+
+
+# small graphs of each shape a sweep split into row blocks meets: dangling
+# nodes, slow mixing, blocks with no rows, no edges
+BLOCK_GRAPHS = {
+    "ring": lambda: DirectedGraph.from_edges(7, range(7), [(i + 1) % 7 for i in range(7)]),
+    "random-dangling": lambda: random_graph(np.random.default_rng(31), 60, 0.05,
+                                            dangling_tail=6),
+    # long enough that pairwise summation splits where the blocks do not
+    "random-1500": lambda: random_graph(np.random.default_rng(33), 1500, 0.002,
+                                        dangling_tail=100),
+    "trapped-2-cycles": lambda: trapped_graph(np.random.default_rng(32)),
+    # every edge enters node 0, so inner cuts coincide and blocks are empty
+    "hub": lambda: DirectedGraph.from_edges(9, range(1, 9), [0] * 8),
+    "no-edges": lambda: DirectedGraph.from_edges(4, [], []),
+    "single-node": lambda: DirectedGraph.from_edges(1, [], []),
+}
+
+
 def rank_columns(text: str) -> str:
     """The ``culture,k,kstar,kprime`` columns of a culture ranks CSV.
 

@@ -1424,3 +1424,58 @@ def test_global_and_culture_compute_each_fact_once(world, monkeypatch):
     assert main(["global", "--config", config]) == EXIT_OK
     assert main(["culture", "--config", config]) == EXIT_OK
     assert calls == {"global_ranking": 1, "culture_google_matrix": 1}
+
+
+def _heavy_modules_after(code, argv=()):
+    """Which of scipy and concurrent.futures a fresh interpreter holds after
+    running ``code``: this test session has loaded both already."""
+    script = (f"import json, sys\n{code}\n"
+              "print(json.dumps([name for name in"
+              " ('scipy', 'concurrent.futures') if name in sys.modules]))")
+    src = str(Path(cli.__file__).parents[1])
+    env = {name: value for name, value in os.environ.items()
+           if name != cli.CACHE_ENV}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", script, *argv],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+RUN_MAIN = "from gmrank import cli\nassert cli.main(sys.argv[1:]) == 0"
+
+
+class TestStartupLoadsNoScipy:
+    """Only a command that builds a sparse matrix loads scipy, and only a
+    sweep split into row blocks loads the thread pool."""
+
+    @pytest.mark.parametrize("module", ["gmrank", "gmrank.cli"])
+    def test_import(self, module):
+        assert _heavy_modules_after(f"import {module}") == []
+
+    @pytest.mark.parametrize("argv", [["global", "--women"], ["culture"]],
+                             ids=["global", "culture"])
+    def test_aggregation_commands(self, world, tmp_path, argv):
+        root = _copy_world(world, tmp_path)
+        argv = [*argv, "--config", str(root / "config.ini")]
+        assert _heavy_modules_after(RUN_MAIN, argv) == []
+
+    def test_warm_top_people(self, world, tmp_path, monkeypatch):
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        root = _copy_world(world, tmp_path)
+        argv = ["top-people", "--config", str(root / "config.ini"), "--all",
+                "--algorithm", "2drank"]
+        assert main(argv) == EXIT_OK
+        assert _heavy_modules_after(RUN_MAIN, argv) == []
+
+    def test_cold_rank_loads_scipy_and_warm_rank_does_not(self, tmp_path):
+        graph = tmp_path / "g.edges"
+        graph.write_text("0 1\n1 2\n2 0\n2 3\n")
+        argv = _rank_args(graph, tmp_path / "cache", tmp_path / "o.csv")
+        # scipy loads concurrent.futures itself
+        assert "scipy" in _heavy_modules_after(RUN_MAIN, argv)
+        cold = (tmp_path / "o.csv").read_bytes()
+        assert _heavy_modules_after(RUN_MAIN, argv) == []
+        assert (tmp_path / "o.csv").read_bytes() == cold

@@ -1,6 +1,7 @@
 """Edge-list loading, dedup/self-loop handling, reversal and degree counts."""
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,16 +224,45 @@ def lexsort_build(node_count, sources, targets, drop_self_loops):
     return (in_indptr, src, np.bincount(src, minlength=node_count), removed)
 
 
-def assert_matches_lexsort(node_count, sources, targets, drop_self_loops):
+def divmod_build(node_count, sources, targets, drop_self_loops):
+    """The previous key-sort build: self-loops masked out of the pairs
+    first, targets and sources split back out of the unique keys by
+    ``divmod``."""
+    src = np.asarray(sources, dtype=np.int64)
+    tgt = np.asarray(targets, dtype=np.int64)
+    removed = 0
+    if drop_self_loops and src.size:
+        keep = src != tgt
+        removed = int(src.size - np.count_nonzero(keep))
+        src, tgt = src[keep], tgt[keep]
+    if src.size:
+        key = tgt * node_count
+        key += src
+        key.sort()
+        uniq = np.ones(key.size, dtype=bool)
+        uniq[1:] = key[1:] != key[:-1]
+        tgt, src = np.divmod(key[uniq], node_count)
+    in_indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tgt, minlength=node_count), out=in_indptr[1:])
+    out_degree = np.bincount(src, minlength=node_count).astype(np.int64)
+    return in_indptr, src, out_degree, removed
+
+
+def assert_matches_reference_builds(node_count, sources, targets,
+                                    drop_self_loops):
+    """The build equals both reference builds: the lexsort one and a copy
+    of the previous key-sort one."""
     g = DirectedGraph.from_edges(node_count, sources, targets,
                                  drop_self_loops=drop_self_loops)
-    in_indptr, in_sources, out_degree, removed = lexsort_build(
-        node_count, sources, targets, drop_self_loops)
-    for got, want in ((g.in_indptr, in_indptr), (g.in_sources, in_sources),
-                      (g.out_degree, out_degree)):
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)
-    assert g.self_loops_removed == removed
+    for oracle in (lexsort_build, divmod_build):
+        in_indptr, in_sources, out_degree, removed = oracle(
+            node_count, sources, targets, drop_self_loops)
+        for got, want in ((g.in_indptr, in_indptr),
+                          (g.in_sources, in_sources),
+                          (g.out_degree, out_degree)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+        assert g.self_loops_removed == removed
 
 
 class TestKeySortBuild:
@@ -247,7 +277,7 @@ class TestKeySortBuild:
         m = int(rng.integers(0, 4 * n))
         src = rng.integers(0, active, m)
         tgt = rng.integers(0, active, m)
-        assert_matches_lexsort(n, src, tgt, drop_self_loops)
+        assert_matches_reference_builds(n, src, tgt, drop_self_loops)
 
     @pytest.mark.parametrize("drop_self_loops", [False, True])
     @pytest.mark.parametrize("node_count, sources, targets", [
@@ -260,7 +290,8 @@ class TestKeySortBuild:
             "trailing-isolated"])
     def test_edge_cases_match_lexsort_oracle(self, node_count, sources,
                                              targets, drop_self_loops):
-        assert_matches_lexsort(node_count, sources, targets, drop_self_loops)
+        assert_matches_reference_builds(node_count, sources, targets,
+                                        drop_self_loops)
 
     def test_key_limit_is_largest_fitting_node_count(self):
         int64_max = int(np.iinfo(np.int64).max)
@@ -270,3 +301,25 @@ class TestKeySortBuild:
     def test_over_key_limit_rejected(self):
         with pytest.raises(ValueError, match=f"over the limit {MAX_NODE_COUNT}"):
             DirectedGraph.from_edges(MAX_NODE_COUNT + 1, [0], [1])
+
+
+class TestBuildPeak:
+    @pytest.mark.parametrize("drop_self_loops", [False, True])
+    def test_at_most_20_bytes_per_pair_beyond_inputs(self, drop_self_loops):
+        # the shape of the rank-slowmix benchmark graph: 1M pairs, 200k
+        # nodes, a few self-loops
+        rng = np.random.default_rng(5)
+        n, m = 200_000, 1_000_000
+        src = rng.integers(0, n, m)
+        tgt = rng.integers(0, n, m)
+        tgt[:1000] = src[:1000]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            g = DirectedGraph.from_edges(n, src, tgt,
+                                         drop_self_loops=drop_self_loops)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count > 0.99 * m - 1000
+        assert peak <= 20 * m, f"{peak / m:.1f} B/pair"

@@ -1,4 +1,5 @@
 """Rank-engine contracts: oracles first, then invariants and error paths."""
+import concurrent.futures
 import io
 import os
 import sys
@@ -15,7 +16,7 @@ from gmrank.rank import (DENSE_LIMIT, ConvergenceError, GoogleParams,
                          dense_stationary, google_matrix, pagerank,
                          rank_indices, two_d_rank)
 
-from conftest import random_graph
+from conftest import BLOCK_GRAPHS, random_graph
 
 
 def solve_stationary(matrix):
@@ -185,34 +186,6 @@ class TestGoogleParams:
             GoogleParams(tol=tol)
 
 
-def _trapped_graph(rng, n=40, pairs=3):
-    """Random links among the first nodes, some of them into 2-cycles u <-> v
-    at the end that send nothing back: a trapped set that mixes slowly."""
-    linking = n - 2 * pairs
-    src = list(rng.integers(0, linking, size=4 * n))
-    tgt = list(rng.integers(0, n, size=4 * n))
-    for k in range(pairs):
-        u, v = linking + 2 * k, linking + 2 * k + 1
-        src += [u, v]
-        tgt += [v, u]
-    return DirectedGraph.from_edges(n, src, tgt, drop_self_loops=True)
-
-
-BLOCK_GRAPHS = {
-    "ring": lambda: DirectedGraph.from_edges(7, range(7), [(i + 1) % 7 for i in range(7)]),
-    "random-dangling": lambda: random_graph(np.random.default_rng(31), 60, 0.05,
-                                            dangling_tail=6),
-    # long enough that pairwise summation splits where the blocks do not
-    "random-1500": lambda: random_graph(np.random.default_rng(33), 1500, 0.002,
-                                        dangling_tail=100),
-    "trapped-2-cycles": lambda: _trapped_graph(np.random.default_rng(32)),
-    # every edge enters node 0, so inner cuts coincide and blocks are empty
-    "hub": lambda: DirectedGraph.from_edges(9, range(1, 9), [0] * 8),
-    "no-edges": lambda: DirectedGraph.from_edges(4, [], []),
-    "single-node": lambda: DirectedGraph.from_edges(1, [], []),
-}
-
-
 def _blocks(monkeypatch, cpus, block_nnz=1):
     monkeypatch.setattr(rank, "BLOCK_NNZ", block_nnz)
     monkeypatch.setattr(rank, "_usable_cpus", lambda: cpus)
@@ -285,7 +258,7 @@ class TestSweepThreads:
         def refuse(*args, **kwargs):
             raise AssertionError("executor built for a one-block sweep")
 
-        monkeypatch.setattr(rank, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
         monkeypatch.setattr(threading.Thread, "start", refuse)
         g = random_graph(np.random.default_rng(8), 300, 0.05, dangling_tail=20)
         assert g.edge_count < 2 * rank.BLOCK_NNZ

@@ -15,7 +15,7 @@ from gmrank.rank import rank_indices
 from gmrank.registry import (EDITION_CODES, GENDERS, CountryCultureMap,
                              Person, PersonRegistry, TopList, century_of,
                              default_culture_map, load_persons,
-                             select_top_people)
+                             ranked_rows, select_top_people)
 
 from conftest import make_registry, persons_tsv, synthetic_person_rows
 
@@ -335,6 +335,24 @@ class TestSelectTopPeople:
         toplist = select_top_people(np.arange(6), labels, reg, "EN",
                                     "pagerank", n=100)
         assert [r for _, r in toplist.entries] == [1, 2, 3]
+
+
+class TestSelectTopPeopleInSlicesOfThree(TestSelectTopPeople):
+    """Every case above, with the ordering listed three nodes at a time."""
+
+    @pytest.fixture(autouse=True)
+    def slices_of_three(self, monkeypatch):
+        monkeypatch.setattr("gmrank.registry.ORDERING_SLICE", 3)
+
+    @pytest.mark.parametrize("size", [0, 1, 3, 7, 9])
+    def test_ranked_rows_list_the_whole_ordering(self, size):
+        ordering = np.arange(size, dtype=np.int64)[::-1]
+        column = np.linspace(0.0, 1.0, size)
+        rows = list(ranked_rows(ordering, column, 2 * np.arange(size)))
+        assert rows == [(node, column[node], 2 * node)
+                        for node in ordering.tolist()]
+        assert all(type(value) in (int, float) for row in rows
+                   for value in row)
 
 
 NFC_E = "\u00e9"            # é, composed

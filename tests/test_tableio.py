@@ -5,18 +5,21 @@ import json
 import numpy as np
 import pytest
 
-from gmrank import aggregate
+from gmrank import aggregate, registry
 from gmrank.cultures import (CULTURE_INDEX, build_culture_network,
                              culture_google_matrix, culture_ranks)
+from gmrank.rank import cheirank, pagerank, rank_indices, two_d_rank
 from gmrank.registry import TopList
 from gmrank.tableio import (TOPLIST_HEADER, atomic_write, read_toplist_csv,
                             write_culture_matrix_csv,
                             write_culture_network_csv, write_distribution_csv,
                             write_gender_csv, write_global_csv,
                             write_language_counts_csv, write_locality_csv,
-                            write_overlap_json, write_toplist_csv)
+                            write_overlap_json, write_rank_csv,
+                            write_toplist_csv, write_two_d_rank_csv)
 
-from conftest import make_registry, planted_toplists, synthetic_person_rows
+from conftest import (BLOCK_GRAPHS, make_registry, planted_toplists,
+                      synthetic_person_rows)
 
 
 @pytest.fixture
@@ -165,6 +168,34 @@ class TestDeterminism:
         write_overlap_json(buf, {"overlap": 3, "algorithm": "pagerank"})
         payload = json.loads(buf.getvalue())
         assert payload == {"overlap": 3, "algorithm": "pagerank"}
+
+
+class TestRankCsvSlices:
+    @pytest.mark.parametrize("name", BLOCK_GRAPHS)
+    def test_slices_of_three_write_the_bytes_of_one_slice(self, monkeypatch,
+                                                          name):
+        g = BLOCK_GRAPHS[name]()
+        assert g.node_count <= registry.ORDERING_SLICE
+        labels = tuple(f"n,{i}" if i % 3 == 0 else f"n{i}"
+                       for i in range(g.node_count))
+        pr, cr = pagerank(g), cheirank(g)
+        kp, kc = rank_indices(pr), rank_indices(cr)
+        result = two_d_rank(kp, kc)
+
+        def written():
+            files = []
+            for node_labels in (None, labels):
+                for write, args in ((write_rank_csv, (pr, kp)),
+                                    (write_two_d_rank_csv, (kp, kc, result))):
+                    stream = io.StringIO()
+                    write(stream, *args, node_labels)
+                    files.append(stream.getvalue())
+            return files
+
+        one_slice = written()
+        assert all(text.count("\n") == g.node_count + 1 for text in one_slice)
+        monkeypatch.setattr(registry, "ORDERING_SLICE", 3)
+        assert written() == one_slice
 
 
 class TestCultureFiles:
