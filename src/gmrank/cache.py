@@ -9,8 +9,8 @@ with a 4-byte magic and a u16 version:
 - ``.gmrg``, a parsed graph; inputs: edge-list hash, label mode, self-loop
   policy.  Magic ``GMRG``, version, label flag u8, one pad byte, then N, E,
   self-loops removed and the label blob's byte length as u64; then
-  ``in_indptr`` (N+1), ``in_sources`` (E) and ``out_degree`` (N) as int64,
-  then the labels joined by newlines in UTF-8.
+  ``in_indptr`` (N+1) and ``in_sources`` (E) as int64, then the labels
+  joined by newlines in UTF-8.  No out-degrees: the graph derives them.
 - ``.gmrk``, a converged vector; inputs: the graph's plus algorithm, alpha
   and tol.  Magic ``GMRK``, version, algorithm tag u8 (0 = pagerank,
   1 = cheirank), alpha f64, tol f64, sweeps u64, final residual f64, N u64,
@@ -51,7 +51,7 @@ _ALGORITHM_TAGS = {PAGERANK: 0, CHEIRANK: 1}
 _TAG_ALGORITHMS = {v: k for k, v in _ALGORITHM_TAGS.items()}
 
 GRAPH_MAGIC = b"GMRG"
-GRAPH_VERSION = 1
+GRAPH_VERSION = 2
 
 # 40 bytes, so the int64 arrays after it start 8-byte aligned
 _GRAPH_HEADER = struct.Struct("<4sHBxQQQQ")
@@ -131,39 +131,36 @@ def write_graph(stream: IO[bytes], g: DirectedGraph) -> None:
     stream.write(_GRAPH_HEADER.pack(
         GRAPH_MAGIC, GRAPH_VERSION, g.labels is not None, g.node_count,
         g.edge_count, g.self_loops_removed, len(blob)))
-    for array in (g.in_indptr, g.in_sources, g.out_degree):
+    for array in (g.in_indptr, g.in_sources):
         stream.write(np.ascontiguousarray(array, dtype="<i8").data)
     stream.write(blob)
 
 
 def read_graph(stream: IO[bytes]) -> DirectedGraph:
-    """The stored graph; its arrays are read-only views of one buffer.
+    """The stored graph; its edge arrays are read-only views of one buffer.
 
     Raises :class:`CacheFormatError` unless the header, the file length and
     the arrays agree: edge offsets run from 0 to E without falling, every
-    source lies in [0, N), the out-degrees count the sources, and the label
-    blob splits into N labels.
+    source lies in [0, N), and the label blob splits into N labels.
     """
     data = stream.read()
     labeled, n, e, removed, label_bytes = _header(
         data, _GRAPH_HEADER, GRAPH_MAGIC, GRAPH_VERSION)
     if labeled not in (0, 1) or (label_bytes and not labeled):
         raise CacheFormatError(f"bad label flag {labeled}")
-    words = 2 * n + 1 + e
+    words = n + 1 + e
     arrays_end = _GRAPH_HEADER.size + 8 * words
     if len(data) != arrays_end + label_bytes:
         raise CacheFormatError(
             f"expected {arrays_end + label_bytes} bytes, found {len(data)}")
     body = np.frombuffer(data, dtype="<i8", count=words,
                          offset=_GRAPH_HEADER.size)
-    in_indptr, in_sources, out_degree = np.split(body, (n + 1, n + 1 + e))
+    in_indptr, in_sources = np.split(body, (n + 1,))
     if (in_indptr[0] != 0 or in_indptr[-1] != e
             or np.any(in_indptr[1:] < in_indptr[:-1])):
         raise CacheFormatError("edge offsets inconsistent with edge count")
     if e and (in_sources.min() < 0 or in_sources.max() >= n):
         raise CacheFormatError(f"source id outside [0, {n})")
-    if not np.array_equal(np.bincount(in_sources, minlength=n), out_degree):
-        raise CacheFormatError("out-degrees do not count the edge sources")
     labels = None
     if labeled:
         try:
@@ -173,8 +170,7 @@ def read_graph(stream: IO[bytes]) -> DirectedGraph:
         labels = tuple(text.split("\n")) if text else ()
         if len(labels) != n:
             raise CacheFormatError(f"expected {n} labels, found {len(labels)}")
-    return DirectedGraph(node_count=n, in_indptr=in_indptr,
-                         in_sources=in_sources, out_degree=out_degree,
+    return DirectedGraph(in_indptr=in_indptr, in_sources=in_sources,
                          labels=labels, self_loops_removed=removed)
 
 

@@ -32,6 +32,9 @@ EXIT_NUMERIC = 3
 
 CACHE_ENV = "GMRANK_CACHE_DIR"
 
+# every text file a user hands in is UTF-8; a leading byte-order mark is dropped
+TEXT_ENCODING = "utf-8-sig"
+
 
 class ConfigError(ValueError):
     """Invalid or incomplete pipeline configuration."""
@@ -39,9 +42,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class PipelineConfig:
-    alpha: float = 0.85
-    tol: float = 1e-10
-    max_iter: int = 1000
+    alpha: float = GoogleParams.alpha
+    tol: float = GoogleParams.tol
+    max_iter: int = GoogleParams.max_iter
     top_n: int = 100
     editions: dict[str, Path] = field(default_factory=dict)    # config order
     persons_path: Path | None = None
@@ -94,8 +97,8 @@ def load_config(path: str | Path) -> PipelineConfig:
     base = path.parent
     config = PipelineConfig()
     section = None
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(),
-                                  start=1):
+    lines = path.read_text(encoding=TEXT_ENCODING).splitlines()
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -148,7 +151,7 @@ def _load_registry(config: PipelineConfig) -> PersonRegistry:
         raise ConfigError("no persons file configured")
     culture_map = default_culture_map()
     if config.culture_map_path is not None:
-        with open(config.culture_map_path, encoding="utf-8") as f:
+        with open(config.culture_map_path, encoding=TEXT_ENCODING) as f:
             culture_map = load_culture_map(f)
     artifact = None
     if config.cache_dir is not None:
@@ -157,7 +160,7 @@ def _load_registry(config: PipelineConfig) -> PersonRegistry:
             "persons", cache.PERSONS_VERSION)
 
     def parse() -> PersonRegistry:
-        with open(config.persons_path, encoding="utf-8") as f:
+        with open(config.persons_path, encoding=TEXT_ENCODING) as f:
             return load_persons(f, culture_map)
 
     return _cached(
@@ -218,7 +221,7 @@ def _rank_edge_list(graph_path: Path, algorithm: str, config: PipelineConfig,
                                    *inputs)
 
     def parse() -> DirectedGraph:
-        with open(graph_path, encoding="utf-8") as f:
+        with open(graph_path, encoding=TEXT_ENCODING) as f:
             return load_edge_list(f, drop_self_loops=drop_self_loops,
                                   label_mode=label_mode)
 
@@ -375,7 +378,7 @@ def cmd_global(args: argparse.Namespace) -> int:
         tableio.write_language_counts_csv(f, counts)
 
     if args.reference:
-        with open(args.reference, encoding="utf-8") as f:
+        with open(args.reference, encoding=TEXT_ENCODING) as f:
             reference = aggregate.load_reference_list(f)
         report = {
             "algorithm": algorithm,
@@ -481,12 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
     # global reads no iteration parameter, culture only alpha
     for p in (p_rank, p_top, p_culture):
         p.add_argument("--alpha", type=float, default=None,
-                       help="damping factor (default 0.85)")
+                       help=f"damping factor (default {GoogleParams.alpha})")
     for p in (p_rank, p_top):
         p.add_argument("--tol", type=float, default=None,
-                       help="L1 convergence tolerance (default 1e-10)")
+                       help=f"L1 convergence tolerance (default {GoogleParams.tol})")
         p.add_argument("--max-iter", dest="max_iter", type=int, default=None,
-                       help="iteration cap (default 1000)")
+                       help=f"iteration cap (default {GoogleParams.max_iter})")
 
     p_check = sub.add_parser("selfcheck", help="run the bundled oracle suite")
     p_check.set_defaults(func=cmd_selfcheck)

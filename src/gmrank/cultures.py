@@ -14,7 +14,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .rank import dense_stationary, google_matrix, rank_indices, two_d_rank
+from .rank import (GoogleParams, dense_stationary, google_matrix, rank_indices,
+                   two_d_rank)
 from .registry import (EDITION_CODES, WORLD, PersonRegistry, TopList,
                        appearances)
 
@@ -52,7 +53,8 @@ def build_culture_network(toplists: Sequence[TopList],
     return CultureNetwork(weights=weights)
 
 
-def culture_google_matrix(net: CultureNetwork, alpha: float = 0.85) -> np.ndarray:
+def culture_google_matrix(net: CultureNetwork,
+                          alpha: float = GoogleParams.alpha) -> np.ndarray:
     """Dense 25x25 Google matrix of the weighted culture network."""
     return google_matrix(net.weights, alpha)
 
@@ -70,7 +72,8 @@ class CultureRanks:
     matrix: np.ndarray           # (25, 25) Google matrix pagerank_probs solves
 
 
-def culture_ranks(net: CultureNetwork, alpha: float = 0.85) -> CultureRanks:
+def culture_ranks(net: CultureNetwork,
+                  alpha: float = GoogleParams.alpha) -> CultureRanks:
     """Rank all cultures by PageRank, CheiRank and 2DRank of the dense matrix.
 
     CheiRank is the PageRank of the weight-reversed network; orderings use

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -74,15 +74,19 @@ class DirectedGraph:
 
     ``in_indptr``/``in_sources`` hold the edges grouped by target: the
     sources of edges into node ``i`` are ``in_sources[in_indptr[i]:in_indptr[i+1]]``,
-    sorted ascending.  ``out_degree[j]`` counts distinct out-neighbors of ``j``.
+    sorted ascending.  ``node_count`` and ``out_degree[j]``, the distinct
+    out-neighbors of ``j``, derive from them; the latter once, at build time.
     """
 
-    node_count: int
     in_indptr: np.ndarray      # (N+1,) int64
     in_sources: np.ndarray     # (E,) int64
-    out_degree: np.ndarray     # (N,) int64
     labels: tuple[str, ...] | None = None
     self_loops_removed: int = 0
+    out_degree: np.ndarray = field(init=False, repr=False)     # (N,) int64
+
+    def __post_init__(self) -> None:
+        degrees = np.bincount(self.in_sources, minlength=self.node_count)
+        object.__setattr__(self, "out_degree", degrees.astype(np.int64, copy=False))
 
     @classmethod
     def from_edges(
@@ -150,18 +154,14 @@ class DirectedGraph:
         del tgt                 # freed before the other per-node arrays
         in_indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(in_counts, out=in_indptr[1:])
-        out_degree = np.bincount(src, minlength=node_count).astype(
-            np.int64, copy=False)
-        return cls(
-            node_count=node_count,
-            in_indptr=in_indptr,
-            in_sources=src,
-            out_degree=out_degree,
-            labels=labels,
-            self_loops_removed=removed,
-        )
+        return cls(in_indptr=in_indptr, in_sources=src, labels=labels,
+                   self_loops_removed=removed)
 
     # -- derived views ---------------------------------------------------
+
+    @property
+    def node_count(self) -> int:
+        return self.in_indptr.size - 1
 
     @property
     def edge_count(self) -> int:
@@ -181,8 +181,7 @@ class DirectedGraph:
         if not isinstance(other, DirectedGraph):
             return NotImplemented
         return (
-            self.node_count == other.node_count
-            and np.array_equal(self.in_indptr, other.in_indptr)
+            np.array_equal(self.in_indptr, other.in_indptr)
             and np.array_equal(self.in_sources, other.in_sources)
             and self.labels == other.labels
         )
@@ -279,11 +278,6 @@ def reverse(g: DirectedGraph) -> DirectedGraph:
         (np.ones(g.edge_count, dtype=bool), g.in_sources, g.in_indptr),
         shape=(n, n)).tocsc()
     # carry load-time bookkeeping so reverse(reverse(g)) is indistinguishable
-    return DirectedGraph(
-        node_count=n,
-        in_indptr=by_source.indptr.astype(np.int64),
-        in_sources=by_source.indices.astype(np.int64),
-        out_degree=np.diff(g.in_indptr),
-        labels=g.labels,
-        self_loops_removed=g.self_loops_removed,
-    )
+    return DirectedGraph(in_indptr=by_source.indptr.astype(np.int64),
+                         in_sources=by_source.indices.astype(np.int64),
+                         labels=g.labels, self_loops_removed=g.self_loops_removed)

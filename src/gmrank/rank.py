@@ -272,7 +272,8 @@ def two_d_rank(kp: RankIndex, kc: RankIndex) -> TwoDRankResult:
     return TwoDRankResult(kprime=kprime, ordering=ordering.astype(np.int64))
 
 
-def google_matrix(weights: np.ndarray, alpha: float = 0.85) -> np.ndarray:
+def google_matrix(weights: np.ndarray,
+                  alpha: float = GoogleParams.alpha) -> np.ndarray:
     """Dense G = alpha*S + (1-alpha)/N of a weighted adjacency matrix.
 
     ``weights[j, i]`` is the weight of the link j -> i.  Column j of S is
@@ -292,7 +293,8 @@ def google_matrix(weights: np.ndarray, alpha: float = 0.85) -> np.ndarray:
     return matrix
 
 
-def dense_google_matrix(g: DirectedGraph, alpha: float = 0.85) -> np.ndarray:
+def dense_google_matrix(g: DirectedGraph,
+                        alpha: float = GoogleParams.alpha) -> np.ndarray:
     """:func:`google_matrix` of the graph's 0/1 adjacency.
 
     Refuses graphs above :data:`DENSE_LIMIT` nodes.

@@ -225,7 +225,6 @@ class PersonRegistry:
                  culture_map: CountryCultureMap):
         self._ids = ids
         self._fields = fields           # (birth_country, birth_year, gender)
-        self._editions = editions
         self._titles = _TitleColumn(editions, titles, len(ids))
         self._culture_map = culture_map
         self._row = dict(zip(ids, range(len(ids))))
@@ -235,7 +234,8 @@ class PersonRegistry:
     def columns(self) -> tuple[list[str], list[tuple[str, int | None, str]],
                                list[str], list[str]]:
         """``(ids, fields, editions, titles)``, the titles as a list."""
-        return self._ids, self._fields, self._editions, self._titles.cells()
+        return (self._ids, self._fields, list(self._titles.columns),
+                self._titles.cells())
 
     def _keyed_titles(self, code: str) -> tuple[list[str], list[str]]:
         """One edition's non-empty titles and their owners.
@@ -255,7 +255,7 @@ class PersonRegistry:
         """Build every title index; raise on a duplicate id or title."""
         if len(self._row) != len(self._ids):
             self._raise_first_duplicate()
-        for code in dict.fromkeys((*self._editions, "EN")):
+        for code in dict.fromkeys((*self._titles.columns, "EN")):
             self.title_index(code)
 
     def _raise_first_duplicate(self) -> None:
@@ -270,7 +270,7 @@ class PersonRegistry:
             if person_id in seen_ids:
                 raise ValueError(f"duplicate person_id {person_id!r}")
             seen_ids.add(person_id)
-            codes = [code for code in self._editions
+            codes = [code for code in self._titles.columns
                      if self._titles.cell(row, code)]
             if "EN" not in codes:
                 codes.append("EN")

@@ -179,10 +179,13 @@ class TestGraphArtifact:
         fresh = parsed(label_mode, drop_self_loops, text)
         loaded = read_graph(io.BytesIO(graph_bytes(fresh)))
         assert loaded.node_count == fresh.node_count
-        for name in ("in_indptr", "in_sources", "out_degree"):
+        for name in ("in_indptr", "in_sources"):
             a, b = getattr(loaded, name), getattr(fresh, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
             assert a.flags.aligned and not a.flags.writeable, name
+        # the file holds no out-degrees: the graph counts its sources
+        assert loaded.out_degree.dtype == fresh.out_degree.dtype == np.int64
+        assert np.array_equal(loaded.out_degree, fresh.out_degree)
         assert loaded.labels == fresh.labels
         assert loaded.self_loops_removed == fresh.self_loops_removed
         if text is None:
@@ -206,36 +209,34 @@ class TestGraphArtifact:
         raw = graph_bytes(g)
         n, e = g.node_count, g.edge_count
         assert raw[:4] == b"GMRG"
-        assert raw[4:6] == (1).to_bytes(2, "little")        # version u16
+        assert raw[4:6] == (2).to_bytes(2, "little")        # version u16
         assert raw[6] == 1                                  # label flag u8
         header = np.frombuffer(raw[8:40], dtype="<u8")
         assert header.tolist() == [n, e, g.self_loops_removed,
-                                   len(raw) - 40 - 8 * (2 * n + 1 + e)]
-        words = np.frombuffer(raw[40:40 + 8 * (2 * n + 1 + e)], dtype="<i8")
+                                   len(raw) - 40 - 8 * (n + 1 + e)]
+        words = np.frombuffer(raw[40:40 + 8 * (n + 1 + e)], dtype="<i8")
         assert np.array_equal(words, np.concatenate(
-            [g.in_indptr, g.in_sources, g.out_degree]))
-        assert raw[40 + 8 * (2 * n + 1 + e):].decode() == "\n".join(g.labels)
+            [g.in_indptr, g.in_sources]))
+        assert raw[40 + 8 * (n + 1 + e):].decode() == "\n".join(g.labels)
 
     @pytest.mark.parametrize("corrupt, match", [
         (lambda raw, n, e: raw[:30], "truncated header"),
         (lambda raw, n, e: raw[:-1], "expected"),
         (lambda raw, n, e: raw + b"\n", "expected"),
         (lambda raw, n, e: b"GMRK" + raw[4:], "magic"),
-        (lambda raw, n, e: raw[:4] + (2).to_bytes(2, "little") + raw[6:],
+        (lambda raw, n, e: raw[:4] + (1).to_bytes(2, "little") + raw[6:],
          "version"),
         (lambda raw, n, e: raw[:6] + b"\x07" + raw[7:], "label flag"),
         (lambda raw, n, e: _word(raw, 0, 1), "offsets"),
         (lambda raw, n, e: _word(raw, n, e + 1), "offsets"),
         # in_indptr[1] = E, above in_indptr[2]
         (lambda raw, n, e: _word(raw, 1, e), "offsets"),
-        # the sum of the out-degrees stays E
-        (lambda raw, n, e: _swap_degrees(raw, n, e), "out-degrees"),
         (lambda raw, n, e: _word(raw, n + 1, n), "source id"),
         (lambda raw, n, e: _drop_last_label(raw), "labels"),
         (lambda raw, n, e: raw[:-1] + b"\xff", "UTF-8"),
     ], ids=["header-cut", "body-cut", "trailing-byte", "magic", "version",
             "label-flag", "first-offset", "last-offset", "falling-offsets",
-            "degrees-swapped", "source-out-of-range", "label-missing",
+            "source-out-of-range", "label-missing",
             "labels-not-utf8"])
     def test_corruption_detected(self, corrupt, match):
         g = parsed(STRING_LABELS)
@@ -248,14 +249,6 @@ def _word(raw, index, value):
     """``raw`` with int64 word ``index`` after the header set to ``value``."""
     at = 40 + 8 * index
     return raw[:at] + value.to_bytes(8, "little", signed=True) + raw[at + 8:]
-
-
-def _swap_degrees(raw, n, e):
-    at = 40 + 8 * (n + 1 + e)
-    degrees = np.frombuffer(raw[at:at + 8 * n], dtype="<i8").copy()
-    first = int(np.flatnonzero(degrees != degrees[0])[0])
-    degrees[[0, first]] = degrees[[first, 0]]
-    return raw[:at] + degrees.tobytes() + raw[at + 8 * n:]
 
 
 def _drop_last_label(raw):

@@ -323,6 +323,8 @@ class TestRankCommand:
             assert len(result.stderr.splitlines()) == 1
             assert result.stderr.startswith("ERROR ")
             assert sorted(p.name for p in tmp_path.iterdir()) == ["big.edges"]
+        # a completed run writes a CSV of every node, 260 MB for 8M nodes
+        (tmp_path / "o.csv").unlink(missing_ok=True)
 
     def test_nonconvergence_exit_3(self, tmp_path):
         graph = tmp_path / "g.edges"
@@ -768,6 +770,72 @@ class TestRemovedFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+BOM = "\ufeff".encode("utf-8")
+
+# the user text files of each kind in a world copy with a culture map and a
+# reference list; its first lines are ones a kept mark would change
+BOM_KINDS = {
+    "edge-lists": ("en.edges", "fr.edges", "de.edges"),
+    "persons": ("persons.tsv",),
+    "culture-map": ("cultures.tsv",),
+    "reference": ("reference.txt",),
+    "config": ("config.ini",),
+}
+
+
+def _pipeline_outputs(world, root, marked=()):
+    """Every output of ``top-people``, ``global`` and ``culture`` on a copy
+    of the world at ``root`` whose files ``marked`` open with a BOM."""
+    shutil.copytree(world, root, ignore=shutil.ignore_patterns("cache", "out"))
+    config = root / "config.ini"
+    config.write_text("culture_map = cultures.tsv\n"
+                      + config.read_text(encoding="utf-8"), encoding="utf-8")
+    config = str(config)
+    (root / "cultures.tsv").write_text(
+        "FR\tFR\nSE\tSV\nPS\tAR\nPL\tPL\nDE\tDE\nUK\tEN\nCN\tZH\n",
+        encoding="utf-8")
+    (root / "reference.txt").write_text("Napoleon\nJesus\nSomeone_Else\n",
+                                        encoding="utf-8")
+    for name in marked:
+        path = root / name
+        path.write_bytes(BOM + path.read_bytes())
+    for args in (["top-people", "--config", config, "--all"],
+                 ["global", "--config", config, "--women",
+                  "--reference", str(root / "reference.txt")],
+                 ["culture", "--config", config]):
+        assert main(args) == EXIT_OK, args
+    out = root / "out"
+    return {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+class TestByteOrderMark:
+    """A user text file that opens with a UTF-8 byte-order mark loads as
+    the same file without it."""
+
+    @pytest.mark.parametrize("kind", BOM_KINDS)
+    def test_pipeline_outputs_unchanged(self, world, tmp_path, monkeypatch,
+                                        kind):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        plain = _pipeline_outputs(world, tmp_path / "plain")
+        marked = _pipeline_outputs(world, tmp_path / "marked", BOM_KINDS[kind])
+        assert len(plain) == 3 + 9 + 3       # top lists, global, culture
+        assert marked == plain
+
+    def test_rank_labels_unchanged(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        outputs = []
+        for name, prefix in (("plain", b""), ("marked", BOM)):
+            graph, out = tmp_path / f"{name}.edges", tmp_path / f"{name}.csv"
+            graph.write_bytes(prefix + b"a b\nb c\n")
+            assert main(["rank", str(graph), "--labels",
+                         "--out", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0]
+        assert [row["label"] for row in read_csv(tmp_path / "marked.csv")
+                if row["node_id"] == "0"] == ["a"]
+
+
 # a graph whose integer ids skip 0-2 and include self-loops, so each of
 # --labels and --keep-self-loops changes the parsed graph
 def _property_graph(path):
@@ -875,6 +943,34 @@ class TestGraphArtifact:
                                    label_mode=True)) == EXIT_OK
         assert f"unusable cache file {artifact}" in caplog.text
         assert "re-parsing" in caplog.text
+        assert len(parses) == 1
+        assert out.read_bytes() == reference
+        assert artifact.read_bytes() == good
+        assert cache_layout(cache_dir) == {".gmrk": 2, ".gmrg": 1}
+
+    def test_version_1_artifact_reparsed_and_rewritten(
+            self, tmp_path, monkeypatch, caplog):
+        # a version-1 file also held the N out-degrees after the sources;
+        # the key holds no version, so version 2 replaces it under its name
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        graph = _property_graph(tmp_path / "g.edges")
+        cache_dir, out = tmp_path / "cache", tmp_path / "o.csv"
+        assert main(_rank_args(graph, cache_dir, out, label_mode=True)) == EXIT_OK
+        reference = out.read_bytes()
+        artifact = next(cache_dir.glob("*.gmrg"))
+        good = artifact.read_bytes()
+        assert good[4:6] == struct.pack("<H", 2)
+        g = cache.read_graph(io.BytesIO(good))
+        arrays_end = 40 + 8 * (g.node_count + 1 + g.edge_count)
+        artifact.write_bytes(
+            good[:4] + struct.pack("<H", 1) + good[6:arrays_end]
+            + g.out_degree.astype("<i8").tobytes() + good[arrays_end:])
+        parses = _count_calls(monkeypatch, "load_edge_list")
+        with caplog.at_level(logging.WARNING):
+            assert main(_rank_args(graph, cache_dir, out,
+                                   label_mode=True)) == EXIT_OK
+        assert (f"unusable cache file {artifact} (unsupported version 1), "
+                "re-parsing") in caplog.text
         assert len(parses) == 1
         assert out.read_bytes() == reference
         assert artifact.read_bytes() == good

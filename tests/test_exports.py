@@ -61,6 +61,41 @@ def test_century_worked_out_only_when_a_person_is_built(module):
     assert refs == []
 
 
+def _google_defaults(tree):
+    """Line numbers of the literals 0.85, 1e-10 and 1000 in ``tree``, the
+    body of ``GoogleParams`` left out."""
+    skip = {id(node) for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "GoogleParams"
+            for node in ast.walk(cls)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and id(node) not in skip
+            and type(node.value) in (int, float)
+            and node.value in (0.85, 1e-10, 1000)]
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in SOURCE.glob("*.py") if path.stem != "selfcheck"))
+def test_google_defaults_spelled_only_in_google_params(module):
+    # every other default reads GoogleParams; selfcheck's values are
+    # oracle inputs, not defaults
+    tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+    assert _google_defaults(tree) == []
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in SOURCE.glob("*.py")))
+def test_no_caller_hands_a_graph_its_derived_fields(module):
+    # a graph works out its node count and out-degrees from its edges
+    tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+    passed = [(node.lineno, keyword.arg) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and (getattr(node.func, "id", None)
+                   or getattr(node.func, "attr", None)) == "DirectedGraph"
+              for keyword in node.keywords
+              if keyword.arg in ("node_count", "out_degree")]
+    assert passed == []
+
+
 def test_cache_holds_no_csv_writer():
     tree = ast.parse((SOURCE / "cache.py").read_text(encoding="utf-8"))
     writers = [node.name for node in tree.body

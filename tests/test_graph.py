@@ -144,8 +144,8 @@ def flipped(g):
     """The reversal as one build from the flipped edge pairs."""
     src, tgt = g.edge_arrays()
     rev = DirectedGraph.from_edges(g.node_count, tgt, src, labels=g.labels)
-    return DirectedGraph(rev.node_count, rev.in_indptr, rev.in_sources,
-                         rev.out_degree, rev.labels, g.self_loops_removed)
+    return DirectedGraph(rev.in_indptr, rev.in_sources, rev.labels,
+                         g.self_loops_removed)
 
 
 REVERSE_CASES = {

@@ -166,6 +166,24 @@ class TestRelabelling:
             checked += 1
         assert checked >= 10
 
+    @pytest.mark.parametrize("n", [50, 2000, 40_000])
+    def test_relabelled_graph_takes_the_same_sweeps(self, monkeypatch, n):
+        # each row of the relabelled matrix sums its entries in another
+        # order, so the bits may differ, but not the sweep count
+        monkeypatch.setattr(rank, "_usable_cpus", lambda: 2)
+        rng = np.random.default_rng(n)
+        g = random_graph(rng, n, 5 / n, dangling_tail=n // 20)
+        perm = rng.permutation(n)            # node i becomes perm[i]
+        src, tgt = g.edge_arrays()
+        relabelled = DirectedGraph.from_edges(n, perm[src], perm[tgt])
+        # the largest graph's sweeps split into two row blocks
+        blocks = len(rank._row_blocks(rank._transition_matrix(relabelled)))
+        assert blocks == (2 if n == 40_000 else 1)
+        for f in (pagerank, cheirank):
+            v, w = f(g), f(relabelled)
+            assert w.iterations_used == v.iterations_used
+            assert np.abs(w.probabilities[perm] - v.probabilities).sum() <= 1e-12
+
 
 class TestGoogleParams:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])
