@@ -139,9 +139,9 @@ def write_graph(stream: IO[bytes], g: DirectedGraph) -> None:
 def read_graph(stream: IO[bytes]) -> DirectedGraph:
     """The stored graph; its edge arrays are read-only views of one buffer.
 
-    Raises :class:`CacheFormatError` unless the header, the file length and
-    the arrays agree: edge offsets run from 0 to E without falling, every
-    source lies in [0, N), and the label blob splits into N labels.
+    Raises :class:`CacheFormatError` unless the header and the file length
+    agree and the labels are UTF-8, or when the arrays break a rule of the
+    :class:`DirectedGraph` constructor, with its message.
     """
     data = stream.read()
     labeled, n, e, removed, label_bytes = _header(
@@ -156,11 +156,6 @@ def read_graph(stream: IO[bytes]) -> DirectedGraph:
     body = np.frombuffer(data, dtype="<i8", count=words,
                          offset=_GRAPH_HEADER.size)
     in_indptr, in_sources = np.split(body, (n + 1,))
-    if (in_indptr[0] != 0 or in_indptr[-1] != e
-            or np.any(in_indptr[1:] < in_indptr[:-1])):
-        raise CacheFormatError("edge offsets inconsistent with edge count")
-    if e and (in_sources.min() < 0 or in_sources.max() >= n):
-        raise CacheFormatError(f"source id outside [0, {n})")
     labels = None
     if labeled:
         try:
@@ -168,10 +163,11 @@ def read_graph(stream: IO[bytes]) -> DirectedGraph:
         except UnicodeDecodeError as exc:
             raise CacheFormatError(f"labels are not UTF-8 ({exc})") from None
         labels = tuple(text.split("\n")) if text else ()
-        if len(labels) != n:
-            raise CacheFormatError(f"expected {n} labels, found {len(labels)}")
-    return DirectedGraph(in_indptr=in_indptr, in_sources=in_sources,
-                         labels=labels, self_loops_removed=removed)
+    try:
+        return DirectedGraph(in_indptr=in_indptr, in_sources=in_sources,
+                             labels=labels, self_loops_removed=removed)
+    except ValueError as exc:
+        raise CacheFormatError(str(exc)) from None
 
 
 def write_persons(stream: IO[bytes], ids: list[str],

@@ -320,7 +320,7 @@ def _read_toplists(config: PipelineConfig, registry: PersonRegistry,
             raise ConfigError(
                 f"missing top list for edition {code}: {path} "
                 f"(run 'gmrank top-people' first)")
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding=TEXT_ENCODING) as f:
             try:
                 toplist = tableio.read_toplist_csv(f, code, algorithm)
             except ValueError as exc:

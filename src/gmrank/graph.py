@@ -3,18 +3,19 @@
 Edges are deduplicated (multi-links collapse to one) and stored grouped by
 target node, sources ascending within each target, so the per-node sum over
 incoming links done by the power iteration is a contiguous scan.  The order
-comes from one in-place sort of the int64 key ``target * N + source``, so a
-graph holds at most :data:`MAX_NODE_COUNT` nodes.  Graphs are immutable after
-construction; :func:`reverse` materializes the opposite grouping once.
+comes from one in-place sort of the int64 key ``target * N + source``.
+Graphs are immutable after construction; :func:`reverse` materializes the
+opposite grouping once.
 
 Edge-list files are UTF-8 text, one ``source target`` pair per line,
-``#`` comments, optional ``# nodes: N`` header.
+``#`` comments, optional ``# nodes: N`` header before the first edge.
 """
 from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -29,14 +30,9 @@ _HEADER_RE = re.compile(r"#\s*nodes:\s*(\d+)\s*$")
 INTEGER_IDS = "integer-ids"
 STRING_LABELS = "string-labels"
 
-# largest N whose edge keys, up to N*N - 1, fit in int64
-MAX_NODE_COUNT = 3_037_000_499
-
-# most nodes an edge-list file may ask for, by its largest id or its
-# ``# nodes:`` header: well above the 4.2M articles of the largest edition
-# the paper ranks, and each per-node int64 array stays within 2 GiB
-MAX_EDGE_LIST_NODES = 1 << 28
-
+# most nodes a graph may be built with: well above the 4.2M articles of the
+# paper's largest edition, with each per-node int64 array within 2 GiB
+MAX_NODE_COUNT = 1 << 28
 
 # peak bytes per node of ``rank --algorithm 2drank`` on a graph of 2**20
 # nodes and few edges: what each node a file asks for costs to rank
@@ -74,19 +70,30 @@ class DirectedGraph:
 
     ``in_indptr``/``in_sources`` hold the edges grouped by target: the
     sources of edges into node ``i`` are ``in_sources[in_indptr[i]:in_indptr[i+1]]``,
-    sorted ascending.  ``node_count`` and ``out_degree[j]``, the distinct
-    out-neighbors of ``j``, derive from them; the latter once, at build time.
+    sorted ascending.  ``node_count`` and ``out_degree`` derive from them.
+    The constructor raises ValueError unless both are 1-D signed integer
+    arrays, the offsets start at 0, never fall and end at E, every source
+    lies in [0, N), and ``labels`` is None or holds N labels.
     """
 
     in_indptr: np.ndarray      # (N+1,) int64
     in_sources: np.ndarray     # (E,) int64
     labels: tuple[str, ...] | None = None
     self_loops_removed: int = 0
-    out_degree: np.ndarray = field(init=False, repr=False)     # (N,) int64
 
     def __post_init__(self) -> None:
-        degrees = np.bincount(self.in_sources, minlength=self.node_count)
-        object.__setattr__(self, "out_degree", degrees.astype(np.int64, copy=False))
+        offsets, sources = self.in_indptr, self.in_sources
+        if not all(isinstance(a, np.ndarray) and a.ndim == 1
+                   and a.dtype.kind == "i" for a in (offsets, sources)):
+            raise ValueError("edge arrays must be 1-D signed integer arrays")
+        if (not offsets.size or offsets[0] != 0 or offsets[-1] != sources.size
+                or np.any(offsets[1:] < offsets[:-1])):
+            raise ValueError("edge offsets inconsistent with edge count")
+        n = self.node_count
+        if sources.size and (sources.min() < 0 or sources.max() >= n):
+            raise ValueError(f"source id outside [0, {n})")
+        if self.labels is not None and len(self.labels) != n:
+            raise ValueError(f"expected {n} labels, found {len(self.labels)}")
 
     @classmethod
     def from_edges(
@@ -103,14 +110,13 @@ class DirectedGraph:
         ``[0, node_count)``.  Edges are ordered by target, then source,
         through one sort of the int64 key ``target * node_count + source``.
         Raises ValueError before allocating anything when ``node_count``
-        exceeds :data:`MAX_NODE_COUNT`, where that key would overflow, or
-        when ranking that many nodes, at :data:`BYTES_PER_NODE` each, would
-        need more than :func:`_memory_limit`.
+        exceeds :data:`MAX_NODE_COUNT`, or when ranking that many nodes, at
+        :data:`BYTES_PER_NODE` each, would need more than
+        :func:`_memory_limit`.
         """
         if node_count > MAX_NODE_COUNT:
             raise ValueError(
-                f"node count {node_count} over the limit {MAX_NODE_COUNT} "
-                "(edge keys target*N+source must fit in int64)")
+                f"node count {node_count} over the limit {MAX_NODE_COUNT}")
         limit = _memory_limit()
         if limit is not None and node_count * BYTES_PER_NODE > limit:
             raise ValueError(
@@ -121,17 +127,14 @@ class DirectedGraph:
         tgt = np.asarray(targets, dtype=np.int64)
         if src.shape != tgt.shape:
             raise ValueError("sources and targets must have equal length")
-        if labels is not None and len(labels) != node_count:
-            raise ValueError("labels length must equal node_count")
+        removed = 0
         if src.size:
+            # checked first: a key folds an id out of range into another
             lo = min(src.min(), tgt.min())
             hi = max(src.max(), tgt.max())
             if lo < 0 or hi >= node_count:
                 raise ValueError(
                     f"edge endpoint {lo if lo < 0 else hi} outside [0, {node_count})")
-
-        removed = 0
-        if src.size:
             key = tgt * node_count
             key += src
             if drop_self_loops:
@@ -171,6 +174,12 @@ class DirectedGraph:
     def in_degree(self) -> np.ndarray:
         return np.diff(self.in_indptr)
 
+    @cached_property
+    def out_degree(self) -> np.ndarray:
+        """(N,) int64 out-neighbor counts, counted on first use."""
+        return np.bincount(self.in_sources, minlength=self.node_count
+                           ).astype(np.int64, copy=False)
+
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(sources, targets) in the stored (target-grouped) order."""
         targets = np.repeat(np.arange(self.node_count, dtype=np.int64),
@@ -197,9 +206,8 @@ def load_edge_list(
     Each non-comment line holds exactly two whitespace-separated tokens
     (source, target).  With ``label_mode="string-labels"`` tokens are interned
     to dense ids in first-appearance order; in integer mode an optional
-    ``# nodes: N`` header declares the node count (ids must then be < N).
-    Raises :class:`EdgeListError`, before any per-node array is allocated,
-    when the node count exceeds :data:`MAX_EDGE_LIST_NODES`.
+    ``# nodes: N`` header, once and before the first edge, declares the
+    node count (ids must then be < N).
     """
     if label_mode not in (INTEGER_IDS, STRING_LABELS):
         raise ValueError(f"unknown label_mode: {label_mode!r}")
@@ -215,7 +223,10 @@ def load_edge_list(
             continue
         if line.startswith("#"):
             m = _HEADER_RE.match(line)
-            if m and declared_n is None:
+            if m:
+                if declared_n is not None or sources:
+                    raise EdgeListError("a '# nodes:' header comes once, "
+                                        "before the first edge", line_no)
                 declared_n = int(m.group(1))
             continue
         tokens = line.split()
@@ -240,23 +251,16 @@ def load_edge_list(
         sources.append(s)
         targets.append(t)
 
+    labels = None
     if label_mode == STRING_LABELS:
         if declared_n is not None and declared_n != len(intern):
             raise EdgeListError(
                 f"header declares {declared_n} nodes, found {len(intern)} labels")
-        node_count = len(intern)
-        labels: tuple[str, ...] | None = tuple(intern)
+        node_count, labels = len(intern), tuple(intern)
+    elif declared_n is not None:
+        node_count = declared_n
     else:
-        if declared_n is not None:
-            node_count = declared_n
-        elif sources:
-            node_count = int(max(max(sources), max(targets))) + 1
-        else:
-            node_count = 0
-        labels = None
-    if node_count > MAX_EDGE_LIST_NODES:
-        raise EdgeListError(
-            f"node count {node_count} over the limit {MAX_EDGE_LIST_NODES}")
+        node_count = max(max(sources), max(targets)) + 1 if sources else 0
 
     return DirectedGraph.from_edges(
         node_count, sources, targets, labels=labels,

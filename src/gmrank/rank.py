@@ -281,8 +281,7 @@ def google_matrix(weights: np.ndarray,
     PageRank", 2004); a node with no outgoing weight is dangling and its
     column is uniform 1/N.  Every column of G sums to 1.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    GoogleParams(alpha=alpha)       # raises unless 0 < alpha < 1
     n = weights.shape[0]
     out_totals = weights.sum(axis=1)
     dangling = out_totals == 0

@@ -18,7 +18,7 @@ import pytest
 from gmrank import aggregate, cache, cli, cultures, registry
 from gmrank.cli import (EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         load_config, main)
-from gmrank.graph import MAX_EDGE_LIST_NODES, DirectedGraph
+from gmrank.graph import MAX_NODE_COUNT, DirectedGraph
 from gmrank.rank import GoogleParams
 from gmrank.registry import (EDITION_CODES, GENDERS, PersonRegistry,
                              default_culture_map)
@@ -232,12 +232,12 @@ class TestRankCommand:
     def test_node_count_over_edge_list_limit_exit_2(self, tmp_path, caplog,
                                                     monkeypatch, text,
                                                     node_count):
-        # within the int64 key limit, but each per-node array would take
-        # about 24 GB; the build is stubbed so a missing guard fails here
-        # instead of allocating
-        def build(*args, **kwargs):
-            raise AssertionError("graph build reached")
-        monkeypatch.setattr(DirectedGraph, "from_edges", build)
+        # each per-node array would take about 24 GB; the memory estimate,
+        # which runs after the node limit, is stubbed so a missing guard
+        # fails here instead of allocating
+        def estimate():
+            raise AssertionError("memory estimate reached")
+        monkeypatch.setattr("gmrank.graph._memory_limit", estimate)
         graph = tmp_path / "huge.edges"
         graph.write_text(text)
         with caplog.at_level(logging.ERROR):
@@ -246,7 +246,7 @@ class TestRankCommand:
         errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1
         assert errors[0].getMessage() == (
-            f"node count {node_count} over the limit {MAX_EDGE_LIST_NODES}")
+            f"node count {node_count} over the limit {MAX_NODE_COUNT}")
         assert not (tmp_path / "o.csv").exists()
 
     @staticmethod
@@ -822,6 +822,22 @@ class TestByteOrderMark:
         assert len(plain) == 3 + 9 + 3       # top lists, global, culture
         assert marked == plain
 
+    def test_toplists_unchanged(self, world, tmp_path, monkeypatch):
+        # in real-data mode the top lists come from the user too
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        outputs = []
+        for name, prefix in (("plain", b""), ("marked", BOM)):
+            root = _copy_world(world, tmp_path / name)
+            for path in (root / "out" / "toplists").iterdir():
+                path.write_bytes(prefix + path.read_bytes())
+            config = str(root / "config.ini")
+            for args in (["global", "--config", config, "--women"],
+                         ["culture", "--config", config]):
+                assert main(args) == EXIT_OK, (name, args)
+            outputs.append(_outputs(root / "out"))
+        assert len(outputs[0]) == 8 + 3          # global, culture
+        assert outputs[1] == outputs[0]
+
     def test_rank_labels_unchanged(self, tmp_path, monkeypatch):
         monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         outputs = []
@@ -1039,6 +1055,39 @@ class TestGraphArtifact:
                         (world / "out" / "toplists" /
                          f"{code}_{algorithm}.csv").read_bytes()
                         for code in PLANT}
+
+
+class TestWarmRunCountsNoOutDegree:
+    """A run that reads every vector from the cache never counts the
+    graph's out-degrees."""
+
+    @pytest.mark.parametrize("command", ["top-people", "rank"])
+    def test_warm_run_leaves_out_degree_uncounted(self, world, tmp_path,
+                                                  monkeypatch, command):
+        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+        if command == "top-people":
+            root = _copy_world(world, tmp_path)
+            out = root / "out" / "toplists"
+            shutil.rmtree(out)
+            args = ["top-people", "--config", str(root / "config.ini"),
+                    "--all", "--algorithm", "2drank"]
+        else:
+            out = tmp_path / "out"
+            out.mkdir()
+            args = _rank_args(_property_graph(tmp_path / "g.edges"),
+                              tmp_path / "cache", out / "o.csv",
+                              label_mode=True)
+        assert main(args) == EXIT_OK
+        cold = _outputs(out)
+        assert cold
+        for path in out.iterdir():
+            path.unlink()
+
+        def count(graph):
+            raise AssertionError("a warm run counts no out-degree")
+        monkeypatch.setattr(DirectedGraph, "out_degree", property(count))
+        assert main(args) == EXIT_OK
+        assert _outputs(out) == cold
 
 
 def _edit_columns(edit):

@@ -1,6 +1,7 @@
 """Culture network construction, weighted Google matrix, culture ranking."""
 import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
@@ -176,6 +177,14 @@ class TestCultureRanks:
         fr = CULTURE_INDEX["FR"]
         assert ranks.k[fr] == 1               # most quoted culture
         assert ranks.kstar[fr] == 25          # least communicative
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan")])
+    def test_alpha_outside_unit_interval_refused(self, alpha):
+        net = CultureNetwork(weights=np.ones((N_CULTURES, N_CULTURES),
+                                             dtype=np.int64))
+        with pytest.raises(ValueError, match=re.escape(
+                f"alpha must be in (0, 1), got {alpha}")):
+            culture_ranks(net, alpha)
 
 
 class TestExportMatrix:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from gmrank import graph
-from gmrank.graph import (BYTES_PER_NODE, MAX_EDGE_LIST_NODES, MAX_NODE_COUNT,
-                          DirectedGraph, EdgeListError, load_edge_list,
-                          reverse)
+from gmrank.graph import (BYTES_PER_NODE, INTEGER_IDS, MAX_NODE_COUNT,
+                          STRING_LABELS, DirectedGraph, EdgeListError,
+                          load_edge_list, reverse)
+from gmrank.rank import cheirank, pagerank
 
 from conftest import random_graph
 
@@ -64,6 +65,22 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListError, match="line 2"):
             load("# nodes: 2\n0 5\n")
 
+    @pytest.mark.parametrize("text, label_mode", [
+        ("0 7\n# nodes: 5\n", INTEGER_IDS),
+        ("0 3\n# nodes: 10\n", INTEGER_IDS),
+        ("# nodes: 9\n# nodes: 3\n0 5\n", INTEGER_IDS),
+        ("a b\n# nodes: 2\n", STRING_LABELS),
+    ], ids=["after-edge-out-of-range", "after-edge-in-range", "repeated",
+            "after-labelled-edge"])
+    def test_late_or_repeated_header_refused(self, text, label_mode):
+        with pytest.raises(EdgeListError, match=r"^line 2: a '# nodes:' "
+                           "header comes once, before the first edge$"):
+            load(text, label_mode=label_mode)
+
+    def test_header_after_blank_and_comment_lines_counts(self):
+        g = load("\n# a comment\n\n# nodes: 5\n0 1\n")
+        assert g.node_count == 5 and g.edge_count == 1
+
     def test_malformed_line_reports_number(self):
         with pytest.raises(EdgeListError, match="line 3"):
             load("0 1\n1 2\n1 2 3\n")
@@ -85,8 +102,8 @@ class TestLoadEdgeList:
             load("# nodes: 5\na b\n", label_mode="string-labels")
 
     @pytest.mark.parametrize("text", [
-        f"# nodes: {MAX_EDGE_LIST_NODES}\n0 1\n",
-        f"0 {MAX_EDGE_LIST_NODES - 1}\n",
+        f"# nodes: {MAX_NODE_COUNT}\n0 1\n",
+        f"0 {MAX_NODE_COUNT - 1}\n",
     ], ids=["header", "largest-id"])
     def test_node_count_at_limit_reaches_build(self, text, monkeypatch):
         # the build is stubbed, so the limit itself allocates nothing
@@ -94,7 +111,7 @@ class TestLoadEdgeList:
             raise RuntimeError(f"build of {node_count} nodes")
         monkeypatch.setattr(DirectedGraph, "from_edges", build)
         with pytest.raises(RuntimeError,
-                           match=f"build of {MAX_EDGE_LIST_NODES} nodes"):
+                           match=f"build of {MAX_NODE_COUNT} nodes"):
             load(text)
 
 
@@ -172,6 +189,75 @@ class TestReverseMatchesFlippedBuild:
             assert np.array_equal(array, oracle), name
         assert got.labels == expected.labels
         assert got.self_loops_removed == g.self_loops_removed
+
+
+def ids(*values):
+    return np.array(values, dtype=np.int64)
+
+
+class TestConstructorRules:
+    """Every graph, however built, holds consistent arrays."""
+
+    @pytest.mark.parametrize("in_indptr, in_sources, labels, match", [
+        (ids(0, 1, 2), ids(5, 0), None, r"source id outside \[0, 2\)"),
+        (ids(0, 0, 0), ids(), ("a",), "^expected 2 labels, found 1$"),
+        (ids(), ids(), None, "^edge offsets inconsistent with edge count$"),
+        (ids(1, 1), ids(0), None, "^edge offsets inconsistent"),
+        (ids(0, 2, 1, 2), ids(0, 1), None, "^edge offsets inconsistent"),
+        (ids(0, 1, 1), ids(0, 0), None, "^edge offsets inconsistent"),
+        (ids(0, 1), ids(-1), None, r"^source id outside \[0, 1\)$"),
+        (ids(0, 1), ids(1), None, r"^source id outside \[0, 1\)$"),
+        (np.array([0.0, 1.0]), np.array([0.0]), None,
+         "^edge arrays must be 1-D signed integer arrays$"),
+        (ids(0, 1), np.array([0.0]), None, "1-D signed integer"),
+        ([0, 1], [0], None, "1-D signed integer"),
+        (ids(0, 1).reshape(1, 2), ids(0), None, "1-D signed integer"),
+    ], ids=["source-beyond-n", "one-label-for-two-nodes", "empty-offsets",
+            "first-offset-1", "falling-offsets", "last-offset-not-e",
+            "source-negative", "source-equals-n", "float-arrays",
+            "float-sources", "lists", "2-d-offsets"])
+    def test_broken_graph_refused_naming_the_rule(self, in_indptr,
+                                                   in_sources, labels, match):
+        with pytest.raises(ValueError, match=match):
+            DirectedGraph(in_indptr, in_sources, labels)
+
+    def test_from_edges_labels_counted_by_the_constructor(self):
+        with pytest.raises(ValueError, match="^expected 3 labels, found 2$"):
+            DirectedGraph.from_edges(3, [0], [1], labels=("a", "b"))
+
+    def test_random_arrays_refused_or_ranked(self):
+        # small random pairs, every other one with an entry moved by up to
+        # 3: each is refused at construction or ranks to two distributions
+        rng = np.random.default_rng(21)
+        outcomes = set()
+        for trial in range(200):
+            n = int(rng.integers(1, 7))
+            in_indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(rng.integers(0, 4, n), out=in_indptr[1:])
+            in_sources = rng.integers(0, n, int(in_indptr[-1]))
+            broken = trial % 2 == 1
+            if broken:
+                array = (in_sources if in_sources.size and rng.random() < 0.5
+                         else in_indptr)
+                array[rng.integers(array.size)] += rng.choice([-3, -2, -1, 1, 2, 3])
+            try:
+                g = DirectedGraph(in_indptr, in_sources)
+            except ValueError:
+                assert broken
+                outcomes.add("refused")
+                continue
+            outcomes.add("broken but built" if broken else "built")
+            for rank in (pagerank, cheirank):
+                p = rank(g).probabilities
+                assert p.shape == (n,) and p.min() > 0
+                assert abs(p.sum() - 1.0) <= 1e-12
+        assert outcomes == {"built", "broken but built", "refused"}
+
+    def test_out_degree_counted_on_first_use(self):
+        g = load("0 1\n0 2\n2 0\n")
+        assert "out_degree" not in vars(g)
+        assert g.out_degree.tolist() == [2, 0, 1]
+        assert g.out_degree is g.out_degree
 
 
 class TestStats:
@@ -293,14 +379,21 @@ class TestKeySortBuild:
         assert_matches_reference_builds(node_count, sources, targets,
                                         drop_self_loops)
 
-    def test_key_limit_is_largest_fitting_node_count(self):
+    def test_keys_at_the_node_limit_fit_in_int64(self):
         int64_max = int(np.iinfo(np.int64).max)
         assert MAX_NODE_COUNT * MAX_NODE_COUNT - 1 <= int64_max
-        assert (MAX_NODE_COUNT + 1) ** 2 - 1 > int64_max
 
     def test_over_key_limit_rejected(self):
         with pytest.raises(ValueError, match=f"over the limit {MAX_NODE_COUNT}"):
             DirectedGraph.from_edges(MAX_NODE_COUNT + 1, [0], [1])
+
+    def test_node_limit_checked_before_the_memory_estimate(self, monkeypatch):
+        def estimate():
+            raise AssertionError("memory estimate reached")
+        monkeypatch.setattr(graph, "_memory_limit", estimate)
+        with pytest.raises(ValueError, match=r"^node count 268435457 over "
+                           r"the limit 268435456$"):
+            DirectedGraph.from_edges(2**28 + 1, [0], [1])
 
 
 class TestBuildPeak:

@@ -2,6 +2,7 @@
 import concurrent.futures
 import io
 import os
+import re
 import sys
 import threading
 from itertools import permutations
@@ -365,6 +366,13 @@ class TestDenseMatrix:
         # and culture CheiRank passes a transposed weight matrix
         weights = np.arange(16).reshape(4, 4) % 3
         assert google_matrix(weights.T, 0.85).flags.c_contiguous
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan")])
+    def test_alpha_outside_unit_interval_refused(self, alpha):
+        # the rule and its text are GoogleParams'
+        with pytest.raises(ValueError, match=re.escape(
+                f"alpha must be in (0, 1), got {alpha}")):
+            google_matrix(np.ones((3, 3)), alpha)
 
     def test_refuses_over_limit(self):
         # edgeless, so the graph is small; the refusal precedes the dense array
