@@ -28,15 +28,18 @@ with a 4-byte magic and a u16 version:
 
 Each kind has a writer ``write_<kind>(stream, ...)`` and a reader
 ``read_<kind>(stream, ...)``.  A reader raises :class:`CacheFormatError` on
-any file it cannot trust or use, including one of an older version; the
-caller treats that as a miss.
+any file whose format it cannot trust or use, including one of an older
+version.  The value's own rules are its constructor's: ``read_graph``
+re-raises a :class:`~gmrank.graph.DirectedGraph` refusal as a
+:class:`CacheFormatError`, and the registry built from ``read_persons``'
+columns raises ValueError itself.  The caller treats either as a miss.
 """
 from __future__ import annotations
 
 import hashlib
 import struct
 from pathlib import Path
-from typing import IO, Collection
+from typing import IO
 
 import numpy as np
 
@@ -187,8 +190,7 @@ def write_persons(stream: IO[bytes], ids: list[str],
     stream.write(blob)
 
 
-def read_persons(stream: IO[bytes], known_editions: Collection[str],
-                 known_genders: Collection[str]
+def read_persons(stream: IO[bytes]
                  ) -> tuple[list[str], list[tuple[str, int | None, str]],
                             list[str], str]:
     """The stored ``(ids, fields, editions, titles)`` of a persons file.
@@ -197,9 +199,9 @@ def read_persons(stream: IO[bytes], known_editions: Collection[str],
     title, such as ``global`` or ``culture``, never splits them.
 
     Raises :class:`CacheFormatError` on bad magic or version, a length that
-    does not match the header, the wrong number of strings, an edition code
-    outside ``known_editions`` or repeated, a gender outside
-    ``known_genders``, or a repeated id.
+    does not match the header, strings that are not UTF-8, or the wrong
+    number of strings.  The columns are checked by the
+    :class:`~gmrank.registry.PersonRegistry` built from them.
     """
     data = stream.read()
     p, e, blob_bytes = _header(data, _PERSONS_HEADER, PERSONS_MAGIC,
@@ -225,19 +227,9 @@ def read_persons(stream: IO[bytes], known_editions: Collection[str],
     # the last piece holds the P*E titles; there is none when P*E is 0
     titles = strings.pop() if p * e else ""
     editions = strings[:e]
-    unknown = set(editions).difference(known_editions)
-    if unknown:
-        raise CacheFormatError(f"unknown edition code {min(unknown)!r}")
-    if len(set(editions)) != e:
-        raise CacheFormatError("duplicate edition code")
     ids = strings[e:e + p]
     countries = strings[e + p:e + 2 * p]
     genders = strings[e + 2 * p:]
-    unknown = set(genders).difference(known_genders)
-    if unknown:
-        raise CacheFormatError(f"unknown gender {min(unknown)!r}")
-    if len(set(ids)) != p:
-        raise CacheFormatError("duplicate person_id")
     fields = list(zip(countries, [y or None for y in years], genders))
     return ids, fields, editions, titles
 

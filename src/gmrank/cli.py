@@ -19,7 +19,7 @@ from .graph import (INTEGER_IDS, STRING_LABELS, DirectedGraph, EdgeListError,
                     load_edge_list)
 from .rank import (CHEIRANK, PAGERANK, ConvergenceError, GoogleParams,
                    cheirank, pagerank, rank_indices, two_d_rank)
-from .registry import (EDITION_CODES, GENDERS, PAGERANK_LIST, TWODRANK_LIST,
+from .registry import (EDITION_CODES, PAGERANK_LIST, TWODRANK_LIST,
                        PersonRegistry, default_culture_map, load_culture_map,
                        load_persons, select_top_people)
 
@@ -165,8 +165,7 @@ def _load_registry(config: PipelineConfig) -> PersonRegistry:
 
     return _cached(
         artifact, "registry", "re-parsing",
-        lambda f: PersonRegistry(
-            *cache.read_persons(f, EDITION_CODES, GENDERS), culture_map),
+        lambda f: PersonRegistry(*cache.read_persons(f), culture_map),
         parse,
         lambda f, registry: cache.write_persons(f, *registry.columns()))
 
@@ -175,9 +174,9 @@ def _cached(path: Path | None, what: str, redo: str, read, build, write):
     """``read`` of the cache file at ``path``, or ``build()`` stored there.
 
     With no path, only builds.  A hit logs ``what``; a file that ``read``
-    rejects with :class:`cache.CacheFormatError` is a miss, whose warning
-    names the work it costs, ``redo``.  After a miss, ``write(stream,
-    value)`` stores the built value atomically.
+    rejects with a ValueError, such as :class:`cache.CacheFormatError`, is
+    a miss, whose warning names the work it costs, ``redo``.  After a miss,
+    ``write(stream, value)`` stores the built value atomically.
     """
     if path is None:
         return build()
@@ -185,7 +184,7 @@ def _cached(path: Path | None, what: str, redo: str, read, build, write):
         try:
             with open(path, "rb") as f:
                 value = read(f)
-        except cache.CacheFormatError as exc:
+        except ValueError as exc:
             log.warning("unusable cache file %s (%s), %s", path, exc, redo)
         else:
             log.info("cache hit: %s (%s)", path.name, what)

@@ -55,13 +55,11 @@ def _memory_limit() -> int | None:
 
 
 class EdgeListError(ValueError):
-    """Malformed edge-list input. Carries the 1-based offending line number."""
+    """Malformed edge-list input; the message opens with the 1-based line."""
 
     def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
+        super().__init__(message if line_no is None
+                         else f"line {line_no}: {message}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +71,8 @@ class DirectedGraph:
     sorted ascending.  ``node_count`` and ``out_degree`` derive from them.
     The constructor raises ValueError unless both are 1-D signed integer
     arrays, the offsets start at 0, never fall and end at E, every source
-    lies in [0, N), and ``labels`` is None or holds N labels.
+    lies in [0, N), the sources rise strictly within each target, and
+    ``labels`` is None or holds N labels.
     """
 
     in_indptr: np.ndarray      # (N+1,) int64
@@ -92,6 +91,12 @@ class DirectedGraph:
         n = self.node_count
         if sources.size and (sources.min() < 0 or sources.max() >= n):
             raise ValueError(f"source id outside [0, {n})")
+        # rising[j]: source j is above source j - 1, or opens its target
+        rising = np.ones(sources.size + 1, dtype=bool)
+        np.greater(sources[1:], sources[:-1], out=rising[1:-1])
+        rising[offsets] = True
+        if not rising.all():
+            raise ValueError("sources not strictly ascending within a target")
         if self.labels is not None and len(self.labels) != n:
             raise ValueError(f"expected {n} labels, found {len(self.labels)}")
 

@@ -54,58 +54,65 @@ class CountryCultureMap:
 
 
 class _TitleColumn:
-    """Every person's stripped titles, row by row, and each edition's column.
+    """Every person's id and stripped titles, row by row, and each
+    edition's column.
 
     Person ``r``'s title in the edition of column ``c`` is cell
     ``r * width + c``.  The cells come as a list, or still joined by NUL as
     a ``.gmrp`` read leaves them; a joined column is split, and its width
     checked, on its first :meth:`cells`, so a run that reads no title
-    never walks it.
+    never walks it.  The one rule of reading them: an empty EN title, or a
+    missing EN column, is the person_id; any other empty title is none.
     """
 
-    __slots__ = ("columns", "width", "_count", "_cells", "_joined")
+    __slots__ = ("columns", "width", "ids", "_cells")
 
     def __init__(self, editions: Sequence[str], titles: list[str] | str,
-                 rows: int):
+                 ids: list[str]):
         self.columns = dict(zip(editions, range(len(editions))))
         self.width = len(editions)
-        self._count = rows * self.width
-        self._cells: list[str] | None = None
-        self._joined: str | None = None
-        if isinstance(titles, str):
-            self._joined = titles
-        else:
-            self._cells = self._checked(titles)
-
-    def _checked(self, cells: list[str]) -> list[str]:
-        if len(cells) != self._count:
-            raise ValueError("titles must hold one title per person and edition")
-        return cells
+        self.ids = ids
+        self._cells = titles
+        if not isinstance(titles, str):
+            self.cells()
 
     def cells(self) -> list[str]:
-        if self._cells is None:
-            joined = self._joined
-            self._cells = self._checked(
-                joined.split("\0") if joined or self._count else [])
-            self._joined = None
+        count = len(self.ids) * self.width
+        if isinstance(self._cells, str):
+            joined = self._cells
+            self._cells = joined.split("\0") if joined or count else []
+        if len(self._cells) != count:
+            raise ValueError("titles must hold one title per person and edition")
         return self._cells
 
-    def cell(self, row: int, edition: str) -> str:
-        """The stored title; empty when there is none or no such column."""
+    def title(self, row: int, person_id: str, edition: str) -> str | None:
+        """The title of person ``row``, ``person_id``, in ``edition``."""
+        column = self.columns.get(edition)
+        title = "" if column is None else self.cells()[row * self.width + column]
+        return title or (person_id if edition == "EN" else None)
+
+    def keyed(self, edition: str) -> tuple[list[str], list[str]]:
+        """One edition's titles and their owners, in row order."""
+        ids = self.ids
         column = self.columns.get(edition)
         if column is None:
-            return ""
-        return self.cells()[row * self.width + column]
+            return (ids, ids) if edition == "EN" else ([], [])
+        titles = self.cells()[column::self.width]
+        if edition == "EN":
+            return [t or p for t, p in zip(titles, ids)], ids
+        return list(compress(titles, titles)), list(compress(ids, titles))
 
-    def title(self, row: int, person_id: str, edition: str) -> str | None:
-        """The person's title in ``edition``; an empty EN one is the id."""
-        title = self.cell(row, edition)
-        if not title and edition == "EN":
-            return person_id
-        return title or None
+    def of_row(self, row: int) -> dict[str, str]:
+        """Person ``row``'s titles by edition: the stored ones in column
+        order, then the EN one when it is the person_id."""
+        start = row * self.width
+        titles = {code: title for code, title in zip(
+            self.columns, self.cells()[start:start + self.width]) if title}
+        titles.setdefault("EN", self.ids[row])
+        return titles
 
 
-_NO_TITLES = _TitleColumn((), [], 0)
+_NO_TITLES = _TitleColumn((), [], [])
 
 
 class Person:
@@ -149,6 +156,7 @@ class Person:
         return "Person({!r}, {!r}, {!r}, {!r}, {!r})".format(*self._fields())
 
     def title_in(self, edition: str) -> str | None:
+        """The person's title in ``edition``, or None when it has none."""
         return self._titles.title(self._row, self.person_id, edition)
 
 
@@ -209,27 +217,39 @@ class PersonRegistry:
     """Immutable person store: validated fields plus per-edition title indexes.
 
     Built by :func:`load_persons`, which has checked every row and every
-    title, or from a cache artifact of that function's columns; the
-    constructor takes those columns and checks only their width.  The
-    titles may come as a list, or still joined by NUL as
-    :func:`cache.read_persons` returns them; those are split, and their
-    width checked, on the first title read.  Each edition's title index is
-    built, and checked for a repeated title, on its first
-    :meth:`title_index`, and a :class:`Person` on its first :meth:`get`;
-    both are kept.
+    title, or from the columns of a cache artifact.  The constructor raises
+    ValueError on an unknown or repeated edition code, an unknown gender,
+    field rows or titles of the wrong count, or a repeated id.  The titles
+    may come as a list, or still joined by NUL as :func:`cache.read_persons`
+    returns them; those are split, and their count checked, on the first
+    title read.  Each edition's title index is built, and checked for a
+    repeated title, on its first :meth:`title_index`, and a :class:`Person`
+    on its first :meth:`get`; both are kept.
     """
 
     def __init__(self, ids: list[str],
                  fields: list[tuple[str, int | None, str]],
                  editions: list[str], titles: list[str] | str,
                  culture_map: CountryCultureMap):
+        unknown = set(editions).difference(EDITION_CODES)
+        if unknown:
+            raise ValueError(f"unknown edition code {min(unknown)!r}")
+        if len(set(editions)) != len(editions):
+            raise ValueError("duplicate edition code")
+        if len(fields) != len(ids):
+            raise ValueError("fields must hold one row per person")
+        unknown = {gender for _, _, gender in fields}.difference(GENDERS)
+        if unknown:
+            raise ValueError(f"unknown gender {min(unknown)!r}")
         self._ids = ids
         self._fields = fields           # (birth_country, birth_year, gender)
-        self._titles = _TitleColumn(editions, titles, len(ids))
+        self._titles = _TitleColumn(editions, titles, ids)
         self._culture_map = culture_map
         self._row = dict(zip(ids, range(len(ids))))
         self._built: dict[str, Person] = {}
         self._by_title: dict[str, dict[str, str]] = {}
+        if len(self._row) != len(ids):
+            self._raise_first_duplicate()
 
     def columns(self) -> tuple[list[str], list[tuple[str, int | None, str]],
                                list[str], list[str]]:
@@ -237,45 +257,21 @@ class PersonRegistry:
         return (self._ids, self._fields, list(self._titles.columns),
                 self._titles.cells())
 
-    def _keyed_titles(self, code: str) -> tuple[list[str], list[str]]:
-        """One edition's non-empty titles and their owners.
-
-        An empty EN title, or a missing EN column, is the person_id.
-        """
-        ids = self._ids
-        column = self._titles.columns.get(code)
-        if column is None:
-            return (ids, ids) if code == "EN" else ([], [])
-        titles = self._titles.cells()[column::self._titles.width]
-        if code == "EN":
-            return [t or p for t, p in zip(titles, ids)], ids
-        return list(compress(titles, titles)), list(compress(ids, titles))
-
     def _check_unique(self) -> None:
-        """Build every title index; raise on a duplicate id or title."""
-        if len(self._row) != len(self._ids):
-            self._raise_first_duplicate()
+        """Build every title index; raise on a duplicate title."""
         for code in dict.fromkeys((*self._titles.columns, "EN")):
             self.title_index(code)
 
     def _raise_first_duplicate(self) -> None:
-        """Name the first duplicate id or title in file order.
-
-        A person's titles are checked in column order, an empty EN title,
-        which defaults to the id, last.
-        """
+        """Name the first duplicate id or title in file order, a person's
+        titles in :meth:`_TitleColumn.of_row` order."""
         seen_ids: set[str] = set()
         seen_titles: dict[str, dict[str, str]] = {}
         for row, person_id in enumerate(self._ids):
             if person_id in seen_ids:
                 raise ValueError(f"duplicate person_id {person_id!r}")
             seen_ids.add(person_id)
-            codes = [code for code in self._titles.columns
-                     if self._titles.cell(row, code)]
-            if "EN" not in codes:
-                codes.append("EN")
-            for code in codes:
-                title = self._titles.title(row, person_id, code)
+            for code, title in self._titles.of_row(row).items():
                 index = seen_titles.setdefault(code, {})
                 key = _nfc(title)
                 if key in index:
@@ -300,13 +296,6 @@ class PersonRegistry:
                 self._culture_map.culture_of(country), self._titles, row)
         return person
 
-    def title(self, person_id: str, edition: str) -> str | None:
-        """The person's localized title in ``edition``, or None.
-
-        An empty EN title, or a missing EN column, is the person_id.
-        """
-        return self._titles.title(self._row[person_id], person_id, edition)
-
     def title_index(self, edition: str) -> Mapping[str, str]:
         """NFC-normalized localized title -> person_id for one edition.
 
@@ -315,7 +304,7 @@ class PersonRegistry:
         """
         index = self._by_title.get(edition)
         if index is None:
-            titles, owners = self._keyed_titles(edition)
+            titles, owners = self._titles.keyed(edition)
             index = _index_titles(titles, owners)
             if len(index) != len(titles):
                 self._raise_first_duplicate()

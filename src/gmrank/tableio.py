@@ -87,7 +87,7 @@ def write_toplist_csv(stream: IO[str], toplist: TopList,
         person = registry.get(person_id)
         writer.writerow((
             toplist.edition, toplist.algorithm, person_id,
-            registry.title(person_id, toplist.edition), rank,
+            person.title_in(toplist.edition), rank,
             person.culture, person.birth_country, person.century,
             person.gender))
 

@@ -12,8 +12,7 @@ from gmrank.cache import (PERSONS_VERSION, CacheFormatError, artifact_path,
 from gmrank.graph import INTEGER_IDS, STRING_LABELS, load_edge_list
 from gmrank.rank import (GoogleParams, RankVector, cheirank, pagerank,
                          rank_indices)
-from gmrank.registry import (EDITION_CODES, GENDERS, PersonRegistry,
-                             default_culture_map)
+from gmrank.registry import PersonRegistry, default_culture_map
 from gmrank.tableio import write_rank_csv
 
 
@@ -232,11 +231,13 @@ class TestGraphArtifact:
         # in_indptr[1] = E, above in_indptr[2]
         (lambda raw, n, e: _word(raw, 1, e), "offsets"),
         (lambda raw, n, e: _word(raw, n + 1, n), "source id"),
+        # in_sources[2] = 0, as in_sources[1]: node 1's sources 0, 3 -> 0, 0
+        (lambda raw, n, e: _word(raw, n + 3, 0), "not strictly ascending"),
         (lambda raw, n, e: _drop_last_label(raw), "labels"),
         (lambda raw, n, e: raw[:-1] + b"\xff", "UTF-8"),
     ], ids=["header-cut", "body-cut", "trailing-byte", "magic", "version",
             "label-flag", "first-offset", "last-offset", "falling-offsets",
-            "source-out-of-range", "label-missing",
+            "source-out-of-range", "repeated-source", "label-missing",
             "labels-not-utf8"])
     def test_corruption_detected(self, corrupt, match):
         g = parsed(STRING_LABELS)
@@ -274,7 +275,7 @@ def persons_bytes(ids, fields, editions, titles):
 
 
 def read_persons_bytes(raw):
-    return read_persons(io.BytesIO(raw), EDITION_CODES, GENDERS)
+    return read_persons(io.BytesIO(raw))
 
 
 def _strings_joined(raw):
@@ -345,11 +346,12 @@ class TestPersonsArtifact:
     ], ids=["unknown-edition", "duplicate-edition", "unknown-gender",
             "duplicate-id"])
     def test_invalid_columns_detected(self, edit, match):
+        # the reader checks the format; the registry refuses the columns
         ids, fields, editions, titles = (list(c) for c in COLUMNS)
         edit(ids, fields, editions)
         raw = persons_bytes(ids, fields, editions, titles)
-        with pytest.raises(CacheFormatError, match=match):
-            read_persons_bytes(raw)
+        with pytest.raises(ValueError, match=match):
+            PersonRegistry(*read_persons_bytes(raw), default_culture_map())
 
 
 # (suffix, key inputs, a different value for each input), per artifact kind

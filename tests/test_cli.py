@@ -20,8 +20,7 @@ from gmrank.cli import (EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, ConfigError,
                         load_config, main)
 from gmrank.graph import MAX_NODE_COUNT, DirectedGraph
 from gmrank.rank import GoogleParams
-from gmrank.registry import (EDITION_CODES, GENDERS, PersonRegistry,
-                             default_culture_map)
+from gmrank.registry import PersonRegistry, default_culture_map
 
 from conftest import GOLDEN, rank_columns
 
@@ -1093,9 +1092,8 @@ class TestWarmRunCountsNoOutDegree:
 def _edit_columns(edit):
     """A corruption that rewrites a registry artifact's decoded columns."""
     def corrupt(raw):
-        columns = PersonRegistry(
-            *cache.read_persons(io.BytesIO(raw), EDITION_CODES, GENDERS),
-            default_culture_map()).columns()
+        columns = PersonRegistry(*cache.read_persons(io.BytesIO(raw)),
+                                 default_culture_map()).columns()
         edit(*columns)
         buf = io.BytesIO()
         cache.write_persons(buf, *columns)
@@ -1181,8 +1179,13 @@ class TestRegistryArtifact:
             0, fields[0][:2] + ("other",))), "unknown gender 'other'"),
         (_edit_columns(lambda ids, fields, editions, titles: ids.__setitem__(
             1, ids[0])), "duplicate person_id"),
+        (_edit_columns(lambda ids, fields, editions, titles: editions.__setitem__(
+            0, "XY")), "unknown edition code 'XY'"),
+        (_edit_columns(lambda ids, fields, editions, titles: editions.__setitem__(
+            1, editions[0])), "duplicate edition code"),
     ], ids=["truncated", "bad-magic", "old-version", "wrong-string-count",
-            "unknown-gender", "duplicate-id"])
+            "unknown-gender", "duplicate-id", "unknown-edition",
+            "duplicate-edition"])
     def test_corrupt_artifact_reparsed_and_rewritten(
             self, world, tmp_path, monkeypatch, caplog, corrupt, reason):
         monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)

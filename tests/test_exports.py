@@ -114,6 +114,25 @@ def test_artifact_codecs_take_the_stream_first(kind):
         assert parameters[0] == "stream", name
 
 
+def test_persons_reader_takes_only_the_stream():
+    # the reader checks its format; the registry it feeds checks the columns
+    from gmrank import cache
+    assert list(inspect.signature(cache.read_persons).parameters) == ["stream"]
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in SOURCE.glob("*.py") if path.stem != "registry"))
+def test_titles_read_only_through_the_registry(module):
+    # titles are read through Person.title_in or title_index, so the rule
+    # that an empty EN title is the person_id is spelled in registry.py alone
+    tree = ast.parse((SOURCE / f"{module}.py").read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "title"]
+    assert calls == []
+
+
 def test_cache_defines_no_encoder():
     tree = ast.parse((SOURCE / "cache.py").read_text(encoding="utf-8"))
     encoders = [node.name for node in tree.body

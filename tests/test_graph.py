@@ -212,10 +212,15 @@ class TestConstructorRules:
         (ids(0, 1), np.array([0.0]), None, "1-D signed integer"),
         ([0, 1], [0], None, "1-D signed integer"),
         (ids(0, 1).reshape(1, 2), ids(0), None, "1-D signed integer"),
+        # link 0 -> 1 twice: out_degree would count it twice
+        (ids(0, 0, 2, 3), ids(0, 0, 0), None,
+         "^sources not strictly ascending within a target$"),
+        (ids(0, 0, 2), ids(1, 0), None, "^sources not strictly ascending"),
     ], ids=["source-beyond-n", "one-label-for-two-nodes", "empty-offsets",
             "first-offset-1", "falling-offsets", "last-offset-not-e",
             "source-negative", "source-equals-n", "float-arrays",
-            "float-sources", "lists", "2-d-offsets"])
+            "float-sources", "lists", "2-d-offsets", "repeated-source",
+            "descending-sources"])
     def test_broken_graph_refused_naming_the_rule(self, in_indptr,
                                                    in_sources, labels, match):
         with pytest.raises(ValueError, match=match):
@@ -226,15 +231,18 @@ class TestConstructorRules:
             DirectedGraph.from_edges(3, [0], [1], labels=("a", "b"))
 
     def test_random_arrays_refused_or_ranked(self):
-        # small random pairs, every other one with an entry moved by up to
-        # 3: each is refused at construction or ranks to two distributions
+        # small random graphs, every other one with an entry moved by up to
+        # 3: each is refused at construction, or is the graph from_edges
+        # builds from its own edges and ranks to two distributions
         rng = np.random.default_rng(21)
         outcomes = set()
         for trial in range(200):
             n = int(rng.integers(1, 7))
+            groups = [np.sort(rng.choice(n, int(rng.integers(0, min(n, 3) + 1)),
+                                         replace=False)) for _ in range(n)]
             in_indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(rng.integers(0, 4, n), out=in_indptr[1:])
-            in_sources = rng.integers(0, n, int(in_indptr[-1]))
+            np.cumsum([group.size for group in groups], out=in_indptr[1:])
+            in_sources = np.concatenate(groups).astype(np.int64)
             broken = trial % 2 == 1
             if broken:
                 array = (in_sources if in_sources.size and rng.random() < 0.5
@@ -247,6 +255,7 @@ class TestConstructorRules:
                 outcomes.add("refused")
                 continue
             outcomes.add("broken but built" if broken else "built")
+            assert g == DirectedGraph.from_edges(n, *g.edge_arrays())
             for rank in (pagerank, cheirank):
                 p = rank(g).probabilities
                 assert p.shape == (n,) and p.min() > 0

@@ -12,10 +12,10 @@ import pytest
 
 from gmrank import cache
 from gmrank.rank import rank_indices
-from gmrank.registry import (EDITION_CODES, GENDERS, CountryCultureMap,
-                             Person, PersonRegistry, TopList, century_of,
-                             default_culture_map, load_persons,
-                             ranked_rows, select_top_people)
+from gmrank.registry import (EDITION_CODES, CountryCultureMap, Person,
+                             PersonRegistry, TopList, century_of,
+                             default_culture_map, load_persons, ranked_rows,
+                             select_top_people)
 
 from conftest import make_registry, persons_tsv, synthetic_person_rows
 
@@ -105,11 +105,9 @@ class TestLoadPersons:
         ])
         person = reg.get("Napoleon")
         assert person.culture == "FR"
-        assert reg.title("Napoleon", "FR") == "Napoléon Ier"
-        assert reg.title("Napoleon", "EN") == "Napoleon"
         assert person.title_in("FR") == "Napoléon Ier"
         assert person.title_in("EN") == "Napoleon"
-        assert reg.title("Napoleon", "JA") is person.title_in("JA") is None
+        assert person.title_in("JA") is None
 
     def test_unknown_country_maps_to_world(self):
         reg = make_registry([{"person_id": "A", "birth_country": "XX",
@@ -359,6 +357,31 @@ NFC_E = "\u00e9"            # é, composed
 NFD_E = "e\u0301"           # e + combining acute
 
 
+class TestConstructorRules:
+    """A registry built by hand keeps the rules of a loaded one."""
+
+    @pytest.mark.parametrize("joined", [False, True], ids=["list", "joined"])
+    @pytest.mark.parametrize("ids, fields, editions, match", [
+        (["A"], [("FR", 1900, "male")], ["EN", "XY"],
+         "^unknown edition code 'XY'$"),
+        (["A"], [("FR", 1900, "male")], ["FR", "EN", "FR"],
+         "^duplicate edition code$"),
+        (["A"], [("FR", 1900, "other")], ["EN"], "^unknown gender 'other'$"),
+        (["A", "B"], [("FR", 1900, "male")], ["EN"],
+         "^fields must hold one row per person$"),
+        (["A", "B", "A"], [("FR", 1900, "male")] * 3, ["EN"],
+         "^duplicate person_id 'A'$"),
+    ], ids=["unknown-edition", "duplicate-edition", "unknown-gender",
+            "short-fields", "duplicate-id"])
+    def test_broken_columns_refused_naming_the_rule(
+            self, ids, fields, editions, match, joined):
+        titles = [""] * (len(ids) * len(editions))
+        with pytest.raises(ValueError, match=match):
+            PersonRegistry(ids, fields, editions,
+                           "\0".join(titles) if joined else titles,
+                           default_culture_map())
+
+
 class TestColumnNfc:
     """A non-ASCII edition column is matched after NFC, title by title."""
 
@@ -373,7 +396,7 @@ class TestColumnNfc:
         toplist = select_top_people(np.array([1, 0]), labels, reg, "FR",
                                     "pagerank", n=2)
         assert toplist.entries == (("Poincare", 1), ("Curie", 2))
-        assert reg.title("Poincare", "FR") == f"Henri Poincar{NFD_E}"
+        assert reg.get("Poincare").title_in("FR") == f"Henri Poincar{NFD_E}"
 
     def test_titles_equal_after_nfc_are_duplicates(self):
         text = (self.HEADER
@@ -392,7 +415,7 @@ class TestColumnNfc:
         reg = load_persons(io.StringIO(text))
         assert dict(reg.title_index("FR")) == {"Deux\nlignes": "A",
                                                f"J{NFC_E}sus": "B"}
-        assert reg.title("A", "FR") == "Deux\nlignes"
+        assert reg.get("A").title_in("FR") == "Deux\nlignes"
 
     def test_constructor_rejects_titles_of_the_wrong_width(self):
         with pytest.raises(ValueError, match="one title per person and edition"):
@@ -609,7 +632,6 @@ class TestMatchesEagerLoader:
             assert reg.get(person_id) == person
             for code in (*EDITION_CODES, "XY"):
                 expected_title = titles_of[person_id].get(code)
-                assert reg.title(person_id, code) == expected_title
                 assert reg.get(person_id).title_in(code) == expected_title
         assert "absent" not in reg
         with pytest.raises(KeyError):
@@ -641,7 +663,7 @@ def from_artifact(registry, culture_map):
     buf = io.BytesIO()
     cache.write_persons(buf, *registry.columns())
     buf.seek(0)
-    columns = cache.read_persons(buf, EDITION_CODES, GENDERS)
+    columns = cache.read_persons(buf)
     return PersonRegistry(*columns, culture_map)
 
 
@@ -676,14 +698,15 @@ class TestArtifactMatchesFreshLoad:
         _, titles_of, _ = eager_load(text)
         codes = (*EDITION_CODES, "XY")     # XY is in no file's columns
         # each warm registry splits its titles on a different first read
-        by_title = from_artifact(fresh, default_culture_map())
+        by_columns = from_artifact(fresh, default_culture_map())
         by_title_in = from_artifact(fresh, default_culture_map())
         by_index = from_artifact(fresh, default_culture_map())
+        assert by_columns.columns() == fresh.columns()
         for code in codes:
             for person_id, titles in titles_of.items():
                 expected = titles.get(code)
-                assert fresh.title(person_id, code) == expected
-                assert by_title.title(person_id, code) == expected
+                assert fresh.get(person_id).title_in(code) == expected
+                assert by_columns.get(person_id).title_in(code) == expected
                 assert by_title_in.get(person_id).title_in(code) == expected
             assert dict(by_index.title_index(code)) == dict(
                 fresh.title_index(code))
@@ -724,7 +747,7 @@ class TestNoReferenceCycle:
             person_id = next(iter(eager_load(text)[0]))
             person = registry.get(person_id)
             registry_ref, person_ref = weakref.ref(registry), weakref.ref(person)
-            title = registry.title(person_id, "EN")
+            title = registry.get(person_id).title_in("EN")
             del registry
             assert registry_ref() is None       # the person keeps no link
             assert person.title_in("EN") == title
@@ -749,7 +772,7 @@ class TestDuplicateTitleInArtifact:
         buf = io.BytesIO()
         cache.write_persons(buf, ids, fields, editions, titles)
         buf.seek(0)
-        columns = cache.read_persons(buf, EDITION_CODES, GENDERS)
+        columns = cache.read_persons(buf)
         return PersonRegistry(*columns, default_culture_map())
 
     def test_index_build_names_the_duplicate(self):
