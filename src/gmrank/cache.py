@@ -9,8 +9,9 @@ with a 4-byte magic and a u16 version:
 - ``.gmrg``, a parsed graph; inputs: edge-list hash, label mode, self-loop
   policy.  Magic ``GMRG``, version, label flag u8, one pad byte, then N, E,
   self-loops removed and the label blob's byte length as u64; then
-  ``in_indptr`` (N+1) and ``in_sources`` (E) as int64, then the labels
-  joined by newlines in UTF-8.  No out-degrees: the graph derives them.
+  ``in_indptr`` (N+1) and ``in_sources`` (E) as int32, the graph's own
+  dtype, then the labels joined by newlines in UTF-8.  No out-degrees: the
+  graph derives them.
 - ``.gmrk``, a converged vector; inputs: the graph's plus algorithm, alpha
   and tol.  Magic ``GMRK``, version, algorithm tag u8 (0 = pagerank,
   1 = cheirank), alpha f64, tol f64, sweeps u64, final residual f64, N u64,
@@ -54,9 +55,9 @@ _ALGORITHM_TAGS = {PAGERANK: 0, CHEIRANK: 1}
 _TAG_ALGORITHMS = {v: k for k, v in _ALGORITHM_TAGS.items()}
 
 GRAPH_MAGIC = b"GMRG"
-GRAPH_VERSION = 2
+GRAPH_VERSION = 3
 
-# 40 bytes, so the int64 arrays after it start 8-byte aligned
+# 40 bytes, so the int32 arrays after it start aligned
 _GRAPH_HEADER = struct.Struct("<4sHBxQQQQ")
 
 
@@ -135,7 +136,7 @@ def write_graph(stream: IO[bytes], g: DirectedGraph) -> None:
         GRAPH_MAGIC, GRAPH_VERSION, g.labels is not None, g.node_count,
         g.edge_count, g.self_loops_removed, len(blob)))
     for array in (g.in_indptr, g.in_sources):
-        stream.write(np.ascontiguousarray(array, dtype="<i8").data)
+        stream.write(np.ascontiguousarray(array, dtype="<i4").data)
     stream.write(blob)
 
 
@@ -152,11 +153,11 @@ def read_graph(stream: IO[bytes]) -> DirectedGraph:
     if labeled not in (0, 1) or (label_bytes and not labeled):
         raise CacheFormatError(f"bad label flag {labeled}")
     words = n + 1 + e
-    arrays_end = _GRAPH_HEADER.size + 8 * words
+    arrays_end = _GRAPH_HEADER.size + 4 * words
     if len(data) != arrays_end + label_bytes:
         raise CacheFormatError(
             f"expected {arrays_end + label_bytes} bytes, found {len(data)}")
-    body = np.frombuffer(data, dtype="<i8", count=words,
+    body = np.frombuffer(data, dtype="<i4", count=words,
                          offset=_GRAPH_HEADER.size)
     in_indptr, in_sources = np.split(body, (n + 1,))
     labels = None

@@ -3,9 +3,11 @@
 Edges are deduplicated (multi-links collapse to one) and stored grouped by
 target node, sources ascending within each target, so the per-node sum over
 incoming links done by the power iteration is a contiguous scan.  The order
-comes from one in-place sort of the int64 key ``target * N + source``.
-Graphs are immutable after construction; :func:`reverse` materializes the
-opposite grouping once.
+comes from one in-place sort of the int64 key ``target * N + source``.  The
+offsets and source ids are kept as int32, scipy's own index type, so a
+sparse matrix built over them shares them rather than copying.  Graphs are
+immutable after construction; :func:`reverse` materializes the opposite
+grouping once.
 
 Edge-list files are UTF-8 text, one ``source target`` pair per line,
 ``#`` comments, optional ``# nodes: N`` header before the first edge.
@@ -33,6 +35,9 @@ STRING_LABELS = "string-labels"
 # most nodes a graph may be built with: well above the 4.2M articles of the
 # paper's largest edition, with each per-node int64 array within 2 GiB
 MAX_NODE_COUNT = 1 << 28
+
+# most distinct edges a graph may hold: its offsets are int32
+MAX_EDGE_COUNT = (1 << 31) - 1
 
 # peak bytes per node of ``rank --algorithm 2drank`` on a graph of 2**20
 # nodes and few edges: what each node a file asks for costs to rank
@@ -72,11 +77,13 @@ class DirectedGraph:
     The constructor raises ValueError unless both are 1-D signed integer
     arrays, the offsets start at 0, never fall and end at E, every source
     lies in [0, N), the sources rise strictly within each target, and
-    ``labels`` is None or holds N labels.
+    ``labels`` is None or holds N labels.  :meth:`from_edges`,
+    :func:`reverse` and :func:`gmrank.cache.read_graph` make both arrays
+    int32, which a scipy matrix over them uses without a copy.
     """
 
-    in_indptr: np.ndarray      # (N+1,) int64
-    in_sources: np.ndarray     # (E,) int64
+    in_indptr: np.ndarray      # (N+1,) int32 offsets
+    in_sources: np.ndarray     # (E,) int32 source ids
     labels: tuple[str, ...] | None = None
     self_loops_removed: int = 0
 
@@ -113,11 +120,13 @@ class DirectedGraph:
 
         Duplicate pairs collapse to a single edge.  Endpoints must lie in
         ``[0, node_count)``.  Edges are ordered by target, then source,
-        through one sort of the int64 key ``target * node_count + source``.
+        through one sort of the int64 key ``target * node_count + source``;
+        the graph keeps int32 offsets and sources.
         Raises ValueError before allocating anything when ``node_count``
         exceeds :data:`MAX_NODE_COUNT`, or when ranking that many nodes, at
         :data:`BYTES_PER_NODE` each, would need more than
-        :func:`_memory_limit`.
+        :func:`_memory_limit`; and before any int32 array is made when the
+        distinct edges exceed :data:`MAX_EDGE_COUNT`.
         """
         if node_count > MAX_NODE_COUNT:
             raise ValueError(
@@ -153,14 +162,20 @@ class DirectedGraph:
             np.not_equal(key[1:], key[:-1], out=keep[1:])
             key = key[keep]
             del keep
+            if key.size > MAX_EDGE_COUNT:
+                raise ValueError(f"edge count {key.size} over the limit "
+                                 f"{MAX_EDGE_COUNT}")
             # a key's quotient is its target and its remainder, written
             # over the key, its source: one new array, not divmod's two
             tgt, src = np.empty_like(key), key
-            np.divmod(key, node_count, out=(tgt, src))
+            del key
+            np.divmod(src, node_count, out=(tgt, src))
 
         in_counts = np.bincount(tgt, minlength=node_count)
         del tgt                 # freed before the other per-node arrays
-        in_indptr = np.zeros(node_count + 1, dtype=np.int64)
+        # cast only now: beside the key-sized arrays it would raise the peak
+        src = src.astype(np.int32)
+        in_indptr = np.zeros(node_count + 1, dtype=np.int32)
         np.cumsum(in_counts, out=in_indptr[1:])
         return cls(in_indptr=in_indptr, in_sources=src, labels=labels,
                    self_loops_removed=removed)
@@ -278,7 +293,8 @@ def reverse(g: DirectedGraph) -> DirectedGraph:
     One counting-sort transpose, scipy's CSR to CSC of the 0/1
     target-by-source matrix, regroups the edges by source with each
     group's targets ascending: the arrays :meth:`DirectedGraph.from_edges`
-    builds from the flipped pairs, without their sort.
+    builds from the flipped pairs, without their sort.  The graph keeps
+    scipy's int32 arrays as they are.
     """
     from scipy import sparse
 
@@ -287,6 +303,6 @@ def reverse(g: DirectedGraph) -> DirectedGraph:
         (np.ones(g.edge_count, dtype=bool), g.in_sources, g.in_indptr),
         shape=(n, n)).tocsc()
     # carry load-time bookkeeping so reverse(reverse(g)) is indistinguishable
-    return DirectedGraph(in_indptr=by_source.indptr.astype(np.int64),
-                         in_sources=by_source.indices.astype(np.int64),
+    return DirectedGraph(in_indptr=by_source.indptr,
+                         in_sources=by_source.indices,
                          labels=g.labels, self_loops_removed=g.self_loops_removed)

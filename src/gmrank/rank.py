@@ -4,13 +4,14 @@ The transition matrix S column-normalizes the adjacency; columns of
 dangling nodes (zero out-degree) act as uniform 1/N.  The full matrix
 G = alpha*S + (1-alpha)/N is never materialized on the sparse path:
 each sweep does one sparse matvec plus a uniform redistribution of the
-dangling mass, O(E + N) per iteration.  On large graphs each sweep is split
-into contiguous row blocks that run on the process's usable CPUs; every row
-sum and every elementwise step is the same as on one thread, so the output
-bits do not depend on the block count.  scipy and the thread pool are
-imported by the first call that builds a sparse matrix or splits a sweep,
-so code that only reads stored vectors or ranks the culture network never
-loads them.  One dense builder,
+dangling mass, O(E + N) per iteration.  The matrix shares the graph's own
+int32 index arrays, so it adds only its float64 data, 8 B per edge.  On
+large graphs each sweep is split into contiguous row blocks that run on
+the process's usable CPUs; every row sum and every elementwise step is the
+same as on one thread, so the output bits do not depend on the block
+count.  scipy and the thread pool are imported by the first call that
+builds a sparse matrix or splits a sweep, so code that only reads stored
+vectors or ranks the culture network never loads them.  One dense builder,
 :func:`google_matrix`, takes a weighted adjacency: it is the oracle for the
 sparse path in tests and self-checks, and it ranks the 25-node culture
 network.
@@ -120,7 +121,8 @@ class TwoDRankResult:
 
 
 def _transition_matrix(g: DirectedGraph) -> sparse.csr_matrix:
-    # rows = targets, cols = sources; reuses the graph's target-grouped arrays.
+    # rows = targets, cols = sources; its indptr and indices are the graph's
+    # int32 target-grouped arrays themselves, so only the data is new.
     # Every edge of source j gets the one quotient 1 / out_degree[j].
     from scipy import sparse
 
@@ -269,7 +271,8 @@ def two_d_rank(kp: RankIndex, kc: RankIndex) -> TwoDRankResult:
     kstar = kc.position
     kprime = np.maximum(k, kstar)
     ordering = np.argsort(kprime * (k.size + 1) + kstar)
-    return TwoDRankResult(kprime=kprime, ordering=ordering.astype(np.int64))
+    return TwoDRankResult(kprime=kprime,
+                          ordering=ordering.astype(np.int64, copy=False))
 
 
 def google_matrix(weights: np.ndarray,

@@ -218,13 +218,14 @@ class PersonRegistry:
 
     Built by :func:`load_persons`, which has checked every row and every
     title, or from the columns of a cache artifact.  The constructor raises
-    ValueError on an unknown or repeated edition code, an unknown gender,
-    field rows or titles of the wrong count, or a repeated id.  The titles
-    may come as a list, or still joined by NUL as :func:`cache.read_persons`
-    returns them; those are split, and their count checked, on the first
-    title read.  Each edition's title index is built, and checked for a
-    repeated title, on its first :meth:`title_index`, and a :class:`Person`
-    on its first :meth:`get`; both are kept.
+    ValueError on an unknown or repeated edition code, field rows or titles
+    of the wrong count, an empty id or birth country, an unknown gender, or
+    a repeated id.  The titles may come as a list, or still joined by NUL as
+    :func:`cache.read_persons` returns them; those are split, and their
+    count checked, on the first title read.  Each edition's title index is
+    built, and checked for a repeated title, on its first
+    :meth:`title_index`, and a :class:`Person` on its first :meth:`get`;
+    both are kept.
     """
 
     def __init__(self, ids: list[str],
@@ -238,6 +239,10 @@ class PersonRegistry:
             raise ValueError("duplicate edition code")
         if len(fields) != len(ids):
             raise ValueError("fields must hold one row per person")
+        if not all(ids):
+            raise ValueError("empty person_id")
+        if not all(country for country, _, _ in fields):
+            raise ValueError("empty birth_country")
         unknown = {gender for _, _, gender in fields}.difference(GENDERS)
         if unknown:
             raise ValueError(f"unknown gender {min(unknown)!r}")

@@ -180,7 +180,8 @@ class TestGraphArtifact:
         assert loaded.node_count == fresh.node_count
         for name in ("in_indptr", "in_sources"):
             a, b = getattr(loaded, name), getattr(fresh, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert a.dtype == b.dtype == np.int32, name
+            assert np.array_equal(a, b), name
             assert a.flags.aligned and not a.flags.writeable, name
         # the file holds no out-degrees: the graph counts its sources
         assert loaded.out_degree.dtype == fresh.out_degree.dtype == np.int64
@@ -208,23 +209,23 @@ class TestGraphArtifact:
         raw = graph_bytes(g)
         n, e = g.node_count, g.edge_count
         assert raw[:4] == b"GMRG"
-        assert raw[4:6] == (2).to_bytes(2, "little")        # version u16
+        assert raw[4:6] == (3).to_bytes(2, "little")        # version u16
         assert raw[6] == 1                                  # label flag u8
         header = np.frombuffer(raw[8:40], dtype="<u8")
         assert header.tolist() == [n, e, g.self_loops_removed,
-                                   len(raw) - 40 - 8 * (n + 1 + e)]
-        words = np.frombuffer(raw[40:40 + 8 * (n + 1 + e)], dtype="<i8")
+                                   len(raw) - 40 - 4 * (n + 1 + e)]
+        words = np.frombuffer(raw[40:40 + 4 * (n + 1 + e)], dtype="<i4")
         assert np.array_equal(words, np.concatenate(
             [g.in_indptr, g.in_sources]))
-        assert raw[40 + 8 * (n + 1 + e):].decode() == "\n".join(g.labels)
+        assert raw[40 + 4 * (n + 1 + e):].decode() == "\n".join(g.labels)
 
     @pytest.mark.parametrize("corrupt, match", [
         (lambda raw, n, e: raw[:30], "truncated header"),
         (lambda raw, n, e: raw[:-1], "expected"),
         (lambda raw, n, e: raw + b"\n", "expected"),
         (lambda raw, n, e: b"GMRK" + raw[4:], "magic"),
-        (lambda raw, n, e: raw[:4] + (1).to_bytes(2, "little") + raw[6:],
-         "version"),
+        (lambda raw, n, e: raw[:4] + (2).to_bytes(2, "little") + raw[6:],
+         "unsupported version 2"),
         (lambda raw, n, e: raw[:6] + b"\x07" + raw[7:], "label flag"),
         (lambda raw, n, e: _word(raw, 0, 1), "offsets"),
         (lambda raw, n, e: _word(raw, n, e + 1), "offsets"),
@@ -247,9 +248,9 @@ class TestGraphArtifact:
 
 
 def _word(raw, index, value):
-    """``raw`` with int64 word ``index`` after the header set to ``value``."""
-    at = 40 + 8 * index
-    return raw[:at] + value.to_bytes(8, "little", signed=True) + raw[at + 8:]
+    """``raw`` with int32 word ``index`` after the header set to ``value``."""
+    at = 40 + 4 * index
+    return raw[:at] + value.to_bytes(4, "little", signed=True) + raw[at + 4:]
 
 
 def _drop_last_label(raw):

@@ -248,6 +248,20 @@ class TestRankCommand:
             f"node count {node_count} over the limit {MAX_NODE_COUNT}")
         assert not (tmp_path / "o.csv").exists()
 
+    def test_edge_count_over_limit_exit_2(self, tmp_path, caplog,
+                                          monkeypatch):
+        # a limit of 2 stands in for 2**31 - 1; the repeated pair counts once
+        monkeypatch.setattr("gmrank.graph.MAX_EDGE_COUNT", 2)
+        graph = tmp_path / "g.edges"
+        graph.write_text("0 1\n0 1\n1 2\n2 0\n")
+        with caplog.at_level(logging.ERROR):
+            assert main(["rank", str(graph), "--out",
+                         str(tmp_path / "o.csv")]) == EXIT_INPUT
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert [r.getMessage() for r in errors] == [
+            "edge count 3 over the limit 2"]
+        assert not (tmp_path / "o.csv").exists()
+
     @staticmethod
     def run_limited(argv, limit):
         """``gmrank argv`` in a child under an address-space limit."""
@@ -932,8 +946,8 @@ def _count_calls(monkeypatch, name):
 def _last_offset_off_by_one(raw):
     """A graph artifact whose in_indptr[-1] reads E + 1."""
     n, e = struct.unpack_from("<QQ", raw, 8)
-    at = 40 + 8 * n
-    return raw[:at] + struct.pack("<q", e + 1) + raw[at + 8:]
+    at = 40 + 4 * n
+    return raw[:at] + struct.pack("<i", e + 1) + raw[at + 4:]
 
 
 class TestGraphArtifact:
@@ -963,10 +977,12 @@ class TestGraphArtifact:
         assert artifact.read_bytes() == good
         assert cache_layout(cache_dir) == {".gmrk": 2, ".gmrg": 1}
 
-    def test_version_1_artifact_reparsed_and_rewritten(
-            self, tmp_path, monkeypatch, caplog):
-        # a version-1 file also held the N out-degrees after the sources;
-        # the key holds no version, so version 2 replaces it under its name
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_version_artifact_reparsed_and_rewritten(
+            self, tmp_path, monkeypatch, caplog, version):
+        # versions 1 and 2 held int64 words, and version 1 also the N
+        # out-degrees after the sources; the key holds no version, so
+        # version 3 replaces either under its name
         monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         graph = _property_graph(tmp_path / "g.edges")
         cache_dir, out = tmp_path / "cache", tmp_path / "o.csv"
@@ -974,18 +990,22 @@ class TestGraphArtifact:
         reference = out.read_bytes()
         artifact = next(cache_dir.glob("*.gmrg"))
         good = artifact.read_bytes()
-        assert good[4:6] == struct.pack("<H", 2)
+        assert good[4:6] == struct.pack("<H", 3)
         g = cache.read_graph(io.BytesIO(good))
-        arrays_end = 40 + 8 * (g.node_count + 1 + g.edge_count)
+        arrays = [g.in_indptr, g.in_sources]
+        if version == 1:
+            arrays.append(g.out_degree)
+        arrays_end = 40 + 4 * (g.node_count + 1 + g.edge_count)
         artifact.write_bytes(
-            good[:4] + struct.pack("<H", 1) + good[6:arrays_end]
-            + g.out_degree.astype("<i8").tobytes() + good[arrays_end:])
+            good[:4] + struct.pack("<H", version) + good[6:40]
+            + np.concatenate(arrays).astype("<i8").tobytes()
+            + good[arrays_end:])
         parses = _count_calls(monkeypatch, "load_edge_list")
         with caplog.at_level(logging.WARNING):
             assert main(_rank_args(graph, cache_dir, out,
                                    label_mode=True)) == EXIT_OK
-        assert (f"unusable cache file {artifact} (unsupported version 1), "
-                "re-parsing") in caplog.text
+        assert (f"unusable cache file {artifact} (unsupported version "
+                f"{version}), re-parsing") in caplog.text
         assert len(parses) == 1
         assert out.read_bytes() == reference
         assert artifact.read_bytes() == good
@@ -1183,9 +1203,13 @@ class TestRegistryArtifact:
             0, "XY")), "unknown edition code 'XY'"),
         (_edit_columns(lambda ids, fields, editions, titles: editions.__setitem__(
             1, editions[0])), "duplicate edition code"),
+        (_edit_columns(lambda ids, fields, editions, titles: ids.__setitem__(
+            0, "")), "empty person_id"),
+        (_edit_columns(lambda ids, fields, editions, titles: fields.__setitem__(
+            0, ("",) + fields[0][1:])), "empty birth_country"),
     ], ids=["truncated", "bad-magic", "old-version", "wrong-string-count",
             "unknown-gender", "duplicate-id", "unknown-edition",
-            "duplicate-edition"])
+            "duplicate-edition", "empty-id", "empty-country"])
     def test_corrupt_artifact_reparsed_and_rewritten(
             self, world, tmp_path, monkeypatch, caplog, corrupt, reason):
         monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from gmrank import graph
-from gmrank.graph import (BYTES_PER_NODE, INTEGER_IDS, MAX_NODE_COUNT,
-                          STRING_LABELS, DirectedGraph, EdgeListError,
-                          load_edge_list, reverse)
+from gmrank.graph import (BYTES_PER_NODE, INTEGER_IDS, MAX_EDGE_COUNT,
+                          MAX_NODE_COUNT, STRING_LABELS, DirectedGraph,
+                          EdgeListError, load_edge_list, reverse)
 from gmrank.rank import cheirank, pagerank
 
 from conftest import random_graph
@@ -183,9 +183,10 @@ class TestReverseMatchesFlippedBuild:
         g = REVERSE_CASES[case]()
         got, expected = reverse(g), flipped(g)
         assert got.node_count == expected.node_count
-        for name in ("in_indptr", "in_sources", "out_degree"):
+        for name, dtype in (("in_indptr", np.int32), ("in_sources", np.int32),
+                            ("out_degree", np.int64)):
             array, oracle = getattr(got, name), getattr(expected, name)
-            assert array.dtype == oracle.dtype == np.int64, name
+            assert array.dtype == oracle.dtype == dtype, name
             assert np.array_equal(array, oracle), name
         assert got.labels == expected.labels
         assert got.self_loops_removed == g.self_loops_removed
@@ -352,10 +353,10 @@ def assert_matches_reference_builds(node_count, sources, targets,
     for oracle in (lexsort_build, divmod_build):
         in_indptr, in_sources, out_degree, removed = oracle(
             node_count, sources, targets, drop_self_loops)
-        for got, want in ((g.in_indptr, in_indptr),
-                          (g.in_sources, in_sources),
-                          (g.out_degree, out_degree)):
-            assert got.dtype == np.int64
+        for got, want, dtype in ((g.in_indptr, in_indptr, np.int32),
+                                 (g.in_sources, in_sources, np.int32),
+                                 (g.out_degree, out_degree, np.int64)):
+            assert got.dtype == dtype
             assert np.array_equal(got, want)
         assert g.self_loops_removed == removed
 
@@ -405,6 +406,20 @@ class TestKeySortBuild:
             DirectedGraph.from_edges(2**28 + 1, [0], [1])
 
 
+class TestEdgeLimit:
+    def test_limit_is_the_int32_maximum(self):
+        # scipy keeps int32 index arrays up to this many entries
+        assert MAX_EDGE_COUNT == np.iinfo(np.int32).max == 2**31 - 1
+
+    def test_distinct_edges_over_the_limit_refused(self, monkeypatch):
+        # a limit of 2 stands in for 2**31 - 1, which would need 2**31 pairs
+        monkeypatch.setattr(graph, "MAX_EDGE_COUNT", 2)
+        assert DirectedGraph.from_edges(3, [0, 0, 1, 2], [1, 1, 2, 2],
+                                        drop_self_loops=True).edge_count == 2
+        with pytest.raises(ValueError, match=r"^edge count 3 over the limit 2$"):
+            DirectedGraph.from_edges(3, [0, 1, 2], [1, 2, 0])
+
+
 class TestBuildPeak:
     @pytest.mark.parametrize("drop_self_loops", [False, True])
     def test_at_most_20_bytes_per_pair_beyond_inputs(self, drop_self_loops):
@@ -425,3 +440,28 @@ class TestBuildPeak:
             tracemalloc.stop()
         assert g.edge_count > 0.99 * m - 1000
         assert peak <= 20 * m, f"{peak / m:.1f} B/pair"
+
+
+class TestRankPeak:
+    def test_cheirank_at_most_25_bytes_per_edge_beyond_the_graph(self):
+        # TestBuildPeak's graph.  The peak holds the reversed graph, the
+        # matrix data over its arrays and the per-node vectors; scipy's
+        # int32 copies of int64 index arrays would add about 9 B/edge
+        rng = np.random.default_rng(5)
+        n, m = 200_000, 1_000_000
+        src = rng.integers(0, n, m)
+        tgt = rng.integers(0, n, m)
+        tgt[:1000] = src[:1000]
+        g = DirectedGraph.from_edges(n, src, tgt, drop_self_loops=True)
+        del src, tgt
+        reference = cheirank(g)     # imports scipy and the sweep pool first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            vector = cheirank(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert vector == reference
+        e = g.edge_count
+        assert peak <= 25 * e, f"{peak / e:.1f} B/edge"

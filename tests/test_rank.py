@@ -269,6 +269,21 @@ class TestRowBlocks:
             assert (rows != matrix[lo:hi]).nnz == 0
 
 
+class TestTransitionMatrix:
+    @pytest.mark.parametrize("make", ["from_edges", "reverse", "read_graph"])
+    def test_shares_the_graph_index_arrays(self, make):
+        g = random_graph(np.random.default_rng(7), 200, 0.03)
+        if make == "reverse":
+            g = reverse(g)
+        elif make == "read_graph":
+            stream = io.BytesIO()
+            cache.write_graph(stream, g)
+            g = cache.read_graph(io.BytesIO(stream.getvalue()))
+        matrix = rank._transition_matrix(g)
+        assert np.shares_memory(matrix.indices, g.in_sources)
+        assert np.shares_memory(matrix.indptr, g.in_indptr)
+
+
 class TestSweepThreads:
     def test_small_graph_starts_no_thread(self, monkeypatch):
         # 2 * BLOCK_NNZ entries are needed for a second block
@@ -442,6 +457,7 @@ class TestTwoDRank:
         result = two_d_rank(index_from((1, 2, 3)), index_from((3, 1, 2)))
         assert result.kprime.tolist() == [3, 2, 3]
         assert result.ordering.tolist() == [1, 2, 0]
+        assert result.ordering.dtype == np.int64
 
     def test_equal_indices_reduce_to_pagerank_order(self):
         kp = index_from((2, 1, 4, 3))

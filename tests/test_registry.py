@@ -371,8 +371,11 @@ class TestConstructorRules:
          "^fields must hold one row per person$"),
         (["A", "B", "A"], [("FR", 1900, "male")] * 3, ["EN"],
          "^duplicate person_id 'A'$"),
+        (["A", ""], [("FR", 1900, "male")] * 2, ["EN"], "^empty person_id$"),
+        (["A", "B"], [("FR", 1900, "male"), ("", None, "male")], ["EN"],
+         "^empty birth_country$"),
     ], ids=["unknown-edition", "duplicate-edition", "unknown-gender",
-            "short-fields", "duplicate-id"])
+            "short-fields", "duplicate-id", "empty-id", "empty-country"])
     def test_broken_columns_refused_naming_the_rule(
             self, ids, fields, editions, match, joined):
         titles = [""] * (len(ids) * len(editions))
