@@ -12,9 +12,9 @@ from .aggregate import (DistributionTable, GlobalEntry, classify_figures,
                         global_ranking, language_representation, locality_ratio,
                         overlap, spatial_distribution, temporal_distribution,
                         theta_score)
-from .cultures import (CULTURE_CODES, CultureNetwork, CultureRanks,
-                       build_culture_network, culture_google_matrix,
-                       culture_ranks, export_matrix_by_rank)
+from .cultures import (CULTURE_CODES, CultureRanks, build_culture_network,
+                       culture_google_matrix, culture_ranks,
+                       export_matrix_by_rank)
 from .graph import DirectedGraph, EdgeListError, load_edge_list, reverse
 from .rank import (ConvergenceError, GoogleParams, RankIndex, RankVector,
                    TwoDRankResult, cheirank, dense_google_matrix,
@@ -27,10 +27,10 @@ from .registry import (EDITION_CODES, WORLD, CountryCultureMap, Person,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CULTURE_CODES", "ConvergenceError", "CountryCultureMap", "CultureNetwork",
-    "CultureRanks", "DirectedGraph", "DistributionTable", "EDITION_CODES",
-    "EdgeListError", "GlobalEntry", "GoogleParams", "Person", "PersonRegistry",
-    "RankIndex", "RankVector", "TopList", "TwoDRankResult", "WORLD",
+    "CULTURE_CODES", "ConvergenceError", "CountryCultureMap", "CultureRanks",
+    "DirectedGraph", "DistributionTable", "EDITION_CODES", "EdgeListError",
+    "GlobalEntry", "GoogleParams", "Person", "PersonRegistry", "RankIndex",
+    "RankVector", "TopList", "TwoDRankResult", "WORLD",
     "build_culture_network", "century_of", "cheirank", "classify_figures",
     "column_normalize", "culture_google_matrix", "culture_ranks",
     "default_culture_map", "dense_google_matrix", "dense_stationary",

@@ -220,9 +220,12 @@ def _rank_edge_list(graph_path: Path, algorithm: str, config: PipelineConfig,
                                    *inputs)
 
     def parse() -> DirectedGraph:
-        with open(graph_path, encoding=TEXT_ENCODING) as f:
-            return load_edge_list(f, drop_self_loops=drop_self_loops,
-                                  label_mode=label_mode)
+        try:
+            with open(graph_path, encoding=TEXT_ENCODING) as f:
+                return load_edge_list(f, drop_self_loops=drop_self_loops,
+                                      label_mode=label_mode)
+        except (EdgeListError, UnicodeDecodeError) as exc:
+            raise EdgeListError(f"{graph_path}: {exc}") from exc
 
     g = _cached(artifact("gmrg"), "graph", "re-parsing", cache.read_graph,
                 parse, cache.write_graph)
@@ -337,6 +340,9 @@ def cmd_global(args: argparse.Namespace) -> int:
     config, registry = _configured(args)
     algorithm = args.algorithm
     toplists = _read_toplists(config, registry, algorithm)
+    if args.reference:      # read before any output, so a bad one writes none
+        with open(args.reference, encoding=TEXT_ENCODING) as f:
+            reference = aggregate.load_reference_list(f)
     out = config.output_dir
 
     entries = aggregate.global_ranking(toplists)
@@ -377,8 +383,6 @@ def cmd_global(args: argparse.Namespace) -> int:
         tableio.write_language_counts_csv(f, counts)
 
     if args.reference:
-        with open(args.reference, encoding=TEXT_ENCODING) as f:
-            reference = aggregate.load_reference_list(f)
         report = {
             "algorithm": algorithm,
             "reference": Path(args.reference).name,
@@ -399,23 +403,22 @@ def cmd_culture(args: argparse.Namespace) -> int:
     algorithm = args.algorithm
     toplists = _read_toplists(config, registry, algorithm)
 
-    net = cultures.build_culture_network(
+    weights = cultures.build_culture_network(
         toplists, registry, before_century=config.before_century)
-    ranks = cultures.culture_ranks(net, config.alpha)
+    ranks = cultures.culture_ranks(weights, config.alpha)
 
     suffix = (f"_before{config.before_century}"
               if config.before_century is not None else "")
     out = config.output_dir
     with tableio.atomic_write(
             out / f"{algorithm}_culture_network{suffix}.csv") as f:
-        tableio.write_culture_network_csv(f, net)
+        tableio.write_culture_network_csv(f, weights)
     with tableio.atomic_write(
             out / f"{algorithm}_culture_ranks{suffix}.csv") as f:
         tableio.write_culture_ranks_csv(f, ranks)
     with tableio.atomic_write(
             out / f"{algorithm}_culture_matrix{suffix}.csv") as f:
-        tableio.write_culture_matrix_csv(f, ranks.matrix,
-                                         ranks.pagerank_ordering)
+        tableio.write_culture_matrix_csv(f, ranks)
     log.info("culture outputs written to %s", out)
     return EXIT_OK
 

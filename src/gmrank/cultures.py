@@ -1,9 +1,11 @@
 """Weighted network of cultures and its Google-matrix ranking.
 
 Node set is fixed: the 24 covered languages plus WR, ordered alphabetically
-by code.  The weight of the directed link A -> B counts figures of culture B
-quoted in edition A's top list; own-culture figures create no link.
-Columns are normalized by total outgoing weight, and a culture with no
+by code.  The network is its (25, 25) int64 weight matrix: the weight of the
+directed link A -> B counts figures of culture B quoted in edition A's top
+list; own-culture figures create no link.  The matrix goes straight to
+:func:`gmrank.rank.google_matrix`, the dense builder the article graphs use:
+columns are normalized by total outgoing weight, and a culture with no
 outgoing weight (WR always, fully local editions sometimes) is dangling,
 same rule as articles.
 """
@@ -24,24 +26,15 @@ CULTURE_INDEX: Mapping[str, int] = {c: i for i, c in enumerate(CULTURE_CODES)}
 N_CULTURES = len(CULTURE_CODES)
 
 
-@dataclass(frozen=True, eq=False)
-class CultureNetwork:
-    """25-node weighted directed graph of cross-cultural appearances.
-
-    ``weights[a, b]`` counts culture-b figures in edition a's list;
-    the diagonal is identically zero.
-    """
-
-    weights: np.ndarray          # (25, 25) int64, zero diagonal
-
-
 def build_culture_network(toplists: Sequence[TopList],
                           registry: PersonRegistry,
-                          before_century: int | None = None) -> CultureNetwork:
-    """Tally cross-cultural appearances into the 25-node weight matrix.
+                          before_century: int | None = None) -> np.ndarray:
+    """The (25, 25) int64 weight matrix of cross-cultural appearances.
 
-    ``before_century`` keeps only persons born strictly before that century
-    (persons of unknown birth year never pass the filter).
+    ``weights[a, b]`` counts culture-b figures in edition a's list;
+    the diagonal is identically zero.  ``before_century`` keeps only
+    persons born strictly before that century (persons of unknown birth
+    year never pass the filter).
     """
     weights = np.zeros((N_CULTURES, N_CULTURES), dtype=np.int64)
     for edition, person in appearances(toplists, registry):
@@ -50,13 +43,12 @@ def build_culture_network(toplists: Sequence[TopList],
             continue
         if person.culture != edition:
             weights[CULTURE_INDEX[edition], CULTURE_INDEX[person.culture]] += 1
-    return CultureNetwork(weights=weights)
+    return weights
 
 
-def culture_google_matrix(net: CultureNetwork,
-                          alpha: float = GoogleParams.alpha) -> np.ndarray:
-    """Dense 25x25 Google matrix of the weighted culture network."""
-    return google_matrix(net.weights, alpha)
+# benchmarks/spans.py times the culture matrix under this name, so
+# culture_ranks builds its forward matrix through it: keep it
+culture_google_matrix = google_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +64,7 @@ class CultureRanks:
     matrix: np.ndarray           # (25, 25) Google matrix pagerank_probs solves
 
 
-def culture_ranks(net: CultureNetwork,
+def culture_ranks(weights: np.ndarray,
                   alpha: float = GoogleParams.alpha) -> CultureRanks:
     """Rank all cultures by PageRank, CheiRank and 2DRank of the dense matrix.
 
@@ -83,9 +75,9 @@ def culture_ranks(net: CultureNetwork,
     probability gap at N = 25, far above the 1e-14 iteration tolerance) so
     exact symmetries yield exact ties; reported probabilities stay raw.
     """
-    matrix = culture_google_matrix(net, alpha)
+    matrix = culture_google_matrix(weights, alpha)
     forward = dense_stationary(matrix)
-    backward = dense_stationary(google_matrix(net.weights.T, alpha))
+    backward = dense_stationary(google_matrix(weights.T, alpha))
     kp = rank_indices(np.round(forward.probabilities, 12))
     kc = rank_indices(np.round(backward.probabilities, 12))
     twod = two_d_rank(kp, kc)

@@ -4,7 +4,8 @@ Every writer produces byte-identical output for identical inputs; floats are
 rendered with ``repr`` so emitted values round-trip exactly.  The table
 writers hand ``csv.writer`` plain values, which writes a float by ``repr``
 and ``None`` as an empty field.  Top-list CSV is also re-ingestible: reading
-an emitted file reproduces the in-memory list.
+an emitted file reproduces the in-memory list.  The culture writers take the
+culture weight matrix or the :class:`~gmrank.cultures.CultureRanks` of it.
 """
 from __future__ import annotations
 
@@ -19,8 +20,7 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 
 from .aggregate import DistributionTable, GlobalEntry, LanguageCounts
-from .cultures import (CULTURE_CODES, CultureNetwork, CultureRanks,
-                       export_matrix_by_rank)
+from .cultures import CULTURE_CODES, CultureRanks, export_matrix_by_rank
 from .rank import RankIndex, RankVector, TwoDRankResult
 from .registry import PersonRegistry, TopList, checked_rows, ranked_rows
 
@@ -199,12 +199,12 @@ def write_overlap_json(stream: IO[str], report: dict) -> None:
 
 # -- culture network ---------------------------------------------------------
 
-def write_culture_network_csv(stream: IO[str], net: CultureNetwork) -> None:
+def write_culture_network_csv(stream: IO[str], weights: np.ndarray) -> None:
     """Nonzero link weights as ``from,to,weight`` in code order."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(("from", "to", "weight"))
-    for source, weights in zip(CULTURE_CODES, net.weights.tolist()):
-        for target, w in zip(CULTURE_CODES, weights):
+    for source, row in zip(CULTURE_CODES, weights.tolist()):
+        for target, w in zip(CULTURE_CODES, row):
             if w:
                 writer.writerow((source, target, w))
 
@@ -219,11 +219,10 @@ def write_culture_ranks_csv(stream: IO[str], ranks: CultureRanks) -> None:
                          ranks.cheirank_probs.tolist()))
 
 
-def write_culture_matrix_csv(stream: IO[str], matrix: np.ndarray,
-                             ordering: np.ndarray) -> None:
-    """Dense matrix with rows/columns permuted into PageRank order."""
-    permuted = export_matrix_by_rank(matrix, ordering)
-    codes = [CULTURE_CODES[i] for i in np.asarray(ordering).tolist()]
+def write_culture_matrix_csv(stream: IO[str], ranks: CultureRanks) -> None:
+    """The Google matrix with rows/columns permuted into PageRank order."""
+    permuted = export_matrix_by_rank(ranks.matrix, ranks.pagerank_ordering)
+    codes = [CULTURE_CODES[i] for i in ranks.pagerank_ordering.tolist()]
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["culture"] + codes)
     for code, row in zip(codes, permuted.tolist()):

@@ -12,6 +12,20 @@ from gmrank.registry import PersonRegistry, TopList, load_persons
 
 GOLDEN = Path(__file__).parent / "golden"
 
+
+@pytest.fixture(scope="session", autouse=True)
+def no_cache_dir_from_environment():
+    """Unset GMRANK_CACHE_DIR for the whole session.
+
+    Exported, it overrides every cache directory a test sets.  Session
+    scope, because module-scoped fixtures run commands before any
+    function-scoped fixture; a test that sets the variable still can.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("GMRANK_CACHE_DIR", raising=False)
+        yield
+
+
 # deterministic attribute cycles for the synthetic corpus
 _COUNTRIES = ("US", "UK", "FR", "DE", "CN", "UA", "IL", "EG", "BR", "RU")
 _YEARS = (1769, 1820, -480, 1901, 1955, 800, 1600, -44, 1750, 1880,

@@ -307,7 +307,6 @@ class TestRankCommand:
             f.write("node_id,label,probability,rank\n")
             raise MemoryError(message)
         monkeypatch.setattr(cli.tableio, "write_rank_csv", write)
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         graph = tmp_path / "g.edges"
         graph.write_text("0 1\n1 2\n")
         with caplog.at_level(logging.ERROR):
@@ -371,8 +370,7 @@ class TestRankCommand:
         assert len(list(env_cache.glob("*.gmrk"))) == 1
         assert not flag_cache.exists()
 
-    def test_cache_keyed_by_self_loop_policy(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+    def test_cache_keyed_by_self_loop_policy(self, tmp_path):
         graph = tmp_path / "loops.edges"
         graph.write_text("0 0\n0 1\n1 2\n2 0\n1 1\n")
         cached, fresh = tmp_path / "cached.csv", tmp_path / "fresh.csv"
@@ -386,8 +384,7 @@ class TestRankCommand:
                  sorted(read_csv(cached), key=lambda r: int(r["node_id"]))]
         assert probs == pytest.approx([0.4023, 0.3843, 0.2133], abs=1e-4)
 
-    def test_cache_keyed_by_label_mode(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+    def test_cache_keyed_by_label_mode(self, tmp_path):
         graph = tmp_path / "g.edges"
         graph.write_text("2 0\n0 1\n1 0\n")
         out = tmp_path / "o.csv"
@@ -503,6 +500,27 @@ class TestTopPeople:
         out = tmp_path / "out"
         assert read_csv(out / f"{algorithm}_global_ranking.csv") == []
         assert read_csv(out / f"{algorithm}_culture_network.csv") == []
+
+    @pytest.mark.parametrize("tail, message", [
+        (b"a b c\n", "line {line}: expected 2 tokens, found 3"),
+        (b"a \xff\n", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["bad-line", "not-utf8"])
+    def test_edge_list_error_names_its_file(self, world, tmp_path, caplog,
+                                            tail, message):
+        # one of three editions is bad: the error says which
+        root = _copy_world(world, tmp_path)
+        graph = root / "fr.edges"
+        line = graph.read_bytes().count(b"\n") + 1
+        with open(graph, "ab") as f:
+            f.write(tail)
+        with caplog.at_level(logging.ERROR):
+            code = main(["top-people", "--config", str(root / "config.ini"),
+                         "--all"])
+        assert code == EXIT_INPUT
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"{graph}: {message.format(line=line)}")
 
 
 class TestGlobal:
@@ -709,6 +727,25 @@ class TestUnregisteredPerson:
         assert [p.name for p in (root / "out").iterdir()] == ["toplists"]
 
 
+class TestUnreadableReference:
+    @pytest.mark.parametrize("content", [None, b"Napoleon\n\xff\n"],
+                             ids=["missing", "not-utf8"])
+    def test_exit_2_before_any_output(self, world, tmp_path, caplog, content):
+        root = _copy_world(world, tmp_path)
+        reference = root / "reference.txt"
+        if content is not None:
+            reference.write_bytes(content)
+        with caplog.at_level(logging.ERROR):
+            code = main(["global", "--config", str(root / "config.ini"),
+                         "--reference", str(reference)])
+        assert code == EXIT_INPUT
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        # the reference list is read before any output is written
+        assert [p.name for p in (root / "out").iterdir()] == ["toplists"]
+
+
 class TestDuplicateTitle:
     @pytest.mark.parametrize("command", ["global", "culture"])
     def test_titles_equal_after_nfc_exit_2(self, world, tmp_path, caplog,
@@ -827,17 +864,15 @@ class TestByteOrderMark:
     the same file without it."""
 
     @pytest.mark.parametrize("kind", BOM_KINDS)
-    def test_pipeline_outputs_unchanged(self, world, tmp_path, monkeypatch,
+    def test_pipeline_outputs_unchanged(self, world, tmp_path,
                                         kind):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         plain = _pipeline_outputs(world, tmp_path / "plain")
         marked = _pipeline_outputs(world, tmp_path / "marked", BOM_KINDS[kind])
         assert len(plain) == 3 + 9 + 3       # top lists, global, culture
         assert marked == plain
 
-    def test_toplists_unchanged(self, world, tmp_path, monkeypatch):
+    def test_toplists_unchanged(self, world, tmp_path):
         # in real-data mode the top lists come from the user too
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         outputs = []
         for name, prefix in (("plain", b""), ("marked", BOM)):
             root = _copy_world(world, tmp_path / name)
@@ -851,8 +886,7 @@ class TestByteOrderMark:
         assert len(outputs[0]) == 8 + 3          # global, culture
         assert outputs[1] == outputs[0]
 
-    def test_rank_labels_unchanged(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+    def test_rank_labels_unchanged(self, tmp_path):
         outputs = []
         for name, prefix in (("plain", b""), ("marked", BOM)):
             graph, out = tmp_path / f"{name}.edges", tmp_path / f"{name}.csv"
@@ -885,7 +919,6 @@ class TestCacheRoundTrip:
     @pytest.mark.parametrize("keep_self_loops", [False, True])
     def test_no_cold_and_warm_cache_outputs_identical(
             self, tmp_path, monkeypatch, algorithm, labels, keep_self_loops):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         graph = _property_graph(tmp_path / "g.edges")
         cache_dir = tmp_path / "cache"
         served = 0
@@ -958,7 +991,6 @@ class TestGraphArtifact:
     ], ids=["truncated", "wrong-magic", "inconsistent"])
     def test_corrupt_artifact_reparsed_and_rewritten(
             self, tmp_path, monkeypatch, caplog, corrupt):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         graph = _property_graph(tmp_path / "g.edges")
         cache_dir, out = tmp_path / "cache", tmp_path / "o.csv"
         assert main(_rank_args(graph, cache_dir, out, label_mode=True)) == EXIT_OK
@@ -983,7 +1015,6 @@ class TestGraphArtifact:
         # versions 1 and 2 held int64 words, and version 1 also the N
         # out-degrees after the sources; the key holds no version, so
         # version 3 replaces either under its name
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         graph = _property_graph(tmp_path / "g.edges")
         cache_dir, out = tmp_path / "cache", tmp_path / "o.csv"
         assert main(_rank_args(graph, cache_dir, out, label_mode=True)) == EXIT_OK
@@ -1012,7 +1043,6 @@ class TestGraphArtifact:
         assert cache_layout(cache_dir) == {".gmrk": 2, ".gmrg": 1}
 
     def test_each_parse_mode_gets_its_own_artifact(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         graph = _property_graph(tmp_path / "g.edges")
         cache_dir = tmp_path / "cache"
         modes = [(labels, loops) for labels in (False, True)
@@ -1035,9 +1065,7 @@ class TestGraphArtifact:
             assert out.read_bytes() == fresh[mode]
         assert len(parses) == len(modes)
 
-    def test_empty_edition_exit_2_cold_and_warm(self, world, tmp_path,
-                                                 monkeypatch, caplog):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+    def test_empty_edition_exit_2_cold_and_warm(self, world, tmp_path, caplog):
         root = _copy_world(world, tmp_path)
         (root / "de.edges").write_text("# DE has no links\n", encoding="utf-8")
         args = ["top-people", "--config", str(root / "config.ini"),
@@ -1055,7 +1083,6 @@ class TestGraphArtifact:
     @pytest.mark.parametrize("algorithm", ["pagerank", "2drank"])
     def test_warm_top_people_neither_parses_nor_builds(
             self, world, tmp_path, monkeypatch, algorithm):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         root = _copy_world(world, tmp_path)
         args = ["top-people", "--config", str(root / "config.ini"), "--all",
                 "--algorithm", algorithm]
@@ -1083,7 +1110,6 @@ class TestWarmRunCountsNoOutDegree:
     @pytest.mark.parametrize("command", ["top-people", "rank"])
     def test_warm_run_leaves_out_degree_uncounted(self, world, tmp_path,
                                                   monkeypatch, command):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         if command == "top-people":
             root = _copy_world(world, tmp_path)
             out = root / "out" / "toplists"
@@ -1137,7 +1163,6 @@ class TestRegistryArtifact:
         ("culture", "pagerank", None), ("culture", "pagerank", 19)])
     def test_golden_outputs_cold_and_warm(self, world, tmp_path, monkeypatch,
                                           caplog, command, algorithm, before):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         root = _copy_world(world, tmp_path)
         args = [command, "--config", str(root / "config.ini"),
                 "--algorithm", algorithm]
@@ -1175,7 +1200,6 @@ class TestRegistryArtifact:
         ["culture", "--before-century", "19"]], ids=["global", "culture"])
     def test_warm_run_leaves_titles_unsplit(self, world, tmp_path,
                                             monkeypatch, caplog, args):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         root = _copy_world(world, tmp_path)
         args = [*args, "--config", str(root / "config.ini")]
         assert main(args) == EXIT_OK
@@ -1212,7 +1236,6 @@ class TestRegistryArtifact:
             "duplicate-edition", "empty-id", "empty-country"])
     def test_corrupt_artifact_reparsed_and_rewritten(
             self, world, tmp_path, monkeypatch, caplog, corrupt, reason):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         root = _copy_world(world, tmp_path)
         args = ["global", "--config", str(root / "config.ini"), "--women"]
         assert main(args) == EXIT_OK
@@ -1240,9 +1263,8 @@ class TestRegistryArtifact:
     ], ids=["nul-in-id", "nul-in-country", "nul-in-title", "year-over-int64",
             "year-under-int64"])
     def test_row_the_cache_cannot_store_exits_2(
-            self, world, tmp_path, monkeypatch, caplog, field, value,
+            self, world, tmp_path, caplog, field, value,
             message):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         root = _copy_world(world, tmp_path)
         row = ["Extra", "XX", "1800", "male", "Extra", "Extra", "Extra"]
         row[field] = value
@@ -1265,9 +1287,8 @@ class TestRegistryArtifact:
          "duplicate title 'Konfuzius' in edition DE: 'Confucius' vs 'Extra'"),
     ], ids=["bad-year", "duplicate-title"])
     def test_one_byte_edit_to_invalid_file_exits_2(
-            self, world, tmp_path, monkeypatch, caplog, valid, invalid,
+            self, world, tmp_path, caplog, valid, invalid,
             message):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         root = _copy_world(world, tmp_path)
         persons = root / "persons.tsv"
         with open(persons, "a", encoding="utf-8") as f:
@@ -1287,8 +1308,7 @@ class TestRegistryArtifact:
         assert cache_layout(root / "cache") == {".gmrp": 1}
 
     def test_duplicate_title_in_artifact_exits_2(self, world, tmp_path,
-                                                 monkeypatch, caplog):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+                                                 caplog):
         root = _copy_world(world, tmp_path)
         args = ["top-people", "--config", str(root / "config.ini"),
                 "--edition", "FR"]
@@ -1319,9 +1339,7 @@ def _as_version_1(raw):
 
 
 class TestVectorHeader:
-    def test_version_1_file_recomputed_and_rewritten(self, tmp_path,
-                                                     monkeypatch, caplog):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+    def test_version_1_file_recomputed_and_rewritten(self, tmp_path, caplog):
         graph = _property_graph(tmp_path / "g.edges")
         cache_dir, out = tmp_path / "cache", tmp_path / "o.csv"
         args = ["rank", str(graph), "--cache-dir", str(cache_dir),
@@ -1340,7 +1358,6 @@ class TestVectorHeader:
         assert vector_file.read_bytes() == v2
 
     def test_hit_returns_sweeps_and_residual(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         graph = _property_graph(tmp_path / "g.edges")
         config = cli.PipelineConfig(cache_dir=tmp_path / "cache")
         args = (graph, "2drank", config, "string-labels", True, "empty")
@@ -1354,9 +1371,7 @@ class TestVectorHeader:
             assert warm[name].residual == cold[name].residual
             assert 0 < warm[name].residual <= config.tol
 
-    def test_header_of_other_alpha_not_served(self, tmp_path,
-                                               monkeypatch, caplog):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+    def test_header_of_other_alpha_not_served(self, tmp_path, caplog):
         graph = _property_graph(tmp_path / "g.edges")
         cache_dir, out = tmp_path / "cache", tmp_path / "o.csv"
         args = ["rank", str(graph), "--cache-dir", str(cache_dir),
@@ -1373,8 +1388,7 @@ class TestVectorHeader:
 
 
     def test_probabilities_not_a_distribution_recomputed(
-            self, tmp_path, monkeypatch, caplog):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
+            self, tmp_path, caplog):
         graph = tmp_path / "g.edges"
         graph.write_text("0 1\n1 2\n2 0\n0 2\n")
         cache_dir, out = tmp_path / "cache", tmp_path / "a.csv"
@@ -1396,9 +1410,8 @@ class TestVectorHeader:
         assert vector_file.read_bytes() == good
 
     def test_vector_of_more_sweeps_than_max_iter_not_served(
-            self, tmp_path, monkeypatch, caplog):
+            self, tmp_path, caplog):
         # a fresh run with --max-iter 3 fails, so a warm one must fail too
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         graph = tmp_path / "g.edges"
         graph.write_text("0 1\n1 2\n2 0\n0 2\n2 3\n3 1\n")
         cache_dir, out = tmp_path / "cache", tmp_path / "o.csv"
@@ -1432,7 +1445,6 @@ class TestVectorHeader:
 class TestFailedArtifactWrite:
     def test_writer_failing_mid_file_leaves_nothing(self, tmp_path,
                                                     monkeypatch, caplog):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         graph = _property_graph(tmp_path / "g.edges")
         clean, cache_dir = tmp_path / "clean", tmp_path / "cache"
         out = tmp_path / "o.csv"
@@ -1475,7 +1487,6 @@ def _count_hashes(monkeypatch):
 
 class TestHashOnce:
     def test_rank_2drank_hashes_once(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         graph = _property_graph(tmp_path / "g.edges")
         hashed = _count_hashes(monkeypatch)
         assert main(["rank", str(graph), "--algorithm", "2drank",
@@ -1485,7 +1496,6 @@ class TestHashOnce:
 
     def test_top_people_2drank_hashes_each_edition_once(self, world, tmp_path,
                                                         monkeypatch):
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         hashed = _count_hashes(monkeypatch)
         assert main(["top-people", "--config", str(world / "config.ini"),
                      "--all", "--algorithm", "2drank",
@@ -1502,7 +1512,6 @@ class TestArtifactNames:
         """Each command keys its artifacts by the inputs of the pinned names
         in tests/test_cache.py, in their order, so an earlier cache stays
         warm."""
-        monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
         monkeypatch.setattr(cache, "content_hash", lambda path: "abc")
         root = _copy_world(world, tmp_path)
         assert main(["rank", str(root / "fr.edges"), "--labels",
@@ -1634,8 +1643,7 @@ class TestStartupLoadsNoScipy:
         argv = [*argv, "--config", str(root / "config.ini")]
         assert _heavy_modules_after(RUN_MAIN, argv) == []
 
-    def test_warm_top_people(self, world, tmp_path, monkeypatch):
-        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    def test_warm_top_people(self, world, tmp_path):
         root = _copy_world(world, tmp_path)
         argv = ["top-people", "--config", str(root / "config.ini"), "--all",
                 "--algorithm", "2drank"]

@@ -1,5 +1,4 @@
 """Culture network construction, weighted Google matrix, culture ranking."""
-import dataclasses
 import io
 import re
 
@@ -7,9 +6,8 @@ import numpy as np
 import pytest
 
 from gmrank.cultures import (CULTURE_CODES, CULTURE_INDEX, N_CULTURES,
-                             CultureNetwork, build_culture_network,
-                             culture_google_matrix, culture_ranks,
-                             export_matrix_by_rank)
+                             build_culture_network, culture_google_matrix,
+                             culture_ranks, export_matrix_by_rank)
 from gmrank.registry import TopList, century_of
 from gmrank.tableio import (write_culture_matrix_csv, write_culture_network_csv,
                             write_culture_ranks_csv)
@@ -26,7 +24,7 @@ def network_from(weight_map):
     weights = np.zeros((N_CULTURES, N_CULTURES), dtype=np.int64)
     for (a, b), w in weight_map.items():
         weights[CULTURE_INDEX[a], CULTURE_INDEX[b]] = w
-    return CultureNetwork(weights=weights)
+    return weights
 
 
 @pytest.fixture
@@ -50,33 +48,33 @@ class TestBuildNetwork:
     def test_foreign_figures_become_weights(self, mixed_registry):
         lists = [toplist("EN", ["fr0", "fr1", "fr2", "fr3", "fr4", "us0"])]
         net = build_culture_network(lists, mixed_registry)
-        assert net.weights[CULTURE_INDEX["EN"], CULTURE_INDEX["FR"]] == 5
-        assert net.weights[CULTURE_INDEX["EN"], CULTURE_INDEX["DE"]] == 0
-        assert net.weights.sum() == 5                   # us0 is EN's own
+        assert net[CULTURE_INDEX["EN"], CULTURE_INDEX["FR"]] == 5
+        assert net[CULTURE_INDEX["EN"], CULTURE_INDEX["DE"]] == 0
+        assert net.sum() == 5                   # us0 is EN's own
 
     def test_all_own_culture_gives_empty_network(self, mixed_registry):
         lists = [toplist("EN", ["us0", "us1", "us2"])]
         net = build_culture_network(lists, mixed_registry)
-        assert net.weights.sum() == 0
+        assert net.sum() == 0
 
     def test_century_filter_excludes_late_birth(self, mixed_registry):
         lists = [toplist("EN", ["de0", "fr0"])]       # de0 born 1850 (century 19)
         net = build_culture_network(lists, mixed_registry, before_century=19)
-        assert net.weights[CULTURE_INDEX["EN"], CULTURE_INDEX["DE"]] == 0
+        assert net[CULTURE_INDEX["EN"], CULTURE_INDEX["DE"]] == 0
         # fr0 born 1700, century 17
-        assert net.weights[CULTURE_INDEX["EN"], CULTURE_INDEX["FR"]] == 1
+        assert net[CULTURE_INDEX["EN"], CULTURE_INDEX["FR"]] == 1
 
     def test_unknown_year_fails_filter(self, mixed_registry):
         lists = [toplist("EN", ["noyear"])]
         unfiltered = build_culture_network(lists, mixed_registry)
         filtered = build_culture_network(lists, mixed_registry, before_century=19)
-        assert unfiltered.weights[CULTURE_INDEX["EN"], CULTURE_INDEX["ZH"]] == 1
-        assert filtered.weights.sum() == 0
+        assert unfiltered[CULTURE_INDEX["EN"], CULTURE_INDEX["ZH"]] == 1
+        assert filtered.sum() == 0
 
     def test_diagonal_is_zero(self, mixed_registry):
         lists = [toplist("EN", ["us0", "fr0"]), toplist("FR", ["fr1", "us1"])]
         net = build_culture_network(lists, mixed_registry)
-        assert np.all(np.diag(net.weights) == 0)
+        assert np.all(np.diag(net) == 0)
 
     def test_weight_conservation_under_filters(self, mixed_registry):
         lists = [toplist("EN", ["fr0", "de0", "us0", "noyear"]),
@@ -94,7 +92,7 @@ class TestBuildNetwork:
                         if year is None or century_of(year) >= before:
                             continue
                     expected += person.culture != toplist_obj.edition
-                assert int(net.weights[a].sum()) == expected
+                assert int(net[a].sum()) == expected
 
 
 class TestCultureMatrix:
@@ -122,8 +120,7 @@ class TestCultureMatrix:
     def test_scaled_weights_same_matrix(self):
         net = network_from({("EN", "FR"): 2, ("FR", "DE"): 5, ("DE", "EN"): 1})
         a = culture_google_matrix(net, 0.85)
-        b = culture_google_matrix(
-            dataclasses.replace(net, weights=net.weights * 7), 0.85)
+        b = culture_google_matrix(net * 7, 0.85)
         assert np.allclose(a, b, atol=1e-15)
 
 
@@ -158,8 +155,7 @@ class TestCultureRanks:
                  toplist("FR", ["us1", "de1", "fr2"])]
         net = build_culture_network(lists, mixed_registry)
         base = culture_ranks(net)
-        scaled = culture_ranks(
-            dataclasses.replace(net, weights=net.weights * 7))
+        scaled = culture_ranks(net * 7)
         assert base.k.tolist() == scaled.k.tolist()
         assert base.kstar.tolist() == scaled.kstar.tolist()
 
@@ -180,8 +176,7 @@ class TestCultureRanks:
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan")])
     def test_alpha_outside_unit_interval_refused(self, alpha):
-        net = CultureNetwork(weights=np.ones((N_CULTURES, N_CULTURES),
-                                             dtype=np.int64))
+        net = np.ones((N_CULTURES, N_CULTURES), dtype=np.int64)
         with pytest.raises(ValueError, match=re.escape(
                 f"alpha must be in (0, 1), got {alpha}")):
             culture_ranks(net, alpha)
@@ -221,8 +216,7 @@ def test_corpus_outputs_match_golden_files(corpus_toplists, corpus_registry):
     outputs = {}
     for name, write, payload in (
             ("network", write_culture_network_csv, (net,)),
-            ("matrix", write_culture_matrix_csv,
-             (culture_google_matrix(net), ranks.pagerank_ordering)),
+            ("matrix", write_culture_matrix_csv, (ranks,)),
             ("ranks", write_culture_ranks_csv, (ranks,))):
         stream = io.StringIO()
         write(stream, *payload)

@@ -177,11 +177,10 @@ def test_every_traced_name_resolves(spans):
         importlib.import_module(module)
 
 
-def test_refused_vector_traced_as_one_miss(spans, tmp_path, monkeypatch):
+def test_refused_vector_traced_as_one_miss(spans, tmp_path):
     # the codec refuses a vector stored under another alpha by raising, so
     # the tracer counts no hit, and the recomputed vector's write is the miss
     from gmrank.cli import main
-    monkeypatch.delenv("GMRANK_CACHE_DIR", raising=False)
     graph = tmp_path / "g.edges"
     graph.write_text("a b\nb c\nc a\na c\n")
     args = ["rank", str(graph), "--labels", "--cache-dir",
@@ -232,3 +231,27 @@ def test_one_writer_knows_the_distribution_format():
                and any(isinstance(n, ast.Name) and n.id == "DISTRIBUTION_HEADER"
                        for n in ast.walk(node))}
     assert readers == {"write_distribution_csv"}
+
+
+def is_dataclass_decorator(node) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(target, ast.Name) and target.id == "dataclass"
+            or isinstance(target, ast.Attribute) and target.attr == "dataclass")
+
+
+def test_no_wrapper_dataclass():
+    # a dataclass of one field and no methods adds a name, not a behaviour:
+    # pass the field itself
+    wrappers = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ClassDef) and any(
+                    is_dataclass_decorator(d) for d in node.decorator_list)):
+                continue
+            fields = [n for n in node.body if isinstance(n, ast.AnnAssign)]
+            methods = [n for n in node.body if isinstance(
+                n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            if len(fields) == 1 and not methods:
+                wrappers.append(f"{path.stem}.{node.name}")
+    assert wrappers == []

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from gmrank import aggregate, registry
-from gmrank.cultures import (CULTURE_INDEX, build_culture_network,
-                             culture_google_matrix, culture_ranks)
+from gmrank.cultures import CULTURE_INDEX, build_culture_network, culture_ranks
 from gmrank.rank import cheirank, pagerank, rank_indices, two_d_rank
 from gmrank.registry import TopList
 from gmrank.tableio import (TOPLIST_HEADER, atomic_write, read_toplist_csv,
@@ -208,18 +207,16 @@ class TestCultureFiles:
         for line in buf.getvalue().splitlines()[1:]:
             source, target, weight = line.split(",")
             assert source != target
-            assert net.weights[CULTURE_INDEX[source],
-                               CULTURE_INDEX[target]] == int(weight)
+            assert net[CULTURE_INDEX[source],
+                       CULTURE_INDEX[target]] == int(weight)
             total += int(weight)
-        assert total == int(net.weights.sum())
+        assert total == int(net.sum())
 
     def test_matrix_csv_columns_sum_to_one(self, corpus):
         registry, toplists = corpus
-        net = build_culture_network(toplists, registry)
-        matrix = culture_google_matrix(net, 0.85)
-        ranks = culture_ranks(net)
+        ranks = culture_ranks(build_culture_network(toplists, registry))
         buf = io.StringIO()
-        write_culture_matrix_csv(buf, matrix, ranks.pagerank_ordering)
+        write_culture_matrix_csv(buf, ranks)
         lines = buf.getvalue().splitlines()
         values = np.array([[float(x) for x in line.split(",")[1:]]
                            for line in lines[1:]])
