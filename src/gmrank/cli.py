@@ -2,8 +2,9 @@
 
 Subcommands: ``rank``, ``top-people``, ``global``, ``culture``, ``selfcheck``.
 Exit codes are a stable contract: 0 success, 1 self-check failure, 2 input
-error, 3 numeric (convergence) error.  Identical inputs and configuration
-produce byte-identical outputs; all files are written atomically.
+error, 3 numeric (convergence) error; an input error in a file's content
+starts with the file's path.  Identical inputs and configuration produce
+byte-identical outputs; all files are written atomically.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import argparse
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,6 +40,21 @@ TEXT_ENCODING = "utf-8-sig"
 
 class ConfigError(ValueError):
     """Invalid or incomplete pipeline configuration."""
+
+
+@contextmanager
+def _open_input(path: str | Path):
+    """A user text file opened as :data:`TEXT_ENCODING`.  A ValueError raised
+    while it is open is raised again, of its class, with ``f"{path}: "``
+    before its message; a UnicodeDecodeError, which takes none, as a
+    ValueError."""
+    with open(path, encoding=TEXT_ENCODING) as f:
+        try:
+            yield f
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        except ValueError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -97,37 +114,38 @@ def load_config(path: str | Path) -> PipelineConfig:
     base = path.parent
     config = PipelineConfig()
     section = None
-    lines = path.read_text(encoding=TEXT_ENCODING).splitlines()
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            if line != "[editions]":
-                raise ConfigError(f"config line {line_no}: unknown section {line}")
-            section = "editions"
-            continue
-        if "=" not in line:
-            raise ConfigError(f"config line {line_no}: expected key = value")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if section == "editions":
-            code = key.upper()
-            if code in config.editions:
-                raise ConfigError(
-                    f"config line {line_no}: duplicate edition {code}")
-            config.editions[code] = base / value
-        elif key in _SCALAR_KEYS:
-            try:
-                setattr(config, key, _SCALAR_KEYS[key](value))
-            except ValueError:
-                raise ConfigError(
-                    f"config line {line_no}: bad value for {key}: {value!r}"
-                ) from None
-        elif key in _PATH_KEYS:
-            setattr(config, _PATH_KEYS[key], base / value)
-        else:
-            raise ConfigError(f"config line {line_no}: unknown key {key!r}")
+    with _open_input(path) as f:
+        lines = f.read().splitlines()
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("["):
+                if line != "[editions]":
+                    raise ConfigError(f"config line {line_no}: unknown section {line}")
+                section = "editions"
+                continue
+            if "=" not in line:
+                raise ConfigError(f"config line {line_no}: expected key = value")
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if section == "editions":
+                code = key.upper()
+                if code in config.editions:
+                    raise ConfigError(
+                        f"config line {line_no}: duplicate edition {code}")
+                config.editions[code] = base / value
+            elif key in _SCALAR_KEYS:
+                try:
+                    setattr(config, key, _SCALAR_KEYS[key](value))
+                except ValueError:
+                    raise ConfigError(
+                        f"config line {line_no}: bad value for {key}: {value!r}"
+                    ) from None
+            elif key in _PATH_KEYS:
+                setattr(config, _PATH_KEYS[key], base / value)
+            else:
+                raise ConfigError(f"config line {line_no}: unknown key {key!r}")
     return config
 
 
@@ -151,7 +169,7 @@ def _load_registry(config: PipelineConfig) -> PersonRegistry:
         raise ConfigError("no persons file configured")
     culture_map = default_culture_map()
     if config.culture_map_path is not None:
-        with open(config.culture_map_path, encoding=TEXT_ENCODING) as f:
+        with _open_input(config.culture_map_path) as f:
             culture_map = load_culture_map(f)
     artifact = None
     if config.cache_dir is not None:
@@ -160,7 +178,7 @@ def _load_registry(config: PipelineConfig) -> PersonRegistry:
             "persons", cache.PERSONS_VERSION)
 
     def parse() -> PersonRegistry:
-        with open(config.persons_path, encoding=TEXT_ENCODING) as f:
+        with _open_input(config.persons_path) as f:
             return load_persons(f, culture_map)
 
     return _cached(
@@ -196,8 +214,8 @@ def _cached(path: Path | None, what: str, redo: str, read, build, write):
 
 
 def _rank_edge_list(graph_path: Path, algorithm: str, config: PipelineConfig,
-                    label_mode: str, drop_self_loops: bool,
-                    empty_error: str) -> tuple[DirectedGraph, dict, dict]:
+                    label_mode: str, drop_self_loops: bool
+                    ) -> tuple[DirectedGraph, dict, dict]:
     """Parse an edge list and rank it by pagerank, cheirank or 2drank.
 
     With a cache directory, the parsed graph and each vector are read from
@@ -220,17 +238,14 @@ def _rank_edge_list(graph_path: Path, algorithm: str, config: PipelineConfig,
                                    *inputs)
 
     def parse() -> DirectedGraph:
-        try:
-            with open(graph_path, encoding=TEXT_ENCODING) as f:
-                return load_edge_list(f, drop_self_loops=drop_self_loops,
-                                      label_mode=label_mode)
-        except (EdgeListError, UnicodeDecodeError) as exc:
-            raise EdgeListError(f"{graph_path}: {exc}") from exc
+        with _open_input(graph_path) as f:
+            return load_edge_list(f, drop_self_loops=drop_self_loops,
+                                  label_mode=label_mode)
 
     g = _cached(artifact("gmrg"), "graph", "re-parsing", cache.read_graph,
                 parse, cache.write_graph)
     if g.node_count == 0:
-        raise EdgeListError(empty_error)
+        raise EdgeListError(f"{graph_path}: graph has no nodes")
     vectors, ranks = {}, {}
     for name in ((PAGERANK, CHEIRANK) if algorithm == TWODRANK_LIST
                  else (algorithm,)):
@@ -255,7 +270,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     g, vectors, ranks = _rank_edge_list(
         Path(args.graph), algorithm, config,
         STRING_LABELS if args.labels else INTEGER_IDS,
-        not args.keep_self_loops, "graph has no nodes")
+        not args.keep_self_loops)
     out_path = Path(args.out)
     with tableio.atomic_write(out_path) as f:
         if algorithm == TWODRANK_LIST:
@@ -276,12 +291,9 @@ def _extract_toplist(config: PipelineConfig, registry: PersonRegistry,
                      edition: str, algorithm: str) -> None:
     g, _, ranks = _rank_edge_list(
         config.editions[edition], algorithm, config, STRING_LABELS,
-        drop_self_loops=True,
-        empty_error=f"edition {edition}: graph has no labeled nodes")
+        drop_self_loops=True)
     toplist = select_top_people(ranks[algorithm], g.labels, registry, edition,
                                 algorithm, n=config.top_n)
-    if not toplist.entries:
-        log.warning("edition %s: no registered persons matched", edition)
     path = _toplist_path(config, edition, algorithm)
     with tableio.atomic_write(path) as f:
         tableio.write_toplist_csv(f, toplist, registry)
@@ -322,16 +334,12 @@ def _read_toplists(config: PipelineConfig, registry: PersonRegistry,
             raise ConfigError(
                 f"missing top list for edition {code}: {path} "
                 f"(run 'gmrank top-people' first)")
-        with open(path, encoding=TEXT_ENCODING) as f:
-            try:
-                toplist = tableio.read_toplist_csv(f, code, algorithm)
-            except ValueError as exc:
-                raise ValueError(f"top list {path}: {exc}") from None
-        for person_id, _ in toplist.entries:
-            if person_id not in registry:
-                raise ConfigError(
-                    f"top list for edition {toplist.edition} ({path}): "
-                    f"person {person_id!r} is not in the persons file")
+        with _open_input(path) as f:
+            toplist = tableio.read_toplist_csv(f, code, algorithm)
+            for person_id, _ in toplist.entries:
+                if person_id not in registry:
+                    raise ConfigError(f"edition {code}: person {person_id!r} "
+                                      "is not in the persons file")
         toplists.append(toplist)
     return toplists
 
@@ -341,7 +349,7 @@ def cmd_global(args: argparse.Namespace) -> int:
     algorithm = args.algorithm
     toplists = _read_toplists(config, registry, algorithm)
     if args.reference:      # read before any output, so a bad one writes none
-        with open(args.reference, encoding=TEXT_ENCODING) as f:
+        with _open_input(args.reference) as f:
             reference = aggregate.load_reference_list(f)
     out = config.output_dir
 

@@ -245,7 +245,7 @@ class TestRankCommand:
         errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1
         assert errors[0].getMessage() == (
-            f"node count {node_count} over the limit {MAX_NODE_COUNT}")
+            f"{graph}: node count {node_count} over the limit {MAX_NODE_COUNT}")
         assert not (tmp_path / "o.csv").exists()
 
     def test_edge_count_over_limit_exit_2(self, tmp_path, caplog,
@@ -259,7 +259,7 @@ class TestRankCommand:
                          str(tmp_path / "o.csv")]) == EXIT_INPUT
         errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
         assert [r.getMessage() for r in errors] == [
-            "edge count 3 over the limit 2"]
+            f"{graph}: edge count 3 over the limit 2"]
         assert not (tmp_path / "o.csv").exists()
 
     @staticmethod
@@ -289,8 +289,8 @@ class TestRankCommand:
         assert result.returncode == EXIT_INPUT, result.stderr
         lines = result.stderr.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("ERROR node count 67108864 needs about "
-                                   "7.5 GiB to rank, over the ")
+        assert lines[0].startswith(f"ERROR {graph}: node count 67108864 needs "
+                                   "about 7.5 GiB to rank, over the ")
         assert lines[0].endswith(" GiB this process may use")
         assert not (tmp_path / "o.csv").exists()
 
@@ -483,6 +483,10 @@ class TestTopPeople:
                          "--edition", "EN"]) == EXIT_OK
         rows = read_csv(root / "out" / "toplists" / "EN_pagerank.csv")
         assert rows == []
+        # one warning for the short list, from the walk that found it short
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert warnings == ["edition EN: only 0 of 100 requested persons found"]
 
     @pytest.mark.parametrize("algorithm", ["pagerank", "2drank"])
     def test_empty_lists_reingested_by_global_and_culture(self, tmp_path,
@@ -742,7 +746,44 @@ class TestUnreadableReference:
         errors = [r.getMessage() for r in caplog.records
                   if r.levelno >= logging.ERROR]
         assert len(errors) == 1
+        if content is None:         # OSError names the missing file inside
+            assert str(reference) in errors[0]
+        else:
+            assert errors[0].startswith(f"{reference}: 'utf-8' codec ")
         # the reference list is read before any output is written
+        assert [p.name for p in (root / "out").iterdir()] == ["toplists"]
+
+
+class TestInputErrorNamesItsFile:
+    @pytest.mark.parametrize("name, tail, message", [
+        ("persons.tsv", b"Bad\tXX\t1\tmale\t\xff\t\t\n",
+         "'utf-8' codec can't decode byte 0xff"),
+        ("persons.tsv", b"Short\tXX\n",
+         "persons line {line}: expected 7 fields, got 2"),
+        ("cultures.tsv", b"XX WR\n",
+         "culture map line {line}: expected CC<TAB>LC"),
+        ("config.ini", b"# \xff\n", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["persons-not-utf8", "persons-short-row", "culture-map-bad-line",
+            "config-not-utf8"])
+    def test_exit_2_naming_the_file_first(self, world, tmp_path, caplog,
+                                          name, tail, message):
+        root = _copy_world(world, tmp_path)
+        config = root / "config.ini"
+        config.write_text(config.read_text(encoding="utf-8").replace(
+            "[editions]", "culture_map = cultures.tsv\n[editions]"),
+            encoding="utf-8")
+        (root / "cultures.tsv").write_text("FR\tFR\n", encoding="utf-8")
+        path = root / name
+        line = path.read_bytes().count(b"\n") + 1
+        with open(path, "ab") as f:
+            f.write(tail)
+        with caplog.at_level(logging.ERROR):
+            code = main(["global", "--config", str(config)])
+        assert code == EXIT_INPUT
+        errors = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"{path}: {message.format(line=line)}")
         assert [p.name for p in (root / "out").iterdir()] == ["toplists"]
 
 
@@ -760,8 +801,8 @@ class TestDuplicateTitle:
         assert code == EXIT_INPUT
         errors = [r.getMessage() for r in caplog.records
                   if r.levelno >= logging.ERROR]
-        assert errors == ["duplicate title 'Je\u0301sus' in edition FR: "
-                          "'Jesus' vs 'Jesus_2'"]
+        assert errors == [f"{persons}: duplicate title 'Je\u0301sus' in "
+                          "edition FR: 'Jesus' vs 'Jesus_2'"]
         assert [p.name for p in (root / "out").iterdir()] == ["toplists"]
 
 
@@ -777,8 +818,8 @@ class TestOversizedPersonsField:
             assert main(args) == EXIT_INPUT
         errors = [r.getMessage() for r in caplog.records
                   if r.levelno >= logging.ERROR]
-        assert errors == [
-            "persons line 10: field larger than field limit (131072)"]
+        assert errors == [f"{root / 'persons.tsv'}: persons line 10: "
+                          "field larger than field limit (131072)"]
 
 
 class TestMalformedToplist:
@@ -805,7 +846,7 @@ class TestMalformedToplist:
         assert code == EXIT_INPUT
         errors = [r.getMessage() for r in caplog.records
                   if r.levelno >= logging.ERROR]
-        assert errors == [f"top list {path}: {message}"]
+        assert errors == [f"{path}: {message}"]
         assert [p.name for p in (root / "out").iterdir()] == ["toplists"]
 
 
@@ -1076,7 +1117,7 @@ class TestGraphArtifact:
                 assert main(args) == EXIT_INPUT, run
             errors = [r.getMessage() for r in caplog.records
                       if r.levelno >= logging.ERROR]
-            assert errors == ["edition DE: graph has no labeled nodes"], run
+            assert errors == [f"{root / 'de.edges'}: graph has no nodes"], run
         # the registry loads before any edition is ranked
         assert cache_layout(root / "cache") == {".gmrg": 1, ".gmrp": 1}
 
@@ -1277,7 +1318,7 @@ class TestRegistryArtifact:
                          "--women"]) == EXIT_INPUT
         errors = [r.getMessage() for r in caplog.records
                   if r.levelno >= logging.ERROR]
-        assert errors == [f"persons line {line}: {message}"]
+        assert errors == [f"{persons}: persons line {line}: {message}"]
         assert list((root / "cache").glob("*.gmrp")) == []
 
     @pytest.mark.parametrize("valid, invalid, message", [
@@ -1303,7 +1344,7 @@ class TestRegistryArtifact:
             assert main(args) == EXIT_INPUT
         errors = [r.getMessage() for r in caplog.records
                   if r.levelno >= logging.ERROR]
-        assert errors == [message]
+        assert errors == [f"{persons}: {message}"]
         # the artifact of the valid file is still there, under its own key
         assert cache_layout(root / "cache") == {".gmrp": 1}
 
@@ -1360,7 +1401,7 @@ class TestVectorHeader:
     def test_hit_returns_sweeps_and_residual(self, tmp_path, monkeypatch):
         graph = _property_graph(tmp_path / "g.edges")
         config = cli.PipelineConfig(cache_dir=tmp_path / "cache")
-        args = (graph, "2drank", config, "string-labels", True, "empty")
+        args = (graph, "2drank", config, "string-labels", True)
         cold = cli._rank_edge_list(*args)[1]
         monkeypatch.setattr(cli, "pagerank", _raise)
         monkeypatch.setattr(cli, "cheirank", _raise)

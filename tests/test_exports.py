@@ -255,3 +255,33 @@ def test_no_wrapper_dataclass():
             if len(fields) == 1 and not methods:
                 wrappers.append(f"{path.stem}.{node.name}")
     assert wrappers == []
+
+
+def _reads_text(call):
+    """Whether a call opens a file in text mode or reads it as text."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+    if name == "read_text":
+        return True
+    if name != "open":
+        return False
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    modes += call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]
+    return not any(isinstance(mode, ast.Constant) and "b" in mode.value
+                   for mode in modes)
+
+
+def test_cli_opens_text_only_through_its_reader():
+    # one reader decodes every user text file and names it in each error;
+    # cache artifacts are opened "rb"
+    tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    reader = {id(node) for function in tree.body
+              if isinstance(function, ast.FunctionDef)
+              and function.name == "_open_input"
+              for node in ast.walk(function)}
+    sites = {node.lineno for node in ast.walk(tree) if id(node) not in reader
+             and (isinstance(node, ast.Name) and node.id == "TEXT_ENCODING"
+                  and isinstance(node.ctx, ast.Load)
+                  or isinstance(node, ast.Call) and _reads_text(node))}
+    assert sorted(sites) == []
+    assert reader
