@@ -3,8 +3,8 @@
 Every artifact is named by one rule, :func:`artifact_path`: the first 32 hex
 digits of the SHA-256 of its inputs joined by ``:``, then its kind's
 suffix.  The first input is always the content hash of the file it derives
-from.  Three kinds share the directory, all little-endian, each opening
-with a 4-byte magic and a u16 version:
+from; no input is a version.  Three kinds share the directory, all
+little-endian, each opening with a 4-byte magic and a u16 version:
 
 - ``.gmrg``, a parsed graph; inputs: edge-list hash, label mode, self-loop
   policy.  Magic ``GMRG``, version, label flag u8, one pad byte, then N, E,
@@ -18,14 +18,14 @@ with a 4-byte magic and a u16 version:
   then N probabilities as f64: finite, positive and summing to 1.  It
   serves only a run of its algorithm, alpha, tol and N whose ``max_iter``
   is at least its sweeps.
-- ``.gmrp``, the validated columns of a persons file; inputs: persons-file
-  hash, ``persons``, :data:`PERSONS_VERSION`.  Not the culture map:
-  validation never reads it, and each person's culture is derived from it
-  on lookup.  Magic ``GMRP``, version, two pad bytes, then the person count
-  P, the edition count E and the string blob's byte length as u64; then P
-  birth years as int64 (0 = unknown); then the E edition codes, P ids, P
-  birth countries, P genders and the P*E stripped titles, row by row,
-  joined by NUL in UTF-8.  The reader leaves the titles joined.
+- ``.gmrp``, the validated columns of a persons file; input: persons-file
+  hash.  Not the culture map: validation never reads it, and each person's
+  culture is derived from it on lookup.  Magic ``GMRP``, version, two pad
+  bytes, then the person count P, the edition count E and the string blob's
+  byte length as u64; then P birth years as int64 (0 = unknown); then the E
+  edition codes, P ids, P birth countries, P genders and the P*E stripped
+  titles, row by row, joined by NUL in UTF-8.  The reader leaves the titles
+  joined.
 
 Each kind has a writer ``write_<kind>(stream, ...)`` and a reader
 ``read_<kind>(stream, ...)``.  A reader raises :class:`CacheFormatError` on

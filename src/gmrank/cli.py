@@ -159,7 +159,8 @@ def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> None:
         config.cache_dir = Path(env_cache)
 
 
-def _load_registry(config: PipelineConfig) -> PersonRegistry:
+def _load_registry(config: PipelineConfig,
+                   editions: tuple[str, ...] = ()) -> PersonRegistry:
     """The configured persons file as a registry.
 
     With a cache directory, the validated columns are read from its
@@ -174,17 +175,20 @@ def _load_registry(config: PipelineConfig) -> PersonRegistry:
     artifact = None
     if config.cache_dir is not None:
         artifact = cache.artifact_path(
-            config.cache_dir, "gmrp", cache.content_hash(config.persons_path),
-            "persons", cache.PERSONS_VERSION)
+            config.cache_dir, "gmrp", cache.content_hash(config.persons_path))
+
+    def read(f) -> PersonRegistry:
+        registry = PersonRegistry(*cache.read_persons(f), culture_map)
+        for code in editions:       # so a shared title is a miss
+            registry.title_index(code)
+        return registry
 
     def parse() -> PersonRegistry:
         with _open_input(config.persons_path) as f:
             return load_persons(f, culture_map)
 
     return _cached(
-        artifact, "registry", "re-parsing",
-        lambda f: PersonRegistry(*cache.read_persons(f), culture_map),
-        parse,
+        artifact, "registry", "re-parsing", read, parse,
         lambda f, registry: cache.write_persons(f, *registry.columns()))
 
 
@@ -300,17 +304,18 @@ def _extract_toplist(config: PipelineConfig, registry: PersonRegistry,
     log.info("wrote %s (%d persons)", path, len(toplist))
 
 
-def _configured(args: argparse.Namespace
+def _configured(args: argparse.Namespace, titled: bool = False
                 ) -> tuple[PipelineConfig, PersonRegistry]:
     """The validated config, flags applied, and its persons registry."""
     config = load_config(args.config)
     _apply_overrides(config, args)
     config.validate()
-    return config, _load_registry(config)
+    editions = tuple(config.editions) if titled else ()
+    return config, _load_registry(config, editions)
 
 
 def cmd_top_people(args: argparse.Namespace) -> int:
-    config, registry = _configured(args)
+    config, registry = _configured(args, titled=True)
     if args.all:
         codes = list(config.editions)
     elif not args.edition:

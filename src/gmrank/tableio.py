@@ -19,6 +19,7 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
+from . import registry
 from .aggregate import DistributionTable, GlobalEntry, LanguageCounts
 from .cultures import CULTURE_CODES, CultureRanks, export_matrix_by_rank
 from .rank import RankIndex, RankVector, TwoDRankResult
@@ -65,11 +66,20 @@ def write_rank_csv(stream: IO[str], vector: RankVector, index: RankIndex,
 def write_two_d_rank_csv(stream: IO[str], kp: RankIndex, kc: RankIndex,
                          result: TwoDRankResult,
                          labels: tuple[str, ...] | None = None) -> None:
-    """Rows ``node_id,label,k,kstar,kprime`` in 2DRank order."""
+    """Rows ``node_id,label,k,kstar,kprime`` in 2DRank order; unlabelled
+    ones are formatted and written a ``registry.ORDERING_SLICE`` at a time."""
     stream.write("node_id,label,k,kstar,kprime\n")
-    for node, k, kstar, kprime in ranked_rows(
-            result.ordering, kp.position, kc.position, result.kprime):
-        label = _label_field(labels[node]) if labels is not None else ""
+    columns = (kp.position, kc.position, result.kprime)
+    if labels is None:
+        ordering, step = result.ordering, registry.ORDERING_SLICE
+        for start in range(0, ordering.size, step):
+            nodes = ordering[start:start + step]
+            block = np.column_stack([nodes, *(c[nodes] for c in columns)])
+            stream.write(("%d,,%d,%d,%d\n" * nodes.size)
+                         % tuple(block.ravel().tolist()))
+        return
+    for node, k, kstar, kprime in ranked_rows(result.ordering, *columns):
+        label = _label_field(labels[node])
         stream.write(f"{node},{label},{k},{kstar},{kprime}\n")
 
 

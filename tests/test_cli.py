@@ -1194,6 +1194,12 @@ def _one_string_less(raw):
     return raw[:at] + b"_" + raw[at + 1:]
 
 
+def _same_fr_title(ids, fields, editions, titles):
+    """The first two persons share one FR title."""
+    width, fr = len(editions), editions.index("FR")
+    titles[fr] = titles[width + fr] = "Same"
+
+
 def _outputs(out):
     return {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
 
@@ -1272,26 +1278,68 @@ class TestRegistryArtifact:
             0, "")), "empty person_id"),
         (_edit_columns(lambda ids, fields, editions, titles: fields.__setitem__(
             0, ("",) + fields[0][1:])), "empty birth_country"),
+        (_edit_columns(_same_fr_title),
+         "duplicate title 'Same' in edition FR: 'Napoleon' vs 'Carl_Linnaeus'"),
     ], ids=["truncated", "bad-magic", "old-version", "wrong-string-count",
             "unknown-gender", "duplicate-id", "unknown-edition",
-            "duplicate-edition", "empty-id", "empty-country"])
+            "duplicate-edition", "empty-id", "empty-country",
+            "duplicate-title"])
+    @pytest.mark.parametrize("command", ["global", "top-people"])
     def test_corrupt_artifact_reparsed_and_rewritten(
-            self, world, tmp_path, monkeypatch, caplog, corrupt, reason):
+            self, world, tmp_path, monkeypatch, caplog, command, corrupt,
+            reason):
+        root = _copy_world(world, tmp_path)
+        flag, out = (("--women", root / "out") if command == "global"
+                     else ("--all", root / "out" / "toplists"))
+        args = [command, "--config", str(root / "config.ini"), flag]
+        assert main(args) == EXIT_OK
+        reference, layout = _outputs(out), cache_layout(root / "cache")
+        artifact = next((root / "cache").glob("*.gmrp"))
+        good = artifact.read_bytes()
+        artifact.write_bytes(corrupt(good))
+        loads = _count_calls(monkeypatch, "load_persons")
+        caplog.clear()
+        with caplog.at_level(logging.INFO):
+            assert main(args) == EXIT_OK
+        # top-people also warns of editions with fewer than top_n persons
+        misses = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.WARNING
+                  and "requested persons found" not in r.getMessage()]
+        if command == "global" and reason.startswith("duplicate title"):
+            # global reads no title, so the shared one is never seen
+            assert misses == [] and loads == []
+            assert "(registry)" in caplog.text
+            assert artifact.read_bytes() == corrupt(good)
+        else:
+            assert len(misses) == 1, misses
+            assert misses[0].startswith(f"unusable cache file {artifact} (")
+            assert reason in misses[0]
+            assert misses[0].endswith("), re-parsing")
+            assert len(loads) == 1
+            assert artifact.read_bytes() == good
+        assert _outputs(out) == reference
+        assert cache_layout(root / "cache") == layout
+
+    def test_older_version_artifact_reparsed_and_rewritten(
+            self, world, tmp_path, monkeypatch, caplog):
+        # the key holds no version, so a new version replaces the old file
+        # under its name
         root = _copy_world(world, tmp_path)
         args = ["global", "--config", str(root / "config.ini"), "--women"]
         assert main(args) == EXIT_OK
         reference = _outputs(root / "out")
         artifact = next((root / "cache").glob("*.gmrp"))
-        good = artifact.read_bytes()
-        artifact.write_bytes(corrupt(good))
+        old = artifact.read_bytes()
+        assert old[4:6] == struct.pack("<H", 1)
+        monkeypatch.setattr(cache, "PERSONS_VERSION", 2)
         loads = _count_calls(monkeypatch, "load_persons")
         with caplog.at_level(logging.WARNING):
             assert main(args) == EXIT_OK
-        assert f"unusable cache file {artifact} (" in caplog.text
-        assert reason in caplog.text and "re-parsing" in caplog.text
+        assert (f"unusable cache file {artifact} (unsupported version 1), "
+                "re-parsing") in caplog.text
         assert len(loads) == 1
         assert _outputs(root / "out") == reference
-        assert artifact.read_bytes() == good
+        assert artifact.read_bytes() == old[:4] + struct.pack("<H", 2) + old[6:]
         assert cache_layout(root / "cache") == {".gmrp": 1}
 
     @pytest.mark.parametrize("field, value, message", [
@@ -1347,30 +1395,6 @@ class TestRegistryArtifact:
         assert errors == [f"{persons}: {message}"]
         # the artifact of the valid file is still there, under its own key
         assert cache_layout(root / "cache") == {".gmrp": 1}
-
-    def test_duplicate_title_in_artifact_exits_2(self, world, tmp_path,
-                                                 caplog):
-        root = _copy_world(world, tmp_path)
-        args = ["top-people", "--config", str(root / "config.ini"),
-                "--edition", "FR"]
-        assert main(args) == EXIT_OK
-        toplist = root / "out" / "toplists" / "FR_pagerank.csv"
-        before = toplist.read_bytes()
-        artifact = next((root / "cache").glob("*.gmrp"))
-
-        def same_fr_title(ids, fields, editions, titles):
-            width, fr = len(editions), editions.index("FR")
-            titles[fr] = titles[width + fr] = "Same"
-        artifact.write_bytes(_edit_columns(same_fr_title)(
-            artifact.read_bytes()))
-        caplog.clear()
-        with caplog.at_level(logging.ERROR):
-            assert main(args) == EXIT_INPUT
-        errors = [r.getMessage() for r in caplog.records
-                  if r.levelno >= logging.ERROR]
-        assert errors == ["duplicate title 'Same' in edition FR: "
-                          "'Napoleon' vs 'Carl_Linnaeus'"]
-        assert toplist.read_bytes() == before
 
 
 def _as_version_1(raw):
@@ -1563,7 +1587,7 @@ class TestArtifactNames:
         assert sorted(p.name for p in (root / "cache").iterdir()) == [
             "428d32fc93ab463d358c1c7fa4af7cb7.gmrk",
             "59c070028d19b099246a7f79f62f403b.gmrg",
-            "969e9f72415a5fb64143f69d23d7c366.gmrp",
+            "ba7816bf8f01cfea414140de5dae2223.gmrp",
         ]
 
 

@@ -4,8 +4,12 @@ Each run mutates one text file of the CLI tests' three-edition world in
 place, runs ``top-people``, ``global`` and ``culture`` until the first
 non-zero exit, and puts the file back.  A bad input must exit 2 with one
 error line, never a traceback, and that line must start with the mutated
-file's path; the test names the two cases where it may not.  The run
-count is a time budget (about 3 s): never lower it to hide a failure.
+file's path; the test names the two cases where it may not.
+
+A cache artifact is not input: a run over a registry artifact with one bit
+flipped must exit 0, either on a hit or on one logged miss that names the
+artifact.  The run counts are time budgets (about 3 s and 1 s): never lower
+them to hide a failure.
 """
 import logging
 import random
@@ -18,6 +22,7 @@ from gmrank.registry import default_culture_map
 from test_cli import build_world
 
 RUNS = 200
+FLIPS = 100
 
 # the files a run may mutate, relative to the world's root; the three top
 # lists count as one target
@@ -121,3 +126,45 @@ def test_bad_input_exits_2_naming_its_file(world, caplog, seed):
         assert errors[0].startswith(tuple(f"{world / t}: " for t in TOPLISTS))
     else:
         assert errors[0].startswith(f"{path}: "), errors[0]
+
+
+@pytest.fixture(scope="module")
+def octal_world(tmp_path_factory):
+    """The CLI tests' world with 64 more persons, whose FR titles
+    ``Person_00`` to ``Person_77`` (octal) each differ in one bit from six
+    others, and a cache filled by ``top-people``; with the path and the
+    bytes of its registry artifact."""
+    root = tmp_path_factory.mktemp("artifacts")
+    config = build_world(root)
+    with open(root / PERSONS, "a", encoding="utf-8") as f:
+        for i in range(64):
+            f.write(f"P{i:02o}\tXX\t1900\tmale\t\tPerson_{i:02o}\t\n")
+    assert main(["top-people", "--config", str(config), "--all",
+                 "--algorithm", "2drank"]) == EXIT_OK
+    artifact = next((root / "cache").glob("*.gmrp"))
+    return root, artifact, artifact.read_bytes()
+
+
+@pytest.mark.parametrize("seed", range(FLIPS))
+def test_flipped_registry_artifact_is_a_hit_or_one_miss(octal_world, caplog,
+                                                       seed):
+    root, artifact, good = octal_world
+    rng = random.Random(seed)
+    at = rng.randrange(32, len(good))           # past the 32-byte header
+    flipped = bytearray(good)
+    flipped[at] ^= 1 << rng.randrange(8)
+    artifact.write_bytes(flipped)
+    caplog.clear()
+    try:
+        with caplog.at_level(logging.WARNING):
+            code = main(["top-people", "--config", str(root / CONFIG),
+                         "--all", "--algorithm", "2drank"])
+    finally:
+        artifact.write_bytes(good)      # a hit leaves the flipped bytes
+    messages = [(r.levelno, r.getMessage()) for r in caplog.records]
+    assert [m for level, m in messages if level >= logging.ERROR] == []
+    assert code == EXIT_OK
+    misses = [m for _, m in messages if m.startswith("unusable cache file")]
+    assert len(misses) <= 1
+    assert all(m.startswith(f"unusable cache file {artifact} (")
+               for m in misses)
