@@ -64,8 +64,8 @@ class PipelineConfig:
     max_iter: int = GoogleParams.max_iter
     top_n: int = 100
     editions: dict[str, Path] = field(default_factory=dict)    # config order
-    persons_path: Path | None = None
-    culture_map_path: Path | None = None
+    persons: Path | None = None
+    culture_map: Path | None = None
     output_dir: Path = Path("out")
     cache_dir: Path | None = None
     before_century: int | None = None
@@ -85,35 +85,31 @@ class PipelineConfig:
                 raise ConfigError(f"unknown edition code {code!r}")
             if not path.is_file():
                 raise ConfigError(f"edition {code}: no such file {path}")
-        if self.persons_path is not None and not self.persons_path.is_file():
-            raise ConfigError(f"persons file not found: {self.persons_path}")
-        if (self.culture_map_path is not None
-                and not self.culture_map_path.is_file()):
-            raise ConfigError(
-                f"culture map file not found: {self.culture_map_path}")
+        if self.persons is not None and not self.persons.is_file():
+            raise ConfigError(f"persons file not found: {self.persons}")
+        if self.culture_map is not None and not self.culture_map.is_file():
+            raise ConfigError(f"culture map file not found: {self.culture_map}")
 
 
-_SCALAR_KEYS = {
-    "alpha": float, "tol": float, "max_iter": int, "top_n": int,
-    "before_century": int,
-}
-_PATH_KEYS = {
-    "persons": "persons_path", "culture_map": "culture_map_path",
-    "output_dir": "output_dir", "cache_dir": "cache_dir",
-}
+# every flat config key, each the name of its PipelineConfig field and of its
+# flag's dest, with the type its value is parsed as
+_KEYS = {"alpha": float, "tol": float, "max_iter": int, "top_n": int,
+         "before_century": int, "persons": Path, "culture_map": Path,
+         "output_dir": Path, "cache_dir": Path}
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Flat ``key = value`` lines plus an ``[editions]`` section of CODE = path.
 
-    Relative paths are resolved against the config file's directory.
+    Relative paths are resolved against the config file's directory.  Each
+    flat key, like each edition code, may appear once.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     base = path.parent
     config = PipelineConfig()
-    section = None
+    section, seen = None, set()
     with _open_input(path) as f:
         lines = f.read().splitlines()
         for line_no, raw in enumerate(lines, start=1):
@@ -135,25 +131,28 @@ def load_config(path: str | Path) -> PipelineConfig:
                     raise ConfigError(
                         f"config line {line_no}: duplicate edition {code}")
                 config.editions[code] = base / value
-            elif key in _SCALAR_KEYS:
+            elif key not in _KEYS:
+                raise ConfigError(f"config line {line_no}: unknown key {key!r}")
+            elif key in seen:
+                raise ConfigError(f"config line {line_no}: duplicate key {key!r}")
+            else:
+                seen.add(key)
+                kind = _KEYS[key]
                 try:
-                    setattr(config, key, _SCALAR_KEYS[key](value))
+                    setattr(config, key,
+                            base / value if kind is Path else kind(value))
                 except ValueError:
                     raise ConfigError(
                         f"config line {line_no}: bad value for {key}: {value!r}"
                     ) from None
-            elif key in _PATH_KEYS:
-                setattr(config, _PATH_KEYS[key], base / value)
-            else:
-                raise ConfigError(f"config line {line_no}: unknown key {key!r}")
     return config
 
 
 def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> None:
-    for key in (*_SCALAR_KEYS, "output_dir", "cache_dir"):
+    for key, kind in _KEYS.items():
         value = getattr(args, key, None)
         if value is not None:
-            setattr(config, key, _SCALAR_KEYS.get(key, Path)(value))
+            setattr(config, key, kind(value))
     env_cache = os.environ.get(CACHE_ENV)
     if env_cache:
         config.cache_dir = Path(env_cache)
@@ -166,16 +165,16 @@ def _load_registry(config: PipelineConfig,
     With a cache directory, the validated columns are read from its
     ``.gmrp`` artifact when it holds them and written there otherwise.
     """
-    if config.persons_path is None:
+    if config.persons is None:
         raise ConfigError("no persons file configured")
     culture_map = default_culture_map()
-    if config.culture_map_path is not None:
-        with _open_input(config.culture_map_path) as f:
+    if config.culture_map is not None:
+        with _open_input(config.culture_map) as f:
             culture_map = load_culture_map(f)
     artifact = None
     if config.cache_dir is not None:
         artifact = cache.artifact_path(
-            config.cache_dir, "gmrp", cache.content_hash(config.persons_path))
+            config.cache_dir, "gmrp", cache.content_hash(config.persons))
 
     def read(f) -> PersonRegistry:
         registry = PersonRegistry(*cache.read_persons(f), culture_map)
@@ -184,7 +183,7 @@ def _load_registry(config: PipelineConfig,
         return registry
 
     def parse() -> PersonRegistry:
-        with _open_input(config.persons_path) as f:
+        with _open_input(config.persons) as f:
             return load_persons(f, culture_map)
 
     return _cached(
@@ -349,6 +348,15 @@ def _read_toplists(config: PipelineConfig, registry: PersonRegistry,
     return toplists
 
 
+def _write_outputs(out_dir: Path, algorithm: str, rows: list) -> None:
+    """Write each ``(name, writer, *values)`` row, in order, as
+    ``writer(stream, *values)`` into ``out_dir/{algorithm}_{name}``.  Its
+    callers compute every row first, so a run that fails writes no file."""
+    for name, writer, *values in rows:
+        with tableio.atomic_write(out_dir / f"{algorithm}_{name}") as f:
+            writer(f, *values)
+
+
 def cmd_global(args: argparse.Namespace) -> int:
     config, registry = _configured(args)
     algorithm = args.algorithm
@@ -356,58 +364,42 @@ def cmd_global(args: argparse.Namespace) -> int:
     if args.reference:      # read before any output, so a bad one writes none
         with _open_input(args.reference) as f:
             reference = aggregate.load_reference_list(f)
-    out = config.output_dir
 
     entries = aggregate.global_ranking(toplists)
     top100 = entries[:100]
     classes = aggregate.classify_figures(entries)
-    with tableio.atomic_write(out / f"{algorithm}_global_ranking.csv") as f:
-        tableio.write_global_csv(f, entries, classes, registry)
-
+    rows = [("global_ranking.csv", tableio.write_global_csv,
+             entries, classes, registry)]
     if args.women:
         women = aggregate.filter_by_gender(entries, registry, "female")
-        with tableio.atomic_write(
-                out / f"{algorithm}_global_ranking_female.csv") as f:
-            tableio.write_global_csv(f, women, classes, registry)
-
-    slices = aggregate.per_culture_top(entries, registry, n=10)
-    with tableio.atomic_write(out / f"{algorithm}_culture_top10.csv") as f:
-        tableio.write_culture_slices_csv(f, slices)
-
+        rows.append(("global_ranking_female.csv", tableio.write_global_csv,
+                     women, classes, registry))
+    rows.append(("culture_top10.csv", tableio.write_culture_slices_csv,
+                 aggregate.per_culture_top(entries, registry, n=10)))
     for name, tabulate in (("spatial", aggregate.spatial_distribution),
                            ("temporal", aggregate.temporal_distribution)):
         table = tabulate(toplists, registry)
-        with tableio.atomic_write(
-                out / f"{algorithm}_{name}_distribution.csv") as f:
-            tableio.write_distribution_csv(f, [
-                table, aggregate.column_normalize(table),
-                aggregate.edition_average(table)])
-
-    locality = aggregate.locality_ratio(toplists, registry)
-    with tableio.atomic_write(out / f"{algorithm}_locality_ratio.csv") as f:
-        tableio.write_locality_csv(f, [locality])
-
-    gender = aggregate.gender_distribution(toplists, registry)
-    with tableio.atomic_write(out / f"{algorithm}_gender_distribution.csv") as f:
-        tableio.write_gender_csv(f, gender)
-
-    counts = aggregate.language_representation(registry, toplists, top100)
-    with tableio.atomic_write(out / f"{algorithm}_language_counts.csv") as f:
-        tableio.write_language_counts_csv(f, counts)
-
+        rows.append((f"{name}_distribution.csv", tableio.write_distribution_csv,
+                     [table, aggregate.column_normalize(table),
+                      aggregate.edition_average(table)]))
+    rows += [
+        ("locality_ratio.csv", tableio.write_locality_csv,
+         [aggregate.locality_ratio(toplists, registry)]),
+        ("gender_distribution.csv", tableio.write_gender_csv,
+         aggregate.gender_distribution(toplists, registry)),
+        ("language_counts.csv", tableio.write_language_counts_csv,
+         aggregate.language_representation(registry, toplists, top100))]
     if args.reference:
-        report = {
+        rows.append(("overlap_report.json", tableio.write_overlap_json, {
             "algorithm": algorithm,
             "reference": Path(args.reference).name,
             "reference_size": len(set(reference)),
             "list_size": len(top100),
             "overlap": aggregate.overlap(
                 [e.person_id for e in top100], reference),
-        }
-        with tableio.atomic_write(out / f"{algorithm}_overlap_report.json") as f:
-            tableio.write_overlap_json(f, report)
-
-    log.info("aggregate outputs written to %s", out)
+        }))
+    _write_outputs(config.output_dir, algorithm, rows)
+    log.info("aggregate outputs written to %s", config.output_dir)
     return EXIT_OK
 
 
@@ -422,17 +414,13 @@ def cmd_culture(args: argparse.Namespace) -> int:
 
     suffix = (f"_before{config.before_century}"
               if config.before_century is not None else "")
-    out = config.output_dir
-    with tableio.atomic_write(
-            out / f"{algorithm}_culture_network{suffix}.csv") as f:
-        tableio.write_culture_network_csv(f, weights)
-    with tableio.atomic_write(
-            out / f"{algorithm}_culture_ranks{suffix}.csv") as f:
-        tableio.write_culture_ranks_csv(f, ranks)
-    with tableio.atomic_write(
-            out / f"{algorithm}_culture_matrix{suffix}.csv") as f:
-        tableio.write_culture_matrix_csv(f, ranks)
-    log.info("culture outputs written to %s", out)
+    _write_outputs(config.output_dir, algorithm, [
+        (f"culture_network{suffix}.csv", tableio.write_culture_network_csv,
+         weights),
+        (f"culture_ranks{suffix}.csv", tableio.write_culture_ranks_csv, ranks),
+        (f"culture_matrix{suffix}.csv", tableio.write_culture_matrix_csv,
+         ranks)])
+    log.info("culture outputs written to %s", config.output_dir)
     return EXIT_OK
 
 
@@ -460,51 +448,42 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--labels", action="store_true",
                         help="treat tokens as string labels, not integer ids")
     p_rank.add_argument("--keep-self-loops", action="store_true")
-    p_rank.add_argument("--cache-dir", default=None)
     p_rank.set_defaults(func=cmd_rank)
 
     p_top = sub.add_parser("top-people", help="extract a per-edition top list")
-    p_top.add_argument("--config", required=True)
-    p_top.add_argument("--edition", default=None)
+    p_top.add_argument("--edition")
     p_top.add_argument("--all", action="store_true",
                        help="process every configured edition")
-    p_top.add_argument("--algorithm", default=PAGERANK_LIST,
-                       choices=[PAGERANK_LIST, TWODRANK_LIST])
-    p_top.add_argument("--top-n", dest="top_n", type=int, default=None)
-    p_top.add_argument("--output-dir", default=None)
-    p_top.add_argument("--cache-dir", default=None)
+    p_top.add_argument("--top-n", type=int)
     p_top.set_defaults(func=cmd_top_people)
 
     p_global = sub.add_parser("global", help="aggregate top lists globally")
-    p_global.add_argument("--config", required=True)
-    p_global.add_argument("--algorithm", default=PAGERANK_LIST,
-                          choices=[PAGERANK_LIST, TWODRANK_LIST])
-    p_global.add_argument("--reference", default=None,
+    p_global.add_argument("--reference",
                           help="external reference list (one name per line)")
     p_global.add_argument("--women", action="store_true",
                           help="also emit the female-only ranking")
-    p_global.add_argument("--output-dir", default=None)
     p_global.set_defaults(func=cmd_global)
 
     p_culture = sub.add_parser("culture", help="build and rank the culture network")
-    p_culture.add_argument("--config", required=True)
-    p_culture.add_argument("--algorithm", default=PAGERANK_LIST,
-                           choices=[PAGERANK_LIST, TWODRANK_LIST])
-    p_culture.add_argument("--before-century", dest="before_century", type=int,
-                           default=None,
+    p_culture.add_argument("--before-century", type=int,
                            help="only persons born strictly before this century")
-    p_culture.add_argument("--output-dir", default=None)
     p_culture.set_defaults(func=cmd_culture)
 
+    for p in (p_top, p_global, p_culture):
+        p.add_argument("--config", required=True)
+        p.add_argument("--algorithm", default=PAGERANK_LIST,
+                       choices=[PAGERANK_LIST, TWODRANK_LIST])
+        p.add_argument("--output-dir")
     # global reads no iteration parameter, culture only alpha
     for p in (p_rank, p_top, p_culture):
-        p.add_argument("--alpha", type=float, default=None,
+        p.add_argument("--alpha", type=float,
                        help=f"damping factor (default {GoogleParams.alpha})")
     for p in (p_rank, p_top):
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=float,
                        help=f"L1 convergence tolerance (default {GoogleParams.tol})")
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=None,
+        p.add_argument("--max-iter", type=int,
                        help=f"iteration cap (default {GoogleParams.max_iter})")
+        p.add_argument("--cache-dir")
 
     p_check = sub.add_parser("selfcheck", help="run the bundled oracle suite")
     p_check.set_defaults(func=cmd_selfcheck)
@@ -515,8 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr,
                         format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:   # ConfigError, EdgeListError, ...

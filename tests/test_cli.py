@@ -1,5 +1,7 @@
 """End-to-end CLI runs over a small synthetic three-edition world."""
+import argparse
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -754,6 +756,17 @@ class TestUnreadableReference:
         assert [p.name for p in (root / "out").iterdir()] == ["toplists"]
 
 
+def test_failing_global_writes_nothing(world, tmp_path, monkeypatch):
+    # every output is computed before the first is written
+    def fail(*args, **kwargs):
+        raise ValueError("language counts failed")
+    monkeypatch.setattr(cli.aggregate, "language_representation", fail)
+    root = _copy_world(world, tmp_path)
+    code = main(["global", "--config", str(root / "config.ini"), "--women"])
+    assert code == EXIT_INPUT
+    assert [p.name for p in (root / "out").iterdir()] == ["toplists"]
+
+
 class TestInputErrorNamesItsFile:
     @pytest.mark.parametrize("name, tail, message", [
         ("persons.tsv", b"Bad\tXX\t1\tmale\t\xff\t\t\n",
@@ -848,6 +861,71 @@ class TestMalformedToplist:
                   if r.levelno >= logging.ERROR]
         assert errors == [f"{path}: {message}"]
         assert [p.name for p in (root / "out").iterdir()] == ["toplists"]
+
+
+# every subcommand's options: (dest, default, choices, type, required); a
+# positional argument is keyed by its dest
+FLAGS = {
+    "rank": {
+        "graph": ("graph", None, None, None, True),
+        "--algorithm": ("algorithm", "pagerank",
+                        ["pagerank", "cheirank", "2drank"], None, False),
+        "--out": ("out", None, None, None, True),
+        "--labels": ("labels", False, None, None, False),
+        "--keep-self-loops": ("keep_self_loops", False, None, None, False),
+        "--cache-dir": ("cache_dir", None, None, None, False),
+        "--alpha": ("alpha", None, None, float, False),
+        "--tol": ("tol", None, None, float, False),
+        "--max-iter": ("max_iter", None, None, int, False),
+    },
+    "top-people": {
+        "--config": ("config", None, None, None, True),
+        "--edition": ("edition", None, None, None, False),
+        "--all": ("all", False, None, None, False),
+        "--algorithm": ("algorithm", "pagerank", ["pagerank", "2drank"],
+                        None, False),
+        "--top-n": ("top_n", None, None, int, False),
+        "--output-dir": ("output_dir", None, None, None, False),
+        "--cache-dir": ("cache_dir", None, None, None, False),
+        "--alpha": ("alpha", None, None, float, False),
+        "--tol": ("tol", None, None, float, False),
+        "--max-iter": ("max_iter", None, None, int, False),
+    },
+    "global": {
+        "--config": ("config", None, None, None, True),
+        "--algorithm": ("algorithm", "pagerank", ["pagerank", "2drank"],
+                        None, False),
+        "--reference": ("reference", None, None, None, False),
+        "--women": ("women", False, None, None, False),
+        "--output-dir": ("output_dir", None, None, None, False),
+    },
+    "culture": {
+        "--config": ("config", None, None, None, True),
+        "--algorithm": ("algorithm", "pagerank", ["pagerank", "2drank"],
+                        None, False),
+        "--before-century": ("before_century", None, None, int, False),
+        "--output-dir": ("output_dir", None, None, None, False),
+        "--alpha": ("alpha", None, None, float, False),
+    },
+    "selfcheck": {},
+}
+
+
+def test_each_subcommand_keeps_its_flags():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    found = {}
+    for command, subparser in sub.choices.items():
+        found[command] = {}
+        for action in subparser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            (name,) = action.option_strings or [action.dest]
+            found[command][name] = (action.dest, action.default,
+                                    action.choices, action.type,
+                                    action.required)
+    assert found == FLAGS
 
 
 class TestRemovedFlags:
@@ -1629,8 +1707,38 @@ class TestConfig:
 
     def test_relative_paths_resolve_against_config(self, world):
         config = load_config(world / "config.ini")
-        assert config.persons_path == world / "persons.tsv"
+        assert config.persons == world / "persons.tsv"
         assert config.editions["EN"] == world / "en.edges"
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("persons = a.tsv\n# again\npersons = b.tsv\n")
+        with pytest.raises(ConfigError) as exc_info:
+            load_config(bad)
+        assert str(exc_info.value) == (
+            f"{bad}: config line 3: duplicate key 'persons'")
+
+    def test_every_flat_key_is_a_field(self):
+        fields = {f.name for f in dataclasses.fields(cli.PipelineConfig)}
+        assert set(cli._KEYS) == fields - {"editions"}
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("top-people", "--alpha", "0.5"), ("top-people", "--tol", "1e-6"),
+        ("top-people", "--max-iter", "50"), ("top-people", "--top-n", "7"),
+        ("culture", "--before-century", "19"),
+        ("global", "--output-dir", "elsewhere"),
+        ("rank", "--cache-dir", "store")])
+    def test_flag_reaches_config_as_its_type(self, monkeypatch, command, flag,
+                                             value):
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        argv = [command, flag, value]
+        argv += ["edges", "--out", "x.csv"] if command == "rank" else [
+            "--config", "c.ini"]
+        config = cli.PipelineConfig()
+        cli._apply_overrides(config, cli.build_parser().parse_args(argv))
+        key = flag[2:].replace("-", "_")
+        assert getattr(config, key) == cli._KEYS[key](value)
+        assert isinstance(getattr(config, key), cli._KEYS[key])
 
 
 class TestSelfcheckCommand:

@@ -108,6 +108,20 @@ def test_cli_names_no_artifact_version():
     assert named == []
 
 
+def test_cli_writes_files_only_in_its_writers():
+    # global and culture write through _write_outputs alone, after every
+    # output is computed, so no write can fall between two computations
+    tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    callers = sorted(function.name for function in tree.body
+                     if isinstance(function, ast.FunctionDef)
+                     for node in ast.walk(function)
+                     if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "atomic_write")
+    assert callers == ["_cached", "_extract_toplist", "_write_outputs",
+                       "cmd_rank"]
+
+
 def test_cache_holds_no_csv_writer():
     tree = ast.parse((SOURCE / "cache.py").read_text(encoding="utf-8"))
     writers = [node.name for node in tree.body
