@@ -4,7 +4,8 @@ Subcommands: ``rank``, ``top-people``, ``global``, ``culture``, ``selfcheck``.
 Exit codes are a stable contract: 0 success, 1 self-check failure, 2 input
 error, 3 numeric (convergence) error; an input error in a file's content
 starts with the file's path.  Identical inputs and configuration produce
-byte-identical outputs; all files are written atomically.
+byte-identical outputs.  A command computes all of its outputs before
+:func:`_write_outputs` writes them, so a run that fails writes none.
 """
 from __future__ import annotations
 
@@ -33,6 +34,9 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 CACHE_ENV = "GMRANK_CACHE_DIR"
+
+# a top list's path relative to the output directory, by edition and algorithm
+TOPLIST_NAME = "toplists/{}_{}.csv"
 
 # every text file a user hands in is UTF-8; a leading byte-order mark is dropped
 TEXT_ENCODING = "utf-8-sig"
@@ -111,8 +115,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     config = PipelineConfig()
     section, seen = None, set()
     with _open_input(path) as f:
-        lines = f.read().splitlines()
-        for line_no, raw in enumerate(lines, start=1):
+        for line_no, raw in enumerate(f.read().splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -127,6 +130,9 @@ def load_config(path: str | Path) -> PipelineConfig:
             key, value = key.strip(), value.strip()
             if section == "editions":
                 code = key.upper()
+                if code not in EDITION_CODES:
+                    raise ConfigError(f"config line {line_no}: "
+                                      f"unknown edition code {code!r}")
                 if code in config.editions:
                     raise ConfigError(
                         f"config line {line_no}: duplicate edition {code}")
@@ -274,33 +280,25 @@ def cmd_rank(args: argparse.Namespace) -> int:
         Path(args.graph), algorithm, config,
         STRING_LABELS if args.labels else INTEGER_IDS,
         not args.keep_self_loops)
-    out_path = Path(args.out)
-    with tableio.atomic_write(out_path) as f:
-        if algorithm == TWODRANK_LIST:
-            tableio.write_two_d_rank_csv(f, ranks[PAGERANK], ranks[CHEIRANK],
-                                         ranks[algorithm], g.labels)
-        else:
-            tableio.write_rank_csv(f, vectors[algorithm], ranks[algorithm],
-                                   g.labels)
-    log.info("wrote %s", out_path)
+    if algorithm == TWODRANK_LIST:
+        row = (tableio.write_two_d_rank_csv, ranks[PAGERANK], ranks[CHEIRANK])
+    else:
+        row = (tableio.write_rank_csv, vectors[algorithm])
+    out = Path(args.out)
+    _write_outputs(out.parent, [(out.name, *row, ranks[algorithm], g.labels)])
     return EXIT_OK
 
 
-def _toplist_path(config: PipelineConfig, edition: str, algorithm: str) -> Path:
-    return config.output_dir / "toplists" / f"{edition}_{algorithm}.csv"
-
-
 def _extract_toplist(config: PipelineConfig, registry: PersonRegistry,
-                     edition: str, algorithm: str) -> None:
+                     edition: str, algorithm: str) -> tuple:
+    """``edition``'s top-list row, which holds no graph and no rank vector."""
     g, _, ranks = _rank_edge_list(
         config.editions[edition], algorithm, config, STRING_LABELS,
         drop_self_loops=True)
     toplist = select_top_people(ranks[algorithm], g.labels, registry, edition,
                                 algorithm, n=config.top_n)
-    path = _toplist_path(config, edition, algorithm)
-    with tableio.atomic_write(path) as f:
-        tableio.write_toplist_csv(f, toplist, registry)
-    log.info("wrote %s (%d persons)", path, len(toplist))
+    return (TOPLIST_NAME.format(edition, algorithm), tableio.write_toplist_csv,
+            toplist, registry)
 
 
 def _configured(args: argparse.Namespace, titled: bool = False
@@ -315,16 +313,14 @@ def _configured(args: argparse.Namespace, titled: bool = False
 
 def cmd_top_people(args: argparse.Namespace) -> int:
     config, registry = _configured(args, titled=True)
-    if args.all:
-        codes = list(config.editions)
-    elif not args.edition:
+    if not (args.all or args.edition):
         raise ConfigError("pass --edition CODE or --all")
-    else:
-        codes = [args.edition.upper()]
-        if codes[0] not in config.editions:
-            raise ConfigError(f"edition {codes[0]!r} is not configured")
-    for code in codes:
+    codes = list(config.editions) if args.all else [args.edition.upper()]
+    if not set(codes) <= config.editions.keys():
+        raise ConfigError(f"edition {codes[0]!r} is not configured")
+    _write_outputs(config.output_dir, [
         _extract_toplist(config, registry, code, args.algorithm)
+        for code in codes])
     return EXIT_OK
 
 
@@ -333,7 +329,7 @@ def _read_toplists(config: PipelineConfig, registry: PersonRegistry,
     """Every configured edition's top list; each person must be registered."""
     toplists = []
     for code in config.editions:
-        path = _toplist_path(config, code, algorithm)
+        path = config.output_dir / TOPLIST_NAME.format(code, algorithm)
         if not path.is_file():
             raise ConfigError(
                 f"missing top list for edition {code}: {path} "
@@ -342,19 +338,21 @@ def _read_toplists(config: PipelineConfig, registry: PersonRegistry,
             toplist = tableio.read_toplist_csv(f, code, algorithm)
             for person_id, _ in toplist.entries:
                 if person_id not in registry:
-                    raise ConfigError(f"edition {code}: person {person_id!r} "
-                                      "is not in the persons file")
+                    raise ConfigError(
+                        f"edition {code}: person {person_id!r} is not in the "
+                        "persons file (run 'gmrank top-people' again)")
         toplists.append(toplist)
     return toplists
 
 
-def _write_outputs(out_dir: Path, algorithm: str, rows: list) -> None:
-    """Write each ``(name, writer, *values)`` row, in order, as
-    ``writer(stream, *values)`` into ``out_dir/{algorithm}_{name}``.  Its
-    callers compute every row first, so a run that fails writes no file."""
+def _write_outputs(out_dir: Path, rows: list) -> None:
+    """Write each ``(name, writer, *values)`` row as ``writer(stream, *values)``
+    into ``out_dir/name``, atomically, and log it; callers compute all first."""
     for name, writer, *values in rows:
-        with tableio.atomic_write(out_dir / f"{algorithm}_{name}") as f:
+        path = out_dir / name
+        with tableio.atomic_write(path) as f:
             writer(f, *values)
+        log.info("wrote %s", path)
 
 
 def cmd_global(args: argparse.Namespace) -> int:
@@ -368,29 +366,31 @@ def cmd_global(args: argparse.Namespace) -> int:
     entries = aggregate.global_ranking(toplists)
     top100 = entries[:100]
     classes = aggregate.classify_figures(entries)
-    rows = [("global_ranking.csv", tableio.write_global_csv,
+    rows = [(f"{algorithm}_global_ranking.csv", tableio.write_global_csv,
              entries, classes, registry)]
     if args.women:
         women = aggregate.filter_by_gender(entries, registry, "female")
-        rows.append(("global_ranking_female.csv", tableio.write_global_csv,
-                     women, classes, registry))
-    rows.append(("culture_top10.csv", tableio.write_culture_slices_csv,
+        rows.append((f"{algorithm}_global_ranking_female.csv",
+                     tableio.write_global_csv, women, classes, registry))
+    rows.append((f"{algorithm}_culture_top10.csv", tableio.write_culture_slices_csv,
                  aggregate.per_culture_top(entries, registry, n=10)))
     for name, tabulate in (("spatial", aggregate.spatial_distribution),
                            ("temporal", aggregate.temporal_distribution)):
         table = tabulate(toplists, registry)
-        rows.append((f"{name}_distribution.csv", tableio.write_distribution_csv,
+        rows.append((f"{algorithm}_{name}_distribution.csv",
+                     tableio.write_distribution_csv,
                      [table, aggregate.column_normalize(table),
                       aggregate.edition_average(table)]))
     rows += [
-        ("locality_ratio.csv", tableio.write_locality_csv,
+        (f"{algorithm}_locality_ratio.csv", tableio.write_locality_csv,
          [aggregate.locality_ratio(toplists, registry)]),
-        ("gender_distribution.csv", tableio.write_gender_csv,
+        (f"{algorithm}_gender_distribution.csv", tableio.write_gender_csv,
          aggregate.gender_distribution(toplists, registry)),
-        ("language_counts.csv", tableio.write_language_counts_csv,
+        (f"{algorithm}_language_counts.csv", tableio.write_language_counts_csv,
          aggregate.language_representation(registry, toplists, top100))]
     if args.reference:
-        rows.append(("overlap_report.json", tableio.write_overlap_json, {
+        rows.append((f"{algorithm}_overlap_report.json",
+                     tableio.write_overlap_json, {
             "algorithm": algorithm,
             "reference": Path(args.reference).name,
             "reference_size": len(set(reference)),
@@ -398,8 +398,7 @@ def cmd_global(args: argparse.Namespace) -> int:
             "overlap": aggregate.overlap(
                 [e.person_id for e in top100], reference),
         }))
-    _write_outputs(config.output_dir, algorithm, rows)
-    log.info("aggregate outputs written to %s", config.output_dir)
+    _write_outputs(config.output_dir, rows)
     return EXIT_OK
 
 
@@ -414,13 +413,13 @@ def cmd_culture(args: argparse.Namespace) -> int:
 
     suffix = (f"_before{config.before_century}"
               if config.before_century is not None else "")
-    _write_outputs(config.output_dir, algorithm, [
-        (f"culture_network{suffix}.csv", tableio.write_culture_network_csv,
-         weights),
-        (f"culture_ranks{suffix}.csv", tableio.write_culture_ranks_csv, ranks),
-        (f"culture_matrix{suffix}.csv", tableio.write_culture_matrix_csv,
-         ranks)])
-    log.info("culture outputs written to %s", config.output_dir)
+    _write_outputs(config.output_dir, [
+        (f"{algorithm}_culture_network{suffix}.csv",
+         tableio.write_culture_network_csv, weights),
+        (f"{algorithm}_culture_ranks{suffix}.csv",
+         tableio.write_culture_ranks_csv, ranks),
+        (f"{algorithm}_culture_matrix{suffix}.csv",
+         tableio.write_culture_matrix_csv, ranks)])
     return EXIT_OK
 
 

@@ -767,6 +767,45 @@ def test_failing_global_writes_nothing(world, tmp_path, monkeypatch):
     assert [p.name for p in (root / "out").iterdir()] == ["toplists"]
 
 
+def test_failing_top_people_rewrites_no_list(world, tmp_path):
+    # a rerun with a new top_n that fails on DE, the last edition, leaves the
+    # EN and FR lists of the earlier run, so global never reads a mix
+    root = _copy_world(world, tmp_path)
+    config = str(root / "config.ini")
+    assert main(["top-people", "--config", config, "--all"]) == EXIT_OK
+    lists = root / "out" / "toplists"
+    before = {p.name: (p.stat().st_ino, p.read_bytes()) for p in lists.iterdir()}
+    with open(root / "de.edges", "a", encoding="utf-8") as f:
+        f.write("a b c\n")
+    assert main(["top-people", "--config", config, "--all",
+                 "--top-n", "50"]) == EXIT_INPUT
+    assert {p.name: (p.stat().st_ino, p.read_bytes())
+            for p in lists.iterdir()} == before
+
+
+def test_relative_output_paths_are_joined_once(tmp_path, monkeypatch):
+    # a relative --out or --output-dir names a path below the working
+    # directory, never one below the output directory again
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    config = build_world(tmp_path)
+    config.write_text(config.read_text(encoding="utf-8").replace(
+        "cache_dir = cache\n", ""), encoding="utf-8")
+    inputs = {p for p in tmp_path.rglob("*") if p.is_file()}
+    assert main(["rank", "en.edges", "--labels", "--out", "o.csv"]) == EXIT_OK
+    for argv in (["top-people", "--all"], ["global", "--women"], ["culture"]):
+        assert main([*argv, "--config", "config.ini",
+                     "--output-dir", "out"]) == EXIT_OK
+    made = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+            if p.is_file() and p not in inputs}
+    assert made == {
+        "o.csv",
+        *(f"out/toplists/{code}_pagerank.csv" for code in PLANT),
+        *(f"out/pagerank_{name}.csv" for name in GLOBAL_OUTPUTS),
+        *(f"out/pagerank_culture_{name}.csv"
+          for name in ("network", "ranks", "matrix"))}
+
+
 class TestInputErrorNamesItsFile:
     @pytest.mark.parametrize("name, tail, message", [
         ("persons.tsv", b"Bad\tXX\t1\tmale\t\xff\t\t\n",
@@ -1704,6 +1743,23 @@ class TestConfig:
         with pytest.raises(ConfigError,
                            match="config line 3: duplicate edition EN"):
             load_config(bad)
+
+    def test_flat_key_after_editions_refused_at_its_line(self, tmp_path,
+                                                         caplog):
+        # below [editions] every key is an edition code
+        bad = tmp_path / "c.ini"
+        bad.write_text("persons = p.tsv\n[editions]\nEN = en.edges\n"
+                       "alpha = 0.5\n")
+        with caplog.at_level(logging.ERROR):
+            assert main(["culture", "--config", str(bad)]) == EXIT_INPUT
+        assert [r.getMessage() for r in caplog.records
+                if r.levelno >= logging.ERROR] == [
+            f"{bad}: config line 4: unknown edition code 'ALPHA'"]
+
+    def test_edition_code_of_config_built_in_code_checked(self, tmp_path):
+        config = cli.PipelineConfig(editions={"XY": tmp_path / "xy.edges"})
+        with pytest.raises(ConfigError, match="^unknown edition code 'XY'$"):
+            config.validate()
 
     def test_relative_paths_resolve_against_config(self, world):
         config = load_config(world / "config.ini")

@@ -4,7 +4,9 @@ Each run mutates one text file of the CLI tests' three-edition world in
 place, runs ``top-people``, ``global`` and ``culture`` until the first
 non-zero exit, and puts the file back.  A bad input must exit 2 with one
 error line, never a traceback, and that line must start with the mutated
-file's path; the test names the two cases where it may not.
+file's path; the test names the two cases where it may not.  A command that
+exits 2 leaves every file under ``out/`` as it found it: the same names,
+and for each the same inode and bytes.
 
 A cache artifact is not input: a run over a registry artifact with one bit
 flipped must exit 0, either on a hit or on one logged miss that names the
@@ -56,6 +58,12 @@ def world(tmp_path_factory):
     return root
 
 
+def snapshot(directory) -> dict:
+    """Each file below ``directory``, by relative path: its inode and bytes."""
+    return {p.relative_to(directory): (p.stat().st_ino, p.read_bytes())
+            for p in directory.rglob("*") if p.is_file()}
+
+
 def mutate(data: bytes, rng: random.Random) -> bytes:
     """``data`` with one seeded fault."""
     at = rng.randrange(len(data) + 1)
@@ -105,10 +113,12 @@ def test_bad_input_exits_2_naming_its_file(world, caplog, seed):
                       str(world / "reference.txt")],
                      ["culture", "--before-century", "19"]):
             caplog.clear()
+            before = snapshot(world / "out")
             with caplog.at_level(logging.ERROR):
                 code = main([*argv[:1], "--config", config, *argv[1:]])
             assert code in (EXIT_OK, EXIT_INPUT), argv
             if code == EXIT_INPUT:
+                assert snapshot(world / "out") == before, argv
                 break
     finally:
         path.write_bytes(original)
@@ -120,7 +130,8 @@ def test_bad_input_exits_2_naming_its_file(world, caplog, seed):
     assert len(errors) == 1
     if target == CONFIG:            # may name a value, or a file it names
         return
-    if target == PERSONS and errors[0].endswith(" is not in the persons file"):
+    if target == PERSONS and errors[0].endswith(
+            " is not in the persons file (run 'gmrank top-people' again)"):
         # a person lost from the file fails the check of a top list written
         # before the mutation, and that refusal names the top list
         assert errors[0].startswith(tuple(f"{world / t}: " for t in TOPLISTS))
